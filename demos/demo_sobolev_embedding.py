@@ -11,14 +11,14 @@ import numpy as np
 from frachs import (
     FracOrder,
     compute_embedding_constants,
+    continuum_sobolev_constant,
     embedding_bounds,
-    estimate_sobolev_constant,
+    grid_sobolev_constant,
     h_alpha_norm,
     lambda_norm,
     measure_sublevel,
     midpoint_grid,
     random_band_limited,
-    sobolev_multiplier_quadrature,
     vanishing_well_potential,
     verify_potential,
 )
@@ -38,11 +38,12 @@ m = measure_sublevel(pot, times, dt)
 exact = 1.0 + 2.0 * np.sqrt(pot.threshold * 0.0025)
 print(f"\nsublevel measure |{{l < {pot.threshold}}}|: grid {m:.6f} vs closed form {exact:.6f}")
 
-c_quad = sobolev_multiplier_quadrature(a)
-c_emp = estimate_sobolev_constant(a, n, t_min, dt, trials=200, seed=0)
-print(f"sup-norm constant: multiplier integral {c_quad:.5f}, safety-factored estimate {c_emp:.5f}")
+c_cont = continuum_sobolev_constant(a)
+c_grid = grid_sobolev_constant(a, n, dt)
+print(f"sup-norm constant: whole line C_cont = {c_cont:.5f}, sharp on this grid "
+      f"C_grid = {c_grid:.5f}; C_alpha = max = {max(c_cont, c_grid):.5f}")
 
-const = compute_embedding_constants(pot, a, n, t_min, dt, seed=0)
+const = compute_embedding_constants(pot, a, n, t_min, dt)
 print(f"admissibility product C^2 m = {const.admissibility_product:.5f} "
       f"(margin {const.admissibility_margin:.4f})")
 print(f"theta0 = {const.theta0:.5f},  weight threshold = {const.lambda_threshold:.5f}")

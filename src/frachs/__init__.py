@@ -70,13 +70,14 @@ from .spaces import (
     EmbeddingConstants,
     PotentialMatrix,
     compute_embedding_constants,
+    continuum_sobolev_constant,
     embedding_bounds,
-    estimate_sobolev_constant,
+    grid_sobolev_constant,
     h_alpha_norm,
     lambda_norm,
     measure_sublevel,
     rotated_well_potential,
-    sobolev_multiplier_quadrature,
+    sobolev_constant,
     vanishing_well_potential,
     verify_potential,
     x_alpha_norm,

@@ -86,19 +86,6 @@ def build_nonlinearity(cfg: ExperimentConfig):
     )
 
 
-def build_problem(cfg: ExperimentConfig, lam: float | None = None) -> Problem:
-    t_min, dt = midpoint_grid(cfg.grid_n, cfg.domain)
-    order = FracOrder(cfg.alpha)
-    potential = build_potential(cfg)
-    nonlinearity = build_nonlinearity(cfg)
-    constants = compute_embedding_constants(
-        potential, order, cfg.grid_n, t_min, dt, trials=cfg.sobolev_trials, seed=cfg.seed
-    )
-    if lam is None:
-        lam = cfg.lam if cfg.lam > 0 else 10.0 * constants.lambda_threshold
-    return Problem(order, cfg.grid_n, t_min, dt, potential, nonlinearity, lam, constants)
-
-
 def solver_config(cfg: ExperimentConfig) -> SolverConfig:
     return SolverConfig(
         max_iters=cfg.max_iters, grad_tol=cfg.grad_tol, armijo=cfg.armijo,
@@ -174,9 +161,7 @@ def _check_payload(cfg: ExperimentConfig, prob_parts) -> tuple[dict, bool]:
 
     order = FracOrder(cfg.alpha)
     try:
-        constants = compute_embedding_constants(
-            potential, order, cfg.grid_n, t_min, dt, trials=cfg.sobolev_trials, seed=cfg.seed
-        )
+        constants = compute_embedding_constants(potential, order, cfg.grid_n, t_min, dt)
         report["admissibility"] = {
             "name": "L1-admissibility",
             "passed": True,
@@ -224,9 +209,7 @@ def _gate_l_hypotheses(cfg: ExperimentConfig, potential) -> tuple[int, object]:
         return EXIT_HYPOTHESIS, None
     order = FracOrder(cfg.alpha)
     try:
-        constants = compute_embedding_constants(
-            potential, order, cfg.grid_n, t_min, dt, trials=cfg.sobolev_trials, seed=cfg.seed
-        )
+        constants = compute_embedding_constants(potential, order, cfg.grid_n, t_min, dt)
     except (AdmissibilityError, ValueError) as exc:
         print(f"hypothesis failure: L1-admissibility ({exc})", file=sys.stderr)
         return EXIT_HYPOTHESIS, None

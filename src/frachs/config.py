@@ -52,7 +52,6 @@ class ExperimentConfig:
     lambdas: tuple[float, ...] = ()
     grid_n: int = 4096
     domain: float = 32.0
-    sobolev_trials: int = 200
     # [solver]
     max_iters: int = 5000
     grad_tol: float = 1e-8
@@ -99,7 +98,6 @@ _SECTION_OF = {
     "nu": "scenario", "delta": "scenario", "xi_scale": "scenario",
     "xi_width": "scenario", "eps": "scenario", "lam": "scenario",
     "lambdas": "scenario", "grid_n": "scenario", "domain": "scenario",
-    "sobolev_trials": "scenario",
     "max_iters": "solver", "grad_tol": "solver", "armijo": "solver",
     "shrink": "solver", "memory": "solver", "seed": "solver",
     "newton_switch_tol": "solver", "max_cg": "solver", "warm_start": "solver",
@@ -179,7 +177,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         fail("field 'lambdas': all weights must be positive")
     if any(b < a for a, b in zip(cfg.lambdas, cfg.lambdas[1:])):
         fail("field 'lambdas': weights must be ascending")
-    for name in ("max_iters", "memory", "max_cg", "sobolev_trials"):
+    for name in ("max_iters", "memory", "max_cg"):
         if getattr(cfg, name) <= 0:
             fail(f"field '{name}': must be positive, got {getattr(cfg, name)}")
     for name in ("grad_tol", "newton_switch_tol"):

@@ -116,8 +116,6 @@ def default_problem(
     alpha: float = 0.75,
     n_samples: int = 4096,
     domain: float = 32.0,
-    sobolev_trials: int = 200,
-    seed: int = 0,
     potential: PotentialMatrix | None = None,
     nonlinearity: Nonlinearity | None = None,
 ) -> Problem:
@@ -135,9 +133,7 @@ def default_problem(
     order = FracOrder(alpha)
     pot = potential if potential is not None else vanishing_well_potential()
     nl = nonlinearity if nonlinearity is not None else power_nonlinearity(core=pot.core)
-    constants = compute_embedding_constants(
-        pot, order, n_samples, t_min, dt, trials=sobolev_trials, seed=seed
-    )
+    constants = compute_embedding_constants(pot, order, n_samples, t_min, dt)
     if lam is None:
         lam = 10.0 * constants.lambda_threshold
     return Problem(order, n_samples, t_min, dt, pot, nl, lam, constants)

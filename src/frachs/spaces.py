@@ -1,10 +1,13 @@
-"""Potential data, hypothesis checks and the embedding-constant machinery.
+"""Potential data, hypothesis checks and the embedding constants.
 
 The problem data is a symmetric matrix potential with a scalar lower envelope
 that vanishes exactly on a finite well, plus a threshold ``k`` whose sublevel
 set ``{l < k}`` must be small enough for the sup-norm embedding to control the
-weighted norms.  From the embedding constant ``C_alpha`` and the sublevel
-measure the derived constants ``theta0`` (controls L^2 and L^r bounds) and
+weighted norms.  The sup-norm embedding constant ``C_alpha`` is the larger of
+two closed forms, the whole-line constant and the sharp constant of the grid,
+so the bound ``||u||_inf <= C_alpha ||u||_(H^a)`` holds for every grid signal
+and in the continuum limit.  From ``C_alpha`` and the sublevel measure the
+derived constants ``theta0`` (controls L^2 and L^r bounds) and
 ``lambda_threshold`` (the smallest weight for which those bounds hold) are
 computed by closed formulas.
 """
@@ -15,10 +18,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .fracops import seminorm_alpha
-from .grid import FracOrder, SampledSignal, l2_norm, random_band_limited
+from .grid import FracOrder, SampledSignal, l2_norm
 
 __all__ = [
     "PotentialMatrix",
@@ -30,8 +32,9 @@ __all__ = [
     "rotated_well_potential",
     "verify_potential",
     "measure_sublevel",
-    "estimate_sobolev_constant",
-    "sobolev_multiplier_quadrature",
+    "continuum_sobolev_constant",
+    "grid_sobolev_constant",
+    "sobolev_constant",
     "compute_embedding_constants",
     "weighted_term",
     "lambda_norm",
@@ -263,49 +266,37 @@ def measure_sublevel(potential: PotentialMatrix, times: np.ndarray, dt: float) -
     return float(dt * np.count_nonzero(l_env < k))
 
 
-def sobolev_multiplier_quadrature(a: FracOrder, w_cut: float = 500.0) -> float:
-    """Sup-norm embedding constant from the 1-D multiplier integral.
+def continuum_sobolev_constant(a: FracOrder) -> float:
+    """Whole-line constant in ``||u||_inf <= C ||u||_(H^a)``, in closed form.
 
-    Computes ``sqrt((1/2pi) int dw / (1 + |w|^(2a)))`` by adaptive quadrature
-    on [0, w_cut] plus the alternating tail series
-    ``sum_j (-1)^(j+1) w_cut^(1-js) / (js - 1)`` (converges only for a > 1/2;
-    four terms leave a relative error below 1e-10 at the default cutoff).
+    ``C^2 = (1/2pi) int dw / (1 + |w|^(2a)) = 1 / (2a sin(pi/(2a)))``
+    (Gradshteyn & Ryzhik 3.241.2); the integral converges only for a > 1/2.
     """
     if not a.variational_ok:
         raise ValueError("the multiplier integral diverges for orders <= 1/2")
     s = a.doubled
-    head, _ = quad(lambda w: 1.0 / (1.0 + w**s), 0.0, w_cut, limit=200)
-    tail = sum(
-        (-1.0) ** (j + 1) * w_cut ** (1.0 - j * s) / (j * s - 1.0) for j in range(1, 5)
-    )
-    return float(np.sqrt((head + tail) / np.pi))
+    return float(np.sqrt(1.0 / (s * np.sin(np.pi / s))))
 
 
-def estimate_sobolev_constant(
-    a: FracOrder,
-    n_samples: int,
-    t_min: float,
-    dt: float,
-    trials: int = 200,
-    seed: int = 0,
-) -> float:
-    """Safety-factored estimate of the constant in ||u||_inf <= C ||u||_(H^a).
+def grid_sobolev_constant(a: FracOrder, n_samples: int, dt: float) -> float:
+    """Sharp constant of the sup-norm bound for signals on one grid.
 
-    Takes the max of ||u||_inf / ||u||_(H^a) over ``trials`` random
-    band-limited signals, multiplies by 1.1, and returns the larger of that
-    and the analytic multiplier-integral value (the empirical ensemble rarely
-    approaches the extremal profile, so the quadrature value usually wins).
-    Deterministic given the seed; monotone nondecreasing in ``trials``.
+    ``C_grid^2 = (1/(N dt)) sum_k 1/(1 + |w_k|^(2a))``.  By Cauchy-Schwarz
+    every grid signal obeys the bound with this constant, and the profile
+    ``u_hat_k = 1/(1 + |w_k|^(2a))``, peaked on a sample, attains it.
     """
-    if trials <= 0:
-        raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(trials):
-        band = rng.uniform(0.02, 0.5)
-        u = random_band_limited(rng, n_samples, t_min, dt, band_fraction=band)
-        best = max(best, u.sup_norm() / h_alpha_norm(u, a))
-    return max(1.1 * best, sobolev_multiplier_quadrature(a))
+    freqs = 2.0 * np.pi * np.fft.fftfreq(n_samples, d=dt)
+    return float(np.sqrt(np.sum(1.0 / (1.0 + np.abs(freqs) ** a.doubled)) / (n_samples * dt)))
+
+
+def sobolev_constant(a: FracOrder, n_samples: int, dt: float) -> float:
+    """``C_alpha = max(C_cont, C_grid)``: valid on the whole line and on the grid.
+
+    The continuum value wins on long domains, where the grid truncates the
+    multiplier integral at the Nyquist frequency; the grid value wins on short
+    ones, where the Riemann sum over the coarse frequency spacing exceeds it.
+    """
+    return max(continuum_sobolev_constant(a), grid_sobolev_constant(a, n_samples, dt))
 
 
 @dataclass(frozen=True)
@@ -347,12 +338,10 @@ def compute_embedding_constants(
     n_samples: int,
     t_min: float,
     dt: float,
-    trials: int = 200,
-    seed: int = 0,
 ) -> EmbeddingConstants:
-    """Estimate C_alpha, measure the sublevel set and assemble the constants."""
+    """C_alpha in closed form, the measured sublevel set and the derived constants."""
     times = t_min + dt * np.arange(n_samples)
-    c_alpha = estimate_sobolev_constant(a, n_samples, t_min, dt, trials, seed)
+    c_alpha = sobolev_constant(a, n_samples, dt)
     m = measure_sublevel(potential, times, dt)
     return EmbeddingConstants.from_data(c_alpha, m, potential.threshold)
 

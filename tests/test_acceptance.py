@@ -258,7 +258,7 @@ def test_criterion_9_bvp_weak_residual(prob, cfg, bvp_result, rng):
 
 def test_criterion_10_determinism(tmp_path):
     t0 = time.perf_counter()
-    cfg_text = "[scenario]\npreset = default\nsobolev_trials = 50\nlambdas = 2,20,200\n"
+    cfg_text = "[scenario]\npreset = default\nlambdas = 2,20,200\n"
     cfg_path = tmp_path / "det.ini"
     cfg_path.write_text(cfg_text)
     payloads = {}

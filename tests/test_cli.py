@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -96,6 +98,12 @@ class TestExitCodes:
         cfg = write(tmp_path, BASE + "grid_n = 1000\n")
         assert main(["check", "--config", cfg]) == 2
 
+    def test_removed_sobolev_trials_key(self, tmp_path, capsys):
+        # the embedding constant has a closed form, so no ensemble size is configurable
+        cfg = write(tmp_path, BASE + "sobolev_trials = 200\n")
+        assert main(["check", "--config", cfg]) == 2
+        assert "unknown field 'sobolev_trials'" in capsys.readouterr().err
+
     def test_bad_lambdas_flag(self, tmp_path):
         cfg = write(tmp_path, BASE)
         assert main(["sweep", "--config", cfg, "--lambdas", "a,b,c"]) == 2
@@ -110,9 +118,23 @@ class TestExitCodes:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+class TestImport:
+    def test_cli_import_loads_no_scipy(self):
+        import frachs
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(frachs.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import frachs.cli, sys; "
+            "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestCheck:
     def test_default_passes(self, tmp_path):
-        cfg = write(tmp_path, BASE + "grid_n = 2048\nsobolev_trials = 20\n")
+        cfg = write(tmp_path, BASE + "grid_n = 2048\n")
         out = str(tmp_path / "out")
         assert main(["check", "--config", cfg, "--out", out]) == 0
         report = json.load(open(artifact(out, "check-")))
@@ -122,7 +144,7 @@ class TestCheck:
     def test_flattened_envelope_fails_admissibility(self, tmp_path):
         cfg = write(
             tmp_path,
-            BASE + "envelope_steepness = 1.0\ngrid_n = 2048\nsobolev_trials = 20\n",
+            BASE + "envelope_steepness = 1.0\ngrid_n = 2048\n",
         )
         out = str(tmp_path / "out")
         assert main(["check", "--config", cfg, "--out", out]) == 1
@@ -131,7 +153,7 @@ class TestCheck:
         assert report["admissibility"]["name"] == "L1-admissibility"
 
     def test_zero_density_fails_growth(self, tmp_path):
-        cfg = write(tmp_path, BASE + "nonlinearity = zero\ngrid_n = 2048\nsobolev_trials = 20\n")
+        cfg = write(tmp_path, BASE + "nonlinearity = zero\ngrid_n = 2048\n")
         out = str(tmp_path / "out")
         assert main(["check", "--config", cfg, "--out", out]) == 1
         report = json.load(open(artifact(out, "check-")))
@@ -140,7 +162,7 @@ class TestCheck:
 
 class TestSolve:
     def test_default_solve(self, tmp_path):
-        cfg = write(tmp_path, BASE + "sobolev_trials = 20\n")
+        cfg = write(tmp_path, BASE)
         out = str(tmp_path / "out")
         assert main(["solve", "--config", cfg, "--out", out]) == 0
         report = json.load(open(artifact(out, "solve-report-")))
@@ -151,7 +173,7 @@ class TestSolve:
         assert header == "t,u_1"
 
     def test_zero_density_gives_flat_zero(self, tmp_path):
-        cfg = write(tmp_path, BASE + "nonlinearity = zero\nsobolev_trials = 20\n")
+        cfg = write(tmp_path, BASE + "nonlinearity = zero\n")
         out = str(tmp_path / "out")
         assert main(["solve", "--config", cfg, "--out", out]) == 0
         report = json.load(open(artifact(out, "solve-report-")))
@@ -159,7 +181,7 @@ class TestSolve:
         assert report["sup_norm"] <= 1e-10
 
     def test_non_convergence_exits_3_with_artifacts(self, tmp_path):
-        cfg = write(tmp_path, BASE + "sobolev_trials = 20\nmax_iters = 2\n")
+        cfg = write(tmp_path, BASE + "max_iters = 2\n")
         out = str(tmp_path / "out")
         assert main(["solve", "--config", cfg, "--out", out]) == 3
         report = json.load(open(artifact(out, "solve-report-")))
@@ -167,12 +189,12 @@ class TestSolve:
         assert os.path.exists(artifact(out, "solve-solution-", ".csv"))
 
     def test_lambda_below_threshold_is_config_error(self, tmp_path):
-        cfg = write(tmp_path, BASE + "sobolev_trials = 20\n")
+        cfg = write(tmp_path, BASE)
         out = str(tmp_path / "out")
         assert main(["solve", "--config", cfg, "--out", out, "--lambda", "0.5"]) == 2
 
     def test_bvp_reports_restricted_level(self, tmp_path):
-        cfg = write(tmp_path, BASE + "sobolev_trials = 20\n")
+        cfg = write(tmp_path, BASE)
         out = str(tmp_path / "out")
         assert main(["bvp", "--config", cfg, "--out", out]) == 0
         report = json.load(open(artifact(out, "bvp-report-")))
@@ -181,7 +203,7 @@ class TestSolve:
 
 class TestSweepCommand:
     def test_short_ladder_runs_clean(self, tmp_path):
-        cfg = write(tmp_path, BASE + "sobolev_trials = 20\nlambdas = 2,20,200\n")
+        cfg = write(tmp_path, BASE + "lambdas = 2,20,200\n")
         out = str(tmp_path / "out")
         assert main(["sweep", "--config", cfg, "--out", out]) == 0
         rows = open(artifact(out, "sweep-", ".csv")).read().strip().splitlines()
@@ -191,14 +213,14 @@ class TestSweepCommand:
         assert report["flagged"] is False
 
     def test_ladder_below_threshold_rejected(self, tmp_path):
-        cfg = write(tmp_path, BASE + "sobolev_trials = 20\nlambdas = 0.5,2,20\n")
+        cfg = write(tmp_path, BASE + "lambdas = 0.5,2,20\n")
         out = str(tmp_path / "out")
         assert main(["sweep", "--config", cfg, "--out", out]) == 2
 
     def test_starved_rows_exit_4_with_complete_csv(self, tmp_path):
         cfg = write(
             tmp_path,
-            BASE + "sobolev_trials = 20\nlambdas = 2,20,200\nmax_iters = 2\n",
+            BASE + "lambdas = 2,20,200\nmax_iters = 2\n",
         )
         out = str(tmp_path / "out")
         assert main(["sweep", "--config", cfg, "--out", out]) == 4

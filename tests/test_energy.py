@@ -280,7 +280,6 @@ class TestBump:
             n_samples=1024,
             potential=rotated_well_potential(),
             nonlinearity=power_nonlinearity(core=(0.0, 0.5)),
-            sobolev_trials=10,
         )
         u0, s = negative_energy_witness(prob2)
         assert u0.n_components == 2

@@ -156,6 +156,20 @@ class TestQuadratureOracle:
         with pytest.raises(ValueError, match="decay"):
             quadrature_left_derivative(u, A75)
 
+    def test_fft_convolution_matches_direct_sum(self):
+        # above 8192 samples the oracle convolves by FFT; the direct sum is the reference
+        n = 16384
+        t_min, dt = midpoint_grid(n, 64.0)
+        times = t_min + dt * np.arange(n)
+        vals = np.stack([np.exp(-(times**2)), np.exp(-((times - 1) ** 2))], axis=1)
+        u = SampledSignal(t_min, dt, vals)
+        weights = grunwald_weights(0.75, n + 1)
+        out = quadrature_left_derivative(u, A75).values
+        for c in range(2):
+            conv = np.convolve(weights, u.values[:, c])[: n + 1]
+            ref = ((1 - 0.375) * conv[:n] + 0.375 * conv[1:]) / dt**0.75
+            assert np.max(np.abs(out[:, c] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_agreement_half_order_at_dt_hundredth(self):
         # self-convergence: dt = 1e-2, then dt and the truncation both refined
         a = FracOrder(0.5)

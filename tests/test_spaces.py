@@ -5,16 +5,18 @@ from frachs import (
     FracOrder,
     SampledSignal,
     compute_embedding_constants,
+    continuum_sobolev_constant,
     embedding_bounds,
-    estimate_sobolev_constant,
+    grid_sobolev_constant,
     h_alpha_norm,
     lambda_norm,
     measure_sublevel,
+    midpoint_grid,
     random_band_limited,
     rotated_well_potential,
     seminorm_alpha,
     signal_from_function,
-    sobolev_multiplier_quadrature,
+    sobolev_constant,
     vanishing_well_potential,
     verify_potential,
     x_alpha_norm,
@@ -127,28 +129,37 @@ class TestMeasureSublevel:
             measure_sublevel(flat, TIMES, DT)
 
 
+def _discrete_extremal(a, n, t_min, dt):
+    """Grid signal attaining the sharp sup-norm ratio: coefficients proportional
+    to 1/(1 + |w|^(2a)), peaked on a sample point; returns (signal, ratio)."""
+    freqs = 2 * np.pi * np.fft.fftfreq(n, d=dt)
+    profile = 1.0 / (1.0 + np.abs(freqs) ** a.doubled)
+    t_peak = t_min + dt * (n // 2)
+    coeffs = profile * np.exp(-1j * freqs * (t_min - t_peak))
+    u = SampledSignal(t_min, dt, np.fft.ifft(coeffs).real)
+    return u, np.sqrt(np.sum(profile) / (n * dt))
+
+
 class TestSobolevConstant:
     def test_quadrature_matches_closed_form(self):
-        # oracle: int_0^inf dw/(1+w^s) = (pi/s)/sin(pi/s)
+        # oracle: C^2 = (1/pi) int_0^inf dw/(1+w^(2a)), by adaptive quadrature
+        from scipy.integrate import quad
+
         for alpha in (0.55, 0.75, 0.95):
             s = 2 * alpha
-            closed = np.sqrt((np.pi / s) / np.sin(np.pi / s) / np.pi)
-            assert sobolev_multiplier_quadrature(FracOrder(alpha)) == pytest.approx(
-                closed, rel=1e-8
+            integral, _ = quad(lambda w: 1.0 / (1.0 + w**s), 0.0, np.inf, limit=200)
+            assert continuum_sobolev_constant(FracOrder(alpha)) == pytest.approx(
+                np.sqrt(integral / np.pi), rel=1e-8
             )
 
     def test_estimate_in_expected_window(self):
-        c = estimate_sobolev_constant(A75, N_DEFAULT, T_MIN, DT, trials=50, seed=1)
+        c = sobolev_constant(A75, N_DEFAULT, DT)
         assert 0.8 <= c <= 1.0
 
-    def test_doubling_trials_never_decreases(self):
-        c1 = estimate_sobolev_constant(A75, N_DEFAULT, T_MIN, DT, trials=25, seed=7)
-        c2 = estimate_sobolev_constant(A75, N_DEFAULT, T_MIN, DT, trials=50, seed=7)
-        assert c2 >= c1
-
-    def test_zero_trials_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_sobolev_constant(A75, N_DEFAULT, T_MIN, DT, trials=0)
+    def test_default_grid_value(self):
+        c = sobolev_constant(A75, N_DEFAULT, DT)
+        assert c == continuum_sobolev_constant(A75)
+        assert c == pytest.approx(0.8773826753016615, rel=1e-15)
 
     def test_pure_tone_ratio_below_estimate(self):
         w1 = 2 * np.pi * 37 / (N_DEFAULT * DT)
@@ -158,26 +169,35 @@ class TestSobolevConstant:
         denom = np.sqrt(N_DEFAULT * DT / 2 * (1 + w1**1.5))
         assert h_alpha_norm(u, A75) == pytest.approx(denom, rel=1e-12)
         ratio = u.sup_norm() / denom
-        c = estimate_sobolev_constant(A75, N_DEFAULT, T_MIN, DT, trials=10, seed=0)
+        c = sobolev_constant(A75, N_DEFAULT, DT)
         assert ratio <= c
 
     def test_discrete_extremal_ratio_below_estimate(self):
-        # the grid-achievable supremum of sup/||.||_a: coefficients proportional
-        # to 1/(1 + |w|^(2a)), peaked on a sample point
-        freqs = 2 * np.pi * np.fft.fftfreq(N_DEFAULT, d=DT)
-        profile = 1.0 / (1.0 + np.abs(freqs) ** 1.5)
-        t_peak = TIMES[N_DEFAULT // 2]
-        coeffs = profile * np.exp(-1j * freqs * (T_MIN - t_peak))
-        vals = np.fft.ifft(coeffs).real
-        u = SampledSignal(T_MIN, DT, vals)
-        extremal = np.sqrt(np.sum(profile) / (N_DEFAULT * DT))
+        u, extremal = _discrete_extremal(A75, N_DEFAULT, T_MIN, DT)
         ratio = u.sup_norm() / h_alpha_norm(u, A75)
         assert ratio == pytest.approx(extremal, rel=1e-10)
-        c = estimate_sobolev_constant(A75, N_DEFAULT, T_MIN, DT, trials=10, seed=0)
+        c = sobolev_constant(A75, N_DEFAULT, DT)
         assert ratio < c
 
+    @pytest.mark.parametrize(
+        "n, domain, alpha",
+        [(4096, 8.0, 0.95), (4096, 8.0, 0.90), (8192, 8.0, 0.95), (4096, 32.0, 0.75)],
+    )
+    def test_sup_bound_holds_for_extremal_profile(self, n, domain, alpha):
+        # on short domains the grid's sharp constant exceeds the whole-line one
+        a = FracOrder(alpha)
+        t_min, dt = midpoint_grid(n, domain)
+        u, _ = _discrete_extremal(a, n, t_min, dt)
+        ratio = u.sup_norm() / h_alpha_norm(u, a)
+        c = sobolev_constant(a, n, dt)
+        c_grid = grid_sobolev_constant(a, n, dt)
+        assert c == max(continuum_sobolev_constant(a), c_grid)
+        assert ratio <= c * (1 + 1e-12)
+        if c == c_grid:
+            assert ratio == pytest.approx(c, rel=1e-10)
+
     def test_sup_bound_holds_on_random_ensemble(self, rng):
-        c = estimate_sobolev_constant(A75, N_DEFAULT, T_MIN, DT, trials=20, seed=3)
+        c = sobolev_constant(A75, N_DEFAULT, DT)
         for _ in range(100):
             u = random_band_limited(
                 rng, N_DEFAULT, T_MIN, DT, band_fraction=rng.uniform(0.02, 0.9)
@@ -199,7 +219,7 @@ class TestEmbeddingConstants:
     def test_flattened_envelope_is_inadmissible(self):
         flat = vanishing_well_potential(envelope_steepness=1.0)
         with pytest.raises(AdmissibilityError):
-            compute_embedding_constants(flat, A75, N_DEFAULT, T_MIN, DT, trials=10, seed=0)
+            compute_embedding_constants(flat, A75, N_DEFAULT, T_MIN, DT)
 
 
 class TestWeightedNorms:
