@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Descent to the nontrivial minimizer and the restricted Dirichlet problem.
 
-Runs the two-phase minimizer (quasi-Newton then truncated-Newton polish) on
-the default scenario, prints the convergence history, validates the result as
+Runs the truncated Newton-CG minimizer from the negative-energy bump on the
+default scenario, prints the convergence history, validates the result as
 a critical point against random directions, and compares the unconstrained
 minimum with the zero-extension Dirichlet minimum on the core.
 """

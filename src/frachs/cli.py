@@ -89,8 +89,7 @@ def build_nonlinearity(cfg: ExperimentConfig):
 def solver_config(cfg: ExperimentConfig) -> SolverConfig:
     return SolverConfig(
         max_iters=cfg.max_iters, grad_tol=cfg.grad_tol, armijo=cfg.armijo,
-        shrink=cfg.shrink, memory=cfg.memory, seed=cfg.seed,
-        newton_switch_tol=cfg.newton_switch_tol, max_cg=cfg.max_cg,
+        shrink=cfg.shrink, max_cg=cfg.max_cg,
     )
 
 
@@ -307,10 +306,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
         FracOrder(cfg.alpha), cfg.grid_n, t_min, dt,
         potential, build_nonlinearity(cfg), cfg.lambdas[0], constants,
     )
-    report = concentration_sweep(
-        prob, cfg.lambdas, solver_config(cfg),
-        warm_start=cfg.warm_start, parallel=cfg.parallel,
-    )
+    report = concentration_sweep(prob, cfg.lambdas, solver_config(cfg), warm_start=cfg.warm_start)
     h = cfg.config_hash()
     csv_path = os.path.join(out_dir, f"sweep-{h}.csv")
     cols = ["lambda", "c_lambda", "c_tilde", "tail_mass", "weighted_mass",

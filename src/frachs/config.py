@@ -57,12 +57,9 @@ class ExperimentConfig:
     grad_tol: float = 1e-8
     armijo: float = 1e-4
     shrink: float = 0.5
-    memory: int = 10
     seed: int = 0
-    newton_switch_tol: float = 1e-5
     max_cg: int = 250
     warm_start: bool = True
-    parallel: bool = False
     # [output]
     out_dir: str = "runs"
 
@@ -99,9 +96,7 @@ _SECTION_OF = {
     "xi_width": "scenario", "eps": "scenario", "lam": "scenario",
     "lambdas": "scenario", "grid_n": "scenario", "domain": "scenario",
     "max_iters": "solver", "grad_tol": "solver", "armijo": "solver",
-    "shrink": "solver", "memory": "solver", "seed": "solver",
-    "newton_switch_tol": "solver", "max_cg": "solver", "warm_start": "solver",
-    "parallel": "solver",
+    "shrink": "solver", "seed": "solver", "max_cg": "solver", "warm_start": "solver",
     "out_dir": "output",
 }
 
@@ -177,10 +172,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         fail("field 'lambdas': all weights must be positive")
     if any(b < a for a, b in zip(cfg.lambdas, cfg.lambdas[1:])):
         fail("field 'lambdas': weights must be ascending")
-    for name in ("max_iters", "memory", "max_cg"):
-        if getattr(cfg, name) <= 0:
-            fail(f"field '{name}': must be positive, got {getattr(cfg, name)}")
-    for name in ("grad_tol", "newton_switch_tol"):
+    for name in ("max_iters", "max_cg", "grad_tol"):
         if getattr(cfg, name) <= 0:
             fail(f"field '{name}': must be positive, got {getattr(cfg, name)}")
     if not (0 < cfg.armijo < 1 and 0 < cfg.shrink < 1):

@@ -4,8 +4,10 @@ For a problem instance with weight lam the functional is
 
     I(u) = 1/2 ||u||_lam^2 - int W(t, u(t)) dt,
 
-whose critical points are the weak solutions of the underlying system.  The
-module provides its evaluation, the directional derivative, the L2-Riesz
+whose critical points are the weak solutions of the underlying system.
+``Problem`` owns the one discrete operator of ``||u||_lam^2``, built once on
+the real-FFT half-spectrum and used by the solver as well.  The module
+provides its evaluation, the directional derivative, the L2-Riesz
 gradient representer (the descent field used by the solver), the closed-form
 coercivity lower bound, and the construction of a small-amplitude bump with
 strictly negative energy (the start point that keeps descent away from the
@@ -14,11 +16,11 @@ trivial critical point u = 0).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fracops import riesz_composition, seminorm_alpha
 from .grid import FracOrder, SampledSignal, l2_norm
 from .nonlinearity import Nonlinearity, power_nonlinearity
 from .spaces import (
@@ -52,8 +54,12 @@ class WitnessError(RuntimeError):
 class Problem:
     """Discretized problem instance: order, grid, weights and nonlinearity.
 
-    Grid arrays (times, matrix values, xi values) are evaluated once at
-    construction and shared read-only by all evaluations.
+    Grid arrays (times, matrix values, xi values) and the half-spectrum
+    arrays of the quadratic form are evaluated once at construction and
+    shared read-only by all evaluations.  The one discrete operator of the
+    problem acts on raw ``(N, n)`` sample arrays: :meth:`form` is the
+    bilinear form of ``||.||_lam^2``, :meth:`apply` its L2 representer and
+    :meth:`precondition` the spectral surrogate inverse ``1/(1 + |w|^(2a))``.
     """
 
     order: FracOrder
@@ -67,26 +73,62 @@ class Problem:
     times: np.ndarray = field(init=False, repr=False)
     matrix_values: np.ndarray = field(init=False, repr=False)
     xi_values: np.ndarray = field(init=False, repr=False)
+    kinetic: np.ndarray = field(init=False, repr=False)
+    parseval: np.ndarray = field(init=False, repr=False)
+    precond: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.lam <= 0:
             raise ValueError("weight lam must be positive")
         times = self.t_min + self.dt * np.arange(self.n_samples)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "matrix_values", self.potential.matrix_at(times))
-        object.__setattr__(self, "xi_values", self.nonlinearity.xi_at(times))
-        for name in ("times", "matrix_values", "xi_values"):
-            getattr(self, name).setflags(write=False)
+        # rfft half-spectrum: |w|^(2a), the Parseval weights (every bin but
+        # DC and Nyquist stands for a conjugate pair) and the preconditioner
+        freqs = 2.0 * np.pi * np.fft.rfftfreq(self.n_samples, d=self.dt)
+        kinetic = np.abs(freqs) ** self.order.doubled
+        parseval = np.full(len(freqs), 2.0)
+        parseval[0] = 1.0
+        if self.n_samples % 2 == 0:
+            parseval[-1] = 1.0
+        arrays = {
+            "times": times,
+            "matrix_values": self.potential.matrix_at(times),
+            "xi_values": self.nonlinearity.xi_at(times),
+            "kinetic": kinetic[:, None],
+            "parseval": parseval[:, None],
+            "precond": (1.0 / (1.0 + kinetic))[:, None],
+        }
+        for name, value in arrays.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n_components(self) -> int:
         return self.potential.n_components
 
     def with_lam(self, lam: float) -> "Problem":
-        return Problem(
-            self.order, self.n_samples, self.t_min, self.dt,
-            self.potential, self.nonlinearity, lam, self.constants,
-        )
+        """The same grid and data at another weight, sharing every array."""
+        if lam <= 0:
+            raise ValueError("weight lam must be positive")
+        other = copy.copy(self)
+        object.__setattr__(other, "lam", lam)
+        return other
+
+    def form(self, x: np.ndarray, y: np.ndarray) -> float:
+        """Bilinear form of ``||.||_lam^2``: the Parseval sum plus lam int (L x, y)."""
+        x_hat = np.fft.rfft(x, axis=0)
+        y_hat = x_hat if y is x else np.fft.rfft(y, axis=0)
+        cross = x_hat.real * y_hat.real + x_hat.imag * y_hat.imag
+        spectral = np.sum(self.parseval * self.kinetic * cross) / self.n_samples
+        weighted = np.einsum("ni,nij,nj->", x, self.matrix_values, y)
+        return float(self.dt * (spectral + self.lam * weighted))
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """L2 representer of the form: ``|w|^(2a) x + lam L x``."""
+        principal = np.fft.irfft(self.kinetic * np.fft.rfft(x, axis=0), self.n_samples, axis=0)
+        return principal + self.lam * np.einsum("nij,nj->ni", self.matrix_values, x)
+
+    def precondition(self, x: np.ndarray) -> np.ndarray:
+        return np.fft.irfft(self.precond * np.fft.rfft(x, axis=0), self.n_samples, axis=0)
 
     def check_signal(self, u: SampledSignal):
         if u.n_samples != self.n_samples or u.t_min != self.t_min or u.dt != self.dt:
@@ -101,14 +143,8 @@ class Problem:
             self.t_min, self.dt, np.zeros((self.n_samples, self.n_components))
         )
 
-    def weighted_quadratic(self, u: SampledSignal) -> float:
-        """int (L(t) u, u) dt on the grid."""
-        return float(
-            u.dt * np.einsum("ni,nij,nj->", u.values, self.matrix_values, u.values)
-        )
-
     def lambda_norm_sq(self, u: SampledSignal) -> float:
-        return seminorm_alpha(u, self.order) ** 2 + self.lam * self.weighted_quadratic(u)
+        return self.form(u.values, u.values)
 
 
 def default_problem(
@@ -173,24 +209,17 @@ def evaluate_energy(u: SampledSignal, prob: Problem) -> float:
 
 
 def directional_derivative(u: SampledSignal, phi: SampledSignal, prob: Problem) -> float:
-    """First variation of the energy at u in direction phi.
+    """First variation of the energy at u in direction phi: ``form(u, phi) - int grad W . phi``.
 
-    The derivative-pairing term is evaluated spectrally via Parseval,
-    ``(dt/N) sum_k |w_k|^(2a) Re(u_hat_k conj(phi_hat_k))``, which equals the
-    time-domain pairing of the one-sided derivatives exactly on the grid.
+    The derivative pairing inside the form is the spectral Parseval sum, which
+    equals the time-domain pairing of the one-sided derivatives exactly on the
+    grid.
     """
     prob.check_signal(u)
     if not u.same_grid(phi):
         raise ValueError("u and phi live on different grids")
-    freqs = 2.0 * np.pi * np.fft.fftfreq(u.n_samples, d=u.dt)
-    weight = np.abs(freqs) ** prob.order.doubled
-    pairing = np.fft.fft(u.values, axis=0) * np.conj(np.fft.fft(phi.values, axis=0))
-    quad = float(u.dt / u.n_samples * np.sum(weight[:, None] * pairing.real))
-    weighted = float(
-        u.dt * np.einsum("ni,nij,nj->", u.values, prob.matrix_values, phi.values)
-    )
     grad_w = prob.nonlinearity.gradient(prob.times, u.values)
-    return quad + prob.lam * weighted - float(u.dt * np.sum(grad_w * phi.values))
+    return prob.form(u.values, phi.values) - float(u.dt * np.sum(grad_w * phi.values))
 
 
 def gradient(u: SampledSignal, prob: Problem) -> SampledSignal:
@@ -200,13 +229,11 @@ def gradient(u: SampledSignal, prob: Problem) -> SampledSignal:
     that the directional derivative equals int (g, phi) dt for every phi.
     """
     prob.check_signal(u)
-    principal = riesz_composition(u, prob.order).values
-    weighted = np.einsum("nij,nj->ni", prob.matrix_values, u.values)
     grad_w = prob.nonlinearity.gradient(prob.times, u.values)
     if not np.all(np.isfinite(grad_w)):
         j = int(np.argmax(~np.isfinite(np.sum(grad_w, axis=1))))
         raise ValueError(f"nonlinear gradient is not finite at t = {prob.times[j]:.6g}")
-    return u.with_values(principal + prob.lam * weighted - grad_w)
+    return u.with_values(prob.apply(u.values) - grad_w)
 
 
 def lower_bound(u: SampledSignal, prob: Problem) -> float:

@@ -1,13 +1,15 @@
 """Monotone descent to the nontrivial minimizer, the restricted Dirichlet
 problem, and the weight-sweep harness that exhibits concentration.
 
-The minimizer runs limited-memory quasi-Newton descent with Armijo
-backtracking in the L2(dt) inner product, preconditioned by the inverse of
-the diagonal spectral surrogate ``1 + |w|^(2a)``; when the gradient is small
-it switches to a truncated-Newton polish (conjugate gradients on the true
-Hessian action with the same line search).  Every accepted step strictly
-decreases the energy, and every iterate is checked against the closed-form
-coercivity floor; dropping below it signals a gradient bug and raises.
+The minimizer runs truncated Newton-CG from the first iterate: conjugate
+gradients on the true Hessian action, preconditioned by the inverse of the
+diagonal spectral surrogate ``1 + |w|^(2a)`` and stopped at negative
+curvature, then Armijo backtracking in the L2(dt) inner product; when the
+line search rejects that direction, the preconditioned steepest-descent
+direction is tried before the descent stops.  The line search accepts only
+steps that strictly lower the energy, and every iterate is checked against
+the closed-form coercivity floor; dropping below it signals a gradient bug
+and raises.
 
 Descent starts from the negative-energy bump, never from 0: the energy is
 negative from the first iterate on, so the trivial critical point u = 0 is
@@ -16,9 +18,7 @@ unreachable.
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,9 +29,10 @@ from .energy import (
     evaluate_energy,
     lower_bound_minimum,
     negative_energy_witness,
+    smooth_bump,
 )
 from .grid import SampledSignal
-from .spaces import h_alpha_norm, lambda_norm
+from .spaces import h_alpha_norm
 
 __all__ = [
     "SolverConfig",
@@ -56,14 +57,11 @@ class SolverConfig:
     grad_tol: float = 1e-8
     armijo: float = 1e-4
     shrink: float = 0.5
-    memory: int = 10
-    seed: int = 0
-    newton_switch_tol: float = 1e-5
     max_cg: int = 250
 
     def __post_init__(self):
-        if self.max_iters <= 0 or self.grad_tol <= 0 or self.memory <= 0:
-            raise ValueError("max_iters, grad_tol and memory must be positive")
+        if self.max_iters <= 0 or self.grad_tol <= 0 or self.max_cg <= 0:
+            raise ValueError("max_iters, grad_tol and max_cg must be positive")
         if not (0 < self.armijo < 1 and 0 < self.shrink < 1):
             raise ValueError("line-search parameters must lie in (0, 1)")
 
@@ -90,12 +88,7 @@ class _Objective:
     def __init__(self, prob: Problem, mask: np.ndarray | None = None):
         self.prob = prob
         self.mask = None if mask is None else np.asarray(mask, bool)[:, None]
-        n, dt = prob.n_samples, prob.dt
-        freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=dt)
-        self.riesz_mult = np.abs(freqs) ** prob.order.doubled
-        self.precond_mult = 1.0 / (1.0 + self.riesz_mult)
-        self.dt = dt
-        self.n = n
+        self.dt = prob.dt
         self.floor = lower_bound_minimum(prob)[1]
         self.n_energy = 0
         self.n_grad = 0
@@ -111,29 +104,20 @@ class _Objective:
     def norm(self, x: np.ndarray) -> float:
         return float(np.sqrt(self.dt * np.sum(x**2)))
 
-    def seminorm_sq(self, vals: np.ndarray) -> float:
-        spec = np.fft.fft(vals, axis=0)
-        return float(self.dt / self.n * np.sum(self.riesz_mult[:, None] * np.abs(spec) ** 2))
-
     def energy(self, vals: np.ndarray) -> float:
         self.n_energy += 1
         prob = self.prob
-        quad = float(self.dt * np.einsum("ni,nij,nj->", vals, prob.matrix_values, vals))
         w = prob.nonlinearity.density(prob.times, vals)
-        return 0.5 * (self.seminorm_sq(vals) + prob.lam * quad) - float(self.dt * np.sum(w))
+        return 0.5 * prob.form(vals, vals) - float(self.dt * np.sum(w))
 
     def grad(self, vals: np.ndarray) -> np.ndarray:
         self.n_grad += 1
         prob = self.prob
-        principal = np.fft.ifft(self.riesz_mult[:, None] * np.fft.fft(vals, axis=0), axis=0).real
-        weighted = np.einsum("nij,nj->ni", prob.matrix_values, vals)
         grad_w = prob.nonlinearity.gradient(prob.times, vals)
-        return self.project(principal + prob.lam * weighted - grad_w)
+        return self.project(prob.apply(vals) - grad_w)
 
     def hess_action(self, vals: np.ndarray, v: np.ndarray) -> np.ndarray:
         prob = self.prob
-        principal = np.fft.ifft(self.riesz_mult[:, None] * np.fft.fft(v, axis=0), axis=0).real
-        weighted = np.einsum("nij,nj->ni", prob.matrix_values, v)
         nl = prob.nonlinearity
         if nl.hessian_action is not None:
             hw = nl.hessian_action(prob.times, vals, v)
@@ -142,12 +126,10 @@ class _Objective:
             hw = (
                 nl.gradient(prob.times, vals + h * v) - nl.gradient(prob.times, vals - h * v)
             ) / (2.0 * h)
-        return self.project(principal + prob.lam * weighted - hw)
+        return self.project(prob.apply(v) - hw)
 
     def precondition(self, x: np.ndarray) -> np.ndarray:
-        return self.project(
-            np.fft.ifft(self.precond_mult[:, None] * np.fft.fft(x, axis=0), axis=0).real
-        )
+        return self.project(self.prob.precondition(x))
 
     def check_floor(self, energy: float):
         tol = 1e-9 * (1.0 + abs(self.floor))
@@ -159,7 +141,12 @@ class _Objective:
 
 
 def _backtrack(obj, vals, f, g, d, cfg):
-    """Armijo backtracking from unit step; returns (new_vals, new_f) or None."""
+    """Armijo backtracking from unit step; returns (new_vals, new_f) or None.
+
+    A step is accepted only if it strictly lowers the energy: once the slope
+    is below the rounding of ``f`` the Armijo test alone reads ``f_new <= f``
+    and would accept a step that leaves the energy unchanged.
+    """
     slope = obj.inner(g, d)
     if slope >= 0.0:
         return None
@@ -167,62 +154,10 @@ def _backtrack(obj, vals, f, g, d, cfg):
     while tau > 1e-20:
         cand = vals + tau * d
         f_new = obj.energy(cand)
-        if f_new <= f + cfg.armijo * tau * slope:
+        if f_new < f and f_new <= f + cfg.armijo * tau * slope:
             return cand, f_new
         tau *= cfg.shrink
     return None
-
-
-def _lbfgs_phase(obj, vals, f, g, cfg, tol, budget, history):
-    """Quasi-Newton descent until the gradient norm reaches tol or progress stalls.
-
-    Returns (vals, f, g, steps, reached) where reached means the tol was met.
-    """
-    s_list, y_list, rho_list = [], [], []
-    gamma = 1.0
-    steps = 0
-    while steps < budget:
-        g_norm = obj.norm(g)
-        if g_norm <= tol:
-            return vals, f, g, steps, True
-        q = g.copy()
-        alphas = []
-        for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
-            a = rho * obj.inner(s, q)
-            q -= a * y
-            alphas.append(a)
-        q = gamma * obj.precondition(q)
-        for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
-            b = rho * obj.inner(y, q)
-            q += (a - b) * s
-        d = -q
-        if obj.inner(g, d) >= 0.0:
-            d = -obj.precondition(g)
-        step = _backtrack(obj, vals, f, g, d, cfg)
-        if step is None:
-            # quasi-Newton direction unusable at rounding level; drop the memory
-            step = _backtrack(obj, vals, f, g, -obj.precondition(g), cfg)
-            if step is None:
-                return vals, f, g, steps, g_norm <= tol
-            s_list, y_list, rho_list = [], [], []
-        new_vals, new_f = step
-        new_g = obj.grad(new_vals)
-        s_vec, y_vec = new_vals - vals, new_g - g
-        sy = obj.inner(s_vec, y_vec)
-        if sy > 1e-12 * obj.norm(s_vec) * obj.norm(y_vec):
-            s_list.append(s_vec)
-            y_list.append(y_vec)
-            rho_list.append(1.0 / sy)
-            if len(s_list) > cfg.memory:
-                s_list.pop(0)
-                y_list.pop(0)
-                rho_list.pop(0)
-            gamma = sy / obj.inner(y_vec, y_vec)
-        vals, f, g = new_vals, new_f, new_g
-        obj.check_floor(f)
-        steps += 1
-        history.append((f, obj.norm(g)))
-    return vals, f, g, steps, obj.norm(g) <= tol
 
 
 def _truncated_cg(obj, vals, g, rel_tol, max_cg):
@@ -250,78 +185,52 @@ def _truncated_cg(obj, vals, g, rel_tol, max_cg):
     return d
 
 
-def _newton_phase(obj, vals, f, g, cfg, tol, budget, history):
-    """Truncated-Newton steps with the same Armijo line search."""
-    steps = 0
-    while steps < budget:
-        g_norm = obj.norm(g)
-        if g_norm <= tol:
-            return vals, f, g, steps, True
-        rel_tol = min(0.5, np.sqrt(g_norm))
-        d = _truncated_cg(obj, vals, g, rel_tol, cfg.max_cg)
-        if obj.inner(g, d) >= 0.0:
-            d = -obj.precondition(g)
-        step = _backtrack(obj, vals, f, g, d, cfg)
-        if step is None:
-            return vals, f, g, steps, g_norm <= tol
-        vals, f = step
-        g = obj.grad(vals)
-        obj.check_floor(f)
-        steps += 1
-        history.append((f, obj.norm(g)))
-    return vals, f, g, steps, obj.norm(g) <= tol
-
-
 def _descend(prob, cfg, start_vals, mask=None) -> SolveResult:
+    """Truncated Newton-CG from ``start_vals``, with a steepest-descent fallback."""
     obj = _Objective(prob, mask)
     vals = obj.project(np.array(start_vals, dtype=float))
     f = obj.energy(vals)
     g = obj.grad(vals)
     obj.check_floor(f)
-    history = [(f, obj.norm(g))]
-    total = 0
-    reached = obj.norm(g) <= cfg.grad_tol
-    while total < cfg.max_iters and not reached:
-        switch = max(cfg.grad_tol, cfg.newton_switch_tol)
-        vals, f, g, steps, _ = _lbfgs_phase(
-            obj, vals, f, g, cfg, switch, cfg.max_iters - total, history
+    g_norm = obj.norm(g)
+    history = [(f, g_norm)]
+    steps = 0
+    while steps < cfg.max_iters and g_norm > cfg.grad_tol:
+        d = _truncated_cg(obj, vals, g, min(0.5, np.sqrt(g_norm)), cfg.max_cg)
+        step = _backtrack(obj, vals, f, g, d, cfg) or _backtrack(
+            obj, vals, f, g, -obj.precondition(g), cfg
         )
-        total += steps
-        reached = obj.norm(g) <= cfg.grad_tol
-        if reached or total >= cfg.max_iters:
-            break
-        vals, f, g, steps, reached = _newton_phase(
-            obj, vals, f, g, cfg, cfg.grad_tol, cfg.max_iters - total, history
-        )
-        total += steps
-        if not reached and steps == 0:
-            break  # both phases stalled at rounding level
+        if step is None:
+            break  # no descent direction lowers the energy at rounding level
+        vals, f = step
+        g = obj.grad(vals)
+        obj.check_floor(f)
+        g_norm = obj.norm(g)
+        steps += 1
+        history.append((f, g_norm))
     u = SampledSignal(prob.t_min, prob.dt, vals)
-    energy = evaluate_energy(u, prob)
-    g_sig = u.with_values(g)
     return SolveResult(
         u=u,
-        energy=energy,
-        grad_norm=obj.norm(g),
-        grad_norm_weighted=lambda_norm(g_sig, prob.potential, prob.lam, prob.order),
-        iterations=total,
-        converged=obj.norm(g) <= cfg.grad_tol,
+        energy=evaluate_energy(u, prob),
+        grad_norm=g_norm,
+        grad_norm_weighted=float(np.sqrt(prob.form(g, g))),
+        iterations=steps,
+        converged=g_norm <= cfg.grad_tol,
         history=tuple(history),
     )
 
 
-def _witness_start(prob: Problem) -> np.ndarray:
+def _witness(prob: Problem) -> tuple[np.ndarray, float]:
+    """Core bump and the scale at which descent starts: ``(base, scale)``."""
     try:
         u0, s = negative_energy_witness(prob)
-        return s * u0.values
+        return u0.values, s
     except WitnessError:
         # degenerate nonlinearity: no negative scaling exists; start from the
         # half-delta bump and let descent find the trivial minimum
-        from .energy import smooth_bump
-
-        vals = np.zeros((prob.n_samples, prob.n_components))
-        vals[:, 0] = smooth_bump(prob.times, prob.potential.core)
-        return 0.5 * min(prob.nonlinearity.delta, 1.0) * vals
+        base = np.zeros((prob.n_samples, prob.n_components))
+        base[:, 0] = smooth_bump(prob.times, prob.potential.core)
+        return base, 0.5 * min(prob.nonlinearity.delta, 1.0)
 
 
 def minimize(prob: Problem, cfg: SolverConfig, start: SampledSignal | None = None) -> SolveResult:
@@ -337,7 +246,8 @@ def minimize(prob: Problem, cfg: SolverConfig, start: SampledSignal | None = Non
             f"got {prob.lam:.6g}"
         )
     if start is None:
-        start_vals = _witness_start(prob)
+        base, scale = _witness(prob)
+        start_vals = scale * base
     else:
         prob.check_signal(start)
         start_vals = start.values
@@ -364,15 +274,7 @@ def solve_bvp(
     if lo != 0.0:
         raise ValueError(f"the restricted problem expects a core (0, T), got ({lo}, {hi})")
     mask = _core_mask(prob)
-    try:
-        u0, s = negative_energy_witness(prob)
-        base = u0.values
-    except WitnessError:
-        from .energy import smooth_bump
-
-        base = np.zeros((prob.n_samples, prob.n_components))
-        base[:, 0] = smooth_bump(prob.times, prob.potential.core)
-        s = 0.5 * min(prob.nonlinearity.delta, 1.0)
+    base, s = _witness(prob)
     scales = [s]
     for factor in (4.0, 16.0):
         cand = factor * s
@@ -448,7 +350,7 @@ def _sweep_row(prob, result, u_tilde, c_tilde, bound) -> SweepRow:
     envelope = prob.potential.envelope_at(prob.times)
     weighted = float(prob.dt * np.sum(envelope * mag_sq))
     diff = u.with_values(u.values - u_tilde.values)
-    norm_lam = lambda_norm(u, prob.potential, prob.lam, prob.order)
+    norm_lam = float(np.sqrt(prob.lambda_norm_sq(u)))
     return SweepRow(
         lam=prob.lam,
         c_lambda=result.energy,
@@ -467,14 +369,12 @@ def concentration_sweep(
     lambdas,
     cfg: SolverConfig,
     warm_start: bool = True,
-    parallel: bool = False,
 ) -> SweepReport:
     """Minimize along an ascending weight ladder and report concentration.
 
     Warm starting seeds each weight with the previous solution (stabilizing
-    the branch the descent tracks); with ``parallel=True`` warm starting is
-    disabled and rows run concurrently, capped by the FRACHS_THREADS
-    environment variable.  Rows whose energy misses the restricted level are
+    the branch the descent tracks); without it every weight starts from the
+    negative-energy bump.  Rows whose energy misses the restricted level are
     retried from the restricted solution, which restores the ordering
     c_lambda <= c_tilde whenever the descent landed on a shallower branch.
     """
@@ -491,36 +391,19 @@ def concentration_sweep(
     c_tilde = bvp.energy
     bound = uniform_bound_constant(prob)
 
-    def solve_one(lam: float, start_vals) -> SolveResult:
+    base, scale = _witness(prob.with_lam(lambdas[0]))
+    start = scale * base
+    rows = []
+    solutions = []
+    for lam in lambdas:
         p = prob.with_lam(lam)
-        result = _descend(p, cfg, start_vals)
+        result = _descend(p, cfg, start)
         if result.energy > c_tilde:
             retry = _descend(p, cfg, bvp.u.values)
             if retry.energy < result.energy:
                 result = retry
-        return result
-
-    results: dict[float, SolveResult] = {}
-    if warm_start and not parallel:
-        start = _witness_start(prob.with_lam(lambdas[0]))
-        for lam in lambdas:
-            result = solve_one(lam, start)
-            results[lam] = result
-            start = result.u.values
-    else:
-        witness = _witness_start(prob.with_lam(lambdas[0]))
-        max_threads = max(1, int(os.environ.get("FRACHS_THREADS", "1") or "1"))
-        if parallel and max_threads > 1:
-            with ThreadPoolExecutor(max_workers=min(max_threads, len(lambdas))) as pool:
-                futures = {lam: pool.submit(solve_one, lam, witness) for lam in lambdas}
-                results = {lam: fut.result() for lam, fut in futures.items()}
-        else:
-            results = {lam: solve_one(lam, witness) for lam in lambdas}
-
-    rows = []
-    solutions = []
-    for lam in lambdas:
-        result = results[lam]
-        rows.append(_sweep_row(prob.with_lam(lam), result, bvp.u, c_tilde, bound))
+        rows.append(_sweep_row(p, result, bvp.u, c_tilde, bound))
         solutions.append(result.u)
+        if warm_start:
+            start = result.u.values
     return SweepReport(tuple(rows), c_tilde, bound, bvp, tuple(solutions))

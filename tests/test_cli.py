@@ -104,6 +104,16 @@ class TestExitCodes:
         assert main(["check", "--config", cfg]) == 2
         assert "unknown field 'sobolev_trials'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line", ["memory = 10", "newton_switch_tol = 1e-5", "parallel = true"]
+    )
+    def test_removed_solver_keys(self, tmp_path, capsys, line):
+        # Newton-CG is the only descent method and the sweep runs sequentially,
+        # so neither the quasi-Newton memory, the phase switch nor threads are configurable
+        cfg = write(tmp_path, BASE + line + "\n")
+        assert main(["check", "--config", cfg]) == 2
+        assert f"unknown field '{line.split()[0]}'" in capsys.readouterr().err
+
     def test_bad_lambdas_flag(self, tmp_path):
         cfg = write(tmp_path, BASE)
         assert main(["sweep", "--config", cfg, "--lambdas", "a,b,c"]) == 2

@@ -10,12 +10,14 @@ from frachs import (
     evaluate_energy,
     gradient,
     l2_norm,
+    lambda_norm,
     lower_bound,
     lower_bound_minimum,
     negative_energy_witness,
     power_nonlinearity,
     random_band_limited,
     riesz_composition,
+    rotated_well_potential,
     signal_from_function,
     smooth_bump,
     verify_growth,
@@ -160,6 +162,57 @@ class TestGradient:
         rel = l2_norm(g.with_values(g.values - principal.values)) / l2_norm(principal)
         assert rel <= bound
         assert bound < 0.12
+
+
+@pytest.fixture(scope="module", params=["default", "rotated"])
+def operator_case(request, prob, rng):
+    """A problem and two full-band random signals (Nyquist bin included) on its grid,
+    for the 1x1 and the 2x2 preset."""
+    if request.param == "rotated":
+        prob = default_problem(potential=rotated_well_potential())
+    u, v = (
+        random_band_limited(rng, N_DEFAULT, T_MIN, DT, prob.n_components, band_fraction=1.0)
+        for _ in range(2)
+    )
+    return prob, u, v
+
+
+def _rel_err(x, ref):
+    return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
+
+
+class TestOperator:
+    """``Problem.form``/``apply``/``precondition`` against the signal-level references."""
+
+    def test_form_matches_lambda_norm(self, operator_case):
+        prob, u, _ = operator_case
+        ref = lambda_norm(u, prob.potential, prob.lam, prob.order) ** 2
+        assert prob.form(u.values, u.values) == pytest.approx(ref, rel=1e-12)
+
+    def test_apply_matches_riesz_composition(self, operator_case):
+        prob, u, _ = operator_case
+        weighted = np.einsum("nij,nj->ni", prob.potential.matrix_at(u.times), u.values)
+        ref = riesz_composition(u, prob.order).values + prob.lam * weighted
+        assert _rel_err(prob.apply(u.values), ref) <= 1e-12
+
+    def test_apply_represents_form(self, operator_case):
+        prob, u, v = operator_case
+        form = prob.form(u.values, v.values)
+        assert form == pytest.approx(prob.form(v.values, u.values), rel=1e-12)
+        assert form == pytest.approx(prob.dt * np.sum(u.values * prob.apply(v.values)), rel=1e-10)
+
+    def test_precondition_inverts_surrogate(self, operator_case):
+        prob, u, _ = operator_case
+        surrogate = riesz_composition(u, prob.order).values + u.values
+        assert _rel_err(prob.precondition(surrogate), u.values) <= 1e-12
+
+    def test_with_lam_shares_arrays(self, prob):
+        other = prob.with_lam(3.0 * prob.lam)
+        assert other.lam == 3.0 * prob.lam
+        assert other.matrix_values is prob.matrix_values
+        assert other.kinetic is prob.kinetic
+        with pytest.raises(ValueError, match="positive"):
+            prob.with_lam(0.0)
 
 
 class TestLowerBound:
