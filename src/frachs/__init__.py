@@ -69,6 +69,7 @@ from .spaces import (
     AdmissibilityError,
     EmbeddingConstants,
     PotentialMatrix,
+    ResolutionError,
     compute_embedding_constants,
     continuum_sobolev_constant,
     embedding_bounds,

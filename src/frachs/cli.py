@@ -8,10 +8,12 @@ bvp          solve the restricted Dirichlet problem on the core interval
 sweep        run the ascending-weight ladder and report concentration
 ops-selftest validate the spectral operators on the configured grid
 
-Exit codes: 0 success, 1 hypothesis/selftest failure, 2 config error,
-3 solver non-convergence, 4 flagged sweep row.  Artifacts are stamped with
-the config hash; identical config + seed reproduces byte-identical CSV/JSON
-payloads (timestamps live only in the manifest).
+Exit codes: 0 success, 1 hypothesis/selftest failure, 2 config error
+(including a grid too coarse to resolve the core), 3 solver non-convergence,
+4 flagged sweep row; exit 3 and every flagged row name the stop reason on
+stderr.  Artifacts are stamped with the config hash; identical config + seed
+reproduces byte-identical CSV/JSON payloads (timestamps live only in the
+manifest).
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .nonlinearity import power_nonlinearity, verify_growth, zero_nonlinearity
 from .solver import SolverConfig, concentration_sweep, minimize, solve_bvp
 from .spaces import (
     AdmissibilityError,
+    ResolutionError,
     compute_embedding_constants,
     rotated_well_potential,
     vanishing_well_potential,
@@ -271,7 +274,14 @@ def _solve_common(cfg: ExperimentConfig, out_dir: str, restricted: bool) -> int:
         f"grad_norm={result.grad_norm:.3e} iters={result.iterations} "
         f"converged={result.converged}"
     )
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    if not result.converged:
+        print(
+            f"{tag}: not converged, stop reason {result.stop_reason} "
+            f"(grad_norm {result.grad_norm:.3e} > grad_tol {scfg.grad_tol:.3e})",
+            file=sys.stderr,
+        )
+        return EXIT_NO_CONVERGENCE
+    return EXIT_OK
 
 
 def cmd_solve(cfg, out_dir) -> int:
@@ -342,6 +352,12 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
             f"sweep: lambda={r.lam:.6g} c={r.c_lambda:.6e} tail={r.tail_mass:.3e} "
             f"dist={r.dist_alpha:.3e}" + ("  [FLAGGED]" if r.flagged else "")
         )
+        if r.flagged:
+            print(
+                f"sweep: lambda={r.lam:.6g} [FLAGGED] stop reason {r.stop_reason} "
+                f"converged={r.converged} ordering_ok={r.ordering_ok} bound_ok={r.bound_ok}",
+                file=sys.stderr,
+            )
     return EXIT_SWEEP_FLAG if report.flagged else EXIT_OK
 
 
@@ -478,15 +494,13 @@ def main(argv=None) -> int:
 
     out_dir = cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    if args.command == "check":
-        return cmd_check(cfg, out_dir)
-    if args.command == "solve":
-        return cmd_solve(cfg, out_dir)
-    if args.command == "bvp":
-        return cmd_bvp(cfg, out_dir)
-    if args.command == "sweep":
-        return cmd_sweep(cfg, out_dir)
-    raise AssertionError(f"unhandled command {args.command}")
+    commands = {"check": cmd_check, "solve": cmd_solve, "bvp": cmd_bvp, "sweep": cmd_sweep}
+    try:
+        return commands[args.command](cfg, out_dir)
+    except ResolutionError as exc:
+        print(f"config error: {exc} (grid_n = {cfg.grid_n}, domain = {cfg.domain:g})",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from .nonlinearity import Nonlinearity, power_nonlinearity
 from .spaces import (
     EmbeddingConstants,
     PotentialMatrix,
+    ResolutionError,
     compute_embedding_constants,
     vanishing_well_potential,
 )
@@ -59,7 +60,8 @@ class Problem:
     shared read-only by all evaluations.  The one discrete operator of the
     problem acts on raw ``(N, n)`` sample arrays: :meth:`form` is the
     bilinear form of ``||.||_lam^2``, :meth:`apply` its L2 representer and
-    :meth:`precondition` the spectral surrogate inverse ``1/(1 + |w|^(2a))``.
+    :meth:`precondition` the inverse of the surrogate
+    ``D^(1/2) (1 + |w|^(2a)) D^(1/2)``, ``D = 1 + lam diag(L(t)) / s``.
     """
 
     order: FracOrder
@@ -76,6 +78,7 @@ class Problem:
     kinetic: np.ndarray = field(init=False, repr=False)
     parseval: np.ndarray = field(init=False, repr=False)
     precond: np.ndarray = field(init=False, repr=False)
+    scaling: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -100,17 +103,32 @@ class Problem:
         for name, value in arrays.items():
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+        self._set_scaling()
+
+    def _set_scaling(self):
+        """``D^(-1/2)`` of the preconditioner, ``(N, n)``, for the current ``lam``.
+
+        ``s = (pi / (2 dt))^(2a)`` is ``|w|^(2a)`` at half the Nyquist
+        frequency, the median of the half-spectrum multipliers: the wall
+        ``lam L`` takes over the diagonal where it exceeds that kinetic scale.
+        """
+        s = (np.pi / (2.0 * self.dt)) ** self.order.doubled
+        diag = np.diagonal(self.matrix_values, axis1=1, axis2=2)
+        scaling = (1.0 + self.lam * diag / s) ** -0.5
+        scaling.setflags(write=False)
+        object.__setattr__(self, "scaling", scaling)
 
     @property
     def n_components(self) -> int:
         return self.potential.n_components
 
     def with_lam(self, lam: float) -> "Problem":
-        """The same grid and data at another weight, sharing every array."""
+        """The same grid and data at another weight, sharing every array but the scaling."""
         if lam <= 0:
             raise ValueError("weight lam must be positive")
         other = copy.copy(self)
         object.__setattr__(other, "lam", lam)
+        other._set_scaling()
         return other
 
     def form(self, x: np.ndarray, y: np.ndarray) -> float:
@@ -128,7 +146,9 @@ class Problem:
         return principal + self.lam * np.einsum("nij,nj->ni", self.matrix_values, x)
 
     def precondition(self, x: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(self.precond * np.fft.rfft(x, axis=0), self.n_samples, axis=0)
+        """``D^(-1/2) (1 + |w|^(2a))^(-1) D^(-1/2) x``: symmetric positive in L2(dt)."""
+        d = self.scaling
+        return d * np.fft.irfft(self.precond * np.fft.rfft(d * x, axis=0), self.n_samples, axis=0)
 
     def check_signal(self, u: SampledSignal):
         if u.n_samples != self.n_samples or u.t_min != self.t_min or u.dt != self.dt:
@@ -294,11 +314,17 @@ def negative_energy_witness(prob: Problem) -> tuple[SampledSignal, float]:
         s <= (2 eta int |u0|^nu dt / ||u0||_lam^2)^(1/(2-nu)),
 
     halving until the evaluated energy is negative.  Failure down to 1e-8
-    signals that the W2 lower bound does not hold numerically.
+    signals that the W2 lower bound does not hold numerically; a core that
+    holds no grid sample raises :class:`ResolutionError`.
     """
     nl = prob.nonlinearity
     values = np.zeros((prob.n_samples, prob.n_components))
     values[:, 0] = smooth_bump(prob.times, prob.potential.core)
+    if not np.any(values):
+        raise ResolutionError(
+            f"the core {prob.potential.core} holds no grid sample (dt = {prob.dt:.6g}): "
+            "the grid does not resolve the core"
+        )
     u0 = SampledSignal(prob.t_min, prob.dt, values)
     norm_sq = prob.lambda_norm_sq(u0)
     mass_nu = float(prob.dt * np.sum(u0.magnitude() ** nl.nu))

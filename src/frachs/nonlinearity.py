@@ -1,9 +1,10 @@
 """Sub-quadratic nonlinear terms and their growth-hypothesis checks.
 
-A :class:`Nonlinearity` bundles the scalar density W(t, u), its gradient in u
-and the growth data: an exponent p in (1, 2) with a weight xi(t) bounding the
-gradient (hypothesis W1), and constants (eta, delta, nu) giving a lower bound
-|W| >= eta |u|^nu on the core interval for small |u| (hypothesis W2).
+A :class:`Nonlinearity` bundles the scalar density W(t, u), its gradient in
+u, the pointwise coefficients of its u-Hessian and the growth data: an
+exponent p in (1, 2) with a weight xi(t) bounding the gradient (hypothesis
+W1), and constants (eta, delta, nu) giving a lower bound |W| >= eta |u|^nu on
+the core interval for small |u| (hypothesis W2).
 
 The default family W(t, u) = xi(t) |u|^p / p saturates W1 with equality; an
 optional epsilon-regularization rounds off the gradient's non-Lipschitz corner
@@ -17,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spaces import CheckResult
+from .spaces import CheckResult, ResolutionError
 
 __all__ = [
     "Nonlinearity",
@@ -28,14 +29,21 @@ __all__ = [
 ]
 
 
+def _no_hessian(t, u):
+    raise NotImplementedError("this nonlinearity declares no hessian_at; Newton-CG needs W''(u)")
+
+
 @dataclass(frozen=True)
 class Nonlinearity:
     """W(t, u), grad_u W(t, u) and the growth data of the sub-quadratic class.
 
     ``density(t, u)`` maps (N,) times and (N, n) values to (N,) energies;
-    ``gradient(t, u)`` to (N, n).  ``hessian_action(t, u, v)``, if provided,
-    applies the u-Hessian of the density to a direction (used by the solver's
-    second-order polish; a finite-difference fallback is used when absent).
+    ``gradient(t, u)`` to (N, n).  ``hessian_at(t, u)`` returns the pointwise
+    u-Hessian of the density as two (N,) coefficient arrays ``(f, g)``, with
+    xi folded in: ``W''(u) v = f v + g (u . v) u``.  The Newton-CG solver
+    forms them once per step and needs them; a nonlinearity built only for
+    the growth checks may leave ``hessian_at`` out, and the solver then stops
+    with ``NotImplementedError``.
     """
 
     density: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
@@ -45,8 +53,8 @@ class Nonlinearity:
     eta: float
     delta: float
     nu: float
-    hessian_action: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = field(
-        default=None, repr=False
+    hessian_at: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] = field(
+        default=_no_hessian, repr=False
     )
 
     def __post_init__(self):
@@ -108,21 +116,20 @@ def power_nonlinearity(
             factor = (mag2 + eps**2) ** ((p - 2.0) / 2.0)
         return (xi(t) * factor)[:, None] * u
 
-    def hessian_action(t, u, v):
-        # below ~1e-100 the (p-4)/2 power overflows; the true action vanishes there
+    def hessian_at(t, u):
+        # W'' is unbounded as |u| -> 0 and the (p-4)/2 power overflows below ~1e-100:
+        # the model drops the nonlinear curvature there, as at u = 0 itself
         mag2 = np.sum(u**2, axis=1) + eps**2
         safe = mag2 > 1e-100
-        with np.errstate(divide="ignore", over="ignore"):
-            f = np.where(safe, mag2 ** ((p - 2.0) / 2.0), 0.0)
-            g = np.where(safe, (p - 2.0) * np.where(safe, mag2, 1.0) ** ((p - 4.0) / 2.0), 0.0)
-        uv = np.sum(u * v, axis=1)
-        return (xi(t) * f)[:, None] * v + (xi(t) * g * uv)[:, None] * u
+        weight = np.where(safe, xi(t), 0.0)
+        mag2 = np.where(safe, mag2, 1.0)
+        return weight * mag2 ** ((p - 2.0) / 2.0), weight * (p - 2.0) * mag2 ** ((p - 4.0) / 2.0)
 
     # the closed core's xi-minimum sits at the endpoint farthest from 0
     far = max(abs(core[0]), abs(core[1]))
     eta = xi_scale * np.exp(-(far**2) / xi_width) / p
 
-    return Nonlinearity(density, gradient, p, xi, float(eta), delta, float(nu), hessian_action)
+    return Nonlinearity(density, gradient, p, xi, float(eta), delta, float(nu), hessian_at)
 
 
 def zero_nonlinearity(p: float = 1.5, delta: float = 1.0) -> Nonlinearity:
@@ -136,13 +143,13 @@ def zero_nonlinearity(p: float = 1.5, delta: float = 1.0) -> Nonlinearity:
     def gradient(t, u):
         return np.zeros_like(u)
 
-    def hessian_action(t, u, v):
-        return np.zeros_like(v)
+    def hessian_at(t, u):
+        return np.zeros(len(t)), np.zeros(len(t))
 
     def xi(t):
         return np.zeros_like(t)
 
-    return Nonlinearity(density, gradient, p, xi, 1.0, delta, p, hessian_action)
+    return Nonlinearity(density, gradient, p, xi, 1.0, delta, p, hessian_at)
 
 
 @dataclass(frozen=True)
@@ -170,6 +177,7 @@ def verify_growth(
     directions with |u| up to ``max_amplitude``.  W2: |W(t, u)| >= eta |u|^nu
     for t in the closed core and |u| <= delta.  Also cross-checks the declared
     gradient against centered differences of the density away from u = 0.
+    A closed core without grid samples raises :class:`ResolutionError`.
     """
     times = np.asarray(times, dtype=float)
     rng = np.random.default_rng(seed)
@@ -200,6 +208,10 @@ def verify_growth(
 
     on_core = (times >= core[0]) & (times <= core[1])
     t_core = times[on_core]
+    if t_core.size == 0:
+        raise ResolutionError(
+            f"the closed core {core} holds no grid sample: the grid does not resolve the core"
+        )
     worst_w2, loc_w2 = np.inf, (np.nan, np.nan)
     small = amps[amps <= nl.delta]
     if small.size == 0:

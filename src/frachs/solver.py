@@ -2,14 +2,20 @@
 problem, and the weight-sweep harness that exhibits concentration.
 
 The minimizer runs truncated Newton-CG from the first iterate: conjugate
-gradients on the true Hessian action, preconditioned by the inverse of the
-diagonal spectral surrogate ``1 + |w|^(2a)`` and stopped at negative
-curvature, then Armijo backtracking in the L2(dt) inner product; when the
-line search rejects that direction, the preconditioned steepest-descent
-direction is tried before the descent stops.  The line search accepts only
-steps that strictly lower the energy, and every iterate is checked against
-the closed-form coercivity floor; dropping below it signals a gradient bug
-and raises.
+gradients on the true Hessian action, stopped at negative curvature, then
+Armijo backtracking in the L2(dt) inner product; when the line search rejects
+that direction, the preconditioned steepest-descent direction is tried before
+the descent stops.  The pointwise coefficients of ``W''(u)``
+(``Nonlinearity.hessian_at``) are formed once per Newton step, so a CG
+iteration costs one ``Problem.apply`` and a few array products.  CG is
+preconditioned by ``Problem.precondition``, the inverse of the kinetic
+surrogate ``1 + |w|^(2a)`` scaled on both sides by ``D^(-1/2)``,
+``D = 1 + lam diag(L(t)) / s``: a symmetric kinetic/potential split that
+accounts for the wall term ``lam L`` where it dominates the diagonal.  The
+line search accepts only steps that strictly lower the energy, and every
+iterate is checked against the closed-form coercivity floor; dropping below
+it signals a gradient bug and raises.  Every result names why the descent
+stopped: ``grad_tol``, ``max_iters`` or ``no_descent``.
 
 Descent starts from the negative-energy bump, never from 0: the energy is
 negative from the first iterate on, so the trivial critical point u = 0 is
@@ -75,6 +81,9 @@ class SolveResult:
     iterations: int
     converged: bool
     history: tuple[tuple[float, float], ...] = field(repr=False)
+    # "grad_tol" (converged), "max_iters", or "no_descent" (the line search
+    # found no step that strictly lowers the energy)
+    stop_reason: str
 
 
 class _Objective:
@@ -105,10 +114,12 @@ class _Objective:
         return float(np.sqrt(self.dt * np.sum(x**2)))
 
     def energy(self, vals: np.ndarray) -> float:
+        """The energy, or ``+inf`` where it is not finite, so no such step is accepted."""
         self.n_energy += 1
         prob = self.prob
         w = prob.nonlinearity.density(prob.times, vals)
-        return 0.5 * prob.form(vals, vals) - float(self.dt * np.sum(w))
+        f = 0.5 * prob.form(vals, vals) - float(self.dt * np.sum(w))
+        return f if np.isfinite(f) else np.inf
 
     def grad(self, vals: np.ndarray) -> np.ndarray:
         self.n_grad += 1
@@ -116,17 +127,18 @@ class _Objective:
         grad_w = prob.nonlinearity.gradient(prob.times, vals)
         return self.project(prob.apply(vals) - grad_w)
 
-    def hess_action(self, vals: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def hessian(self, vals: np.ndarray):
+        """The Hessian action at ``vals``, with the coefficients of ``W''`` formed once."""
         prob = self.prob
-        nl = prob.nonlinearity
-        if nl.hessian_action is not None:
-            hw = nl.hessian_action(prob.times, vals, v)
-        else:
-            h = 1e-6 * max(1.0, float(np.max(np.abs(vals))))
-            hw = (
-                nl.gradient(prob.times, vals + h * v) - nl.gradient(prob.times, vals - h * v)
-            ) / (2.0 * h)
-        return self.project(prob.apply(v) - hw)
+        f, g = prob.nonlinearity.hessian_at(prob.times, vals)
+        f = f[:, None]
+        gu = g[:, None] * vals
+
+        def action(v: np.ndarray) -> np.ndarray:
+            uv = np.sum(vals * v, axis=1, keepdims=True)
+            return self.project(prob.apply(v) - (f * v + uv * gu))
+
+        return action
 
     def precondition(self, x: np.ndarray) -> np.ndarray:
         return self.project(self.prob.precondition(x))
@@ -160,8 +172,12 @@ def _backtrack(obj, vals, f, g, d, cfg):
     return None
 
 
-def _truncated_cg(obj, vals, g, rel_tol, max_cg):
-    """Approximately solve H d = -g, exiting on negative curvature."""
+def _truncated_cg(obj, hess, g, rel_tol, max_cg):
+    """Approximately solve ``hess(d) = -g``, exiting on negative curvature.
+
+    A nonpositive ``(r, z)`` means the preconditioner lost definiteness at
+    rounding level; the current ``d`` is returned before it is divided by.
+    """
     d = np.zeros_like(g)
     r = -g
     z = obj.precondition(r)
@@ -169,7 +185,9 @@ def _truncated_cg(obj, vals, g, rel_tol, max_cg):
     rz = obj.inner(r, z)
     r0 = obj.norm(r)
     for i in range(max_cg):
-        hp = obj.hess_action(vals, p)
+        if rz <= 0.0:
+            return d
+        hp = hess(p)
         php = obj.inner(p, hp)
         if php <= 1e-16 * obj.inner(p, p):
             return (z if i == 0 else d)
@@ -195,13 +213,15 @@ def _descend(prob, cfg, start_vals, mask=None) -> SolveResult:
     g_norm = obj.norm(g)
     history = [(f, g_norm)]
     steps = 0
+    stop_reason = "max_iters"
     while steps < cfg.max_iters and g_norm > cfg.grad_tol:
-        d = _truncated_cg(obj, vals, g, min(0.5, np.sqrt(g_norm)), cfg.max_cg)
+        d = _truncated_cg(obj, obj.hessian(vals), g, min(0.5, np.sqrt(g_norm)), cfg.max_cg)
         step = _backtrack(obj, vals, f, g, d, cfg) or _backtrack(
             obj, vals, f, g, -obj.precondition(g), cfg
         )
         if step is None:
-            break  # no descent direction lowers the energy at rounding level
+            stop_reason = "no_descent"  # no direction lowers the energy at rounding level
+            break
         vals, f = step
         g = obj.grad(vals)
         obj.check_floor(f)
@@ -209,14 +229,16 @@ def _descend(prob, cfg, start_vals, mask=None) -> SolveResult:
         steps += 1
         history.append((f, g_norm))
     u = SampledSignal(prob.t_min, prob.dt, vals)
+    converged = g_norm <= cfg.grad_tol
     return SolveResult(
         u=u,
         energy=evaluate_energy(u, prob),
         grad_norm=g_norm,
         grad_norm_weighted=float(np.sqrt(prob.form(g, g))),
         iterations=steps,
-        converged=g_norm <= cfg.grad_tol,
+        converged=converged,
         history=tuple(history),
+        stop_reason="grad_tol" if converged else stop_reason,
     )
 
 
@@ -321,6 +343,7 @@ class SweepRow:
     converged: bool
     ordering_ok: bool
     bound_ok: bool
+    stop_reason: str
 
     @property
     def flagged(self) -> bool:
@@ -361,6 +384,7 @@ def _sweep_row(prob, result, u_tilde, c_tilde, bound) -> SweepRow:
         converged=result.converged,
         ordering_ok=result.energy <= c_tilde + 1e-12 * (1.0 + abs(c_tilde)),
         bound_ok=norm_lam <= bound,
+        stop_reason=result.stop_reason,
     )
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "CheckResult",
     "PotentialReport",
     "AdmissibilityError",
+    "ResolutionError",
     "vanishing_well_potential",
     "rotated_well_potential",
     "verify_potential",
@@ -46,6 +47,10 @@ __all__ = [
 
 class AdmissibilityError(ValueError):
     """The sublevel set is too large for the embedding chain (hypothesis L1)."""
+
+
+class ResolutionError(Exception):
+    """The grid is too coarse to resolve the core: a set the problem needs holds no sample."""
 
 
 @dataclass(frozen=True)
@@ -316,6 +321,11 @@ class EmbeddingConstants:
 
     @classmethod
     def from_data(cls, c_alpha: float, sublevel_measure: float, threshold: float):
+        if sublevel_measure <= 0.0:
+            raise ResolutionError(
+                "no grid sample has l(t) < k, so the sublevel measure is 0: "
+                "the grid does not resolve the core"
+            )
         q = c_alpha**2 * sublevel_measure
         if q >= 1.0:
             raise AdmissibilityError(

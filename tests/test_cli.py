@@ -127,6 +127,29 @@ class TestExitCodes:
         cfg = write(tmp_path, BASE + "alpha = 0.4\ngrid_n = 512\n")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "command,n,code",
+        [("solve", 8, 2), ("solve", 16, 2), ("solve", 32, 2), ("solve", 64, 1),
+         ("check", 8, 2), ("check", 16, 2), ("sweep", 32, 2)],
+    )
+    def test_grid_too_coarse_for_the_core(self, tmp_path, capsys, command, n, code):
+        # N = 8, 16: no sample has l < k; N = 32: the open core holds no sample;
+        # N = 64 resolves the core but fails L1 admissibility
+        cfg = write(tmp_path, BASE + "lambdas = 2,20,200\n")
+        out = str(tmp_path / "o")
+        assert main([command, "--config", cfg, "--out", out, "--grid-n", str(n)]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert "config error" in err and "does not resolve the core" in err
+        else:
+            assert "L1-admissibility" in err
+
+    def test_alpha_near_half_fails_admissibility(self, tmp_path, capsys):
+        # C^2 = 1/(2a sin(pi/(2a))) is about 15.9 at a = 0.51, so C^2 |{l<k}| > 1
+        cfg = write(tmp_path, BASE + "alpha = 0.51\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "L1-admissibility" in capsys.readouterr().err
+
 
 class TestImport:
     def test_cli_import_loads_no_scipy(self):
@@ -198,6 +221,13 @@ class TestSolve:
         assert report["converged"] is False
         assert os.path.exists(artifact(out, "solve-solution-", ".csv"))
 
+    def test_non_convergence_names_stop_reason(self, tmp_path, capsys):
+        cfg = write(tmp_path, BASE + "max_iters = 2\n")
+        out = str(tmp_path / "out")
+        assert main(["solve", "--config", cfg, "--out", out]) == 3
+        assert "stop reason max_iters" in capsys.readouterr().err
+        assert "stop_reason" not in open(artifact(out, "solve-report-")).read()
+
     def test_lambda_below_threshold_is_config_error(self, tmp_path):
         cfg = write(tmp_path, BASE)
         out = str(tmp_path / "out")
@@ -236,6 +266,16 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--out", out]) == 4
         rows = open(artifact(out, "sweep-", ".csv")).read().strip().splitlines()
         assert len(rows) == 4
+
+
+    def test_flagged_rows_name_stop_reason(self, tmp_path, capsys):
+        cfg = write(tmp_path, BASE + "lambdas = 2,20,200\nmax_iters = 2\n")
+        out = str(tmp_path / "out")
+        assert main(["sweep", "--config", cfg, "--out", out]) == 4
+        err = capsys.readouterr().err
+        assert "[FLAGGED] stop reason max_iters" in err
+        for path in (artifact(out, "sweep-", ".csv"), artifact(out, "sweep-report-")):
+            assert "stop_reason" not in open(path).read()
 
 
 class TestSelftest:

@@ -76,6 +76,42 @@ class TestGrowthChecks:
             power_nonlinearity(p=1.5, nu=1.2)
 
 
+class TestHessianAt:
+    """``hessian_at`` coefficients against centered differences of ``gradient``."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize(
+        "nl",
+        [power_nonlinearity(), power_nonlinearity(eps=0.3), zero_nonlinearity()],
+        ids=["power", "power-regularized", "zero"],
+    )
+    def test_matches_centered_differences(self, nl, n, rng):
+        # |u| in [0.5, 1.5]: away from the power family's singular point u = 0
+        dirs = rng.standard_normal((N_DEFAULT, n))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        u = rng.uniform(0.5, 1.5, (N_DEFAULT, 1)) * dirs
+        v = rng.standard_normal((N_DEFAULT, n))
+        f, g = nl.hessian_at(TIMES, u)
+        assert f.shape == g.shape == (N_DEFAULT,)
+        action = f[:, None] * v + (g * np.sum(u * v, axis=1))[:, None] * u
+        h = 1e-6
+        fd = (nl.gradient(TIMES, u + h * v) - nl.gradient(TIMES, u - h * v)) / (2.0 * h)
+        scale = np.max(np.abs(fd))
+        if scale == 0.0:
+            assert np.all(action == 0.0)
+        else:
+            assert np.max(np.abs(action - fd)) <= 1e-6 * scale
+
+    def test_missing_hessian_named_when_used(self):
+        nl = Nonlinearity(
+            density=lambda t, u: np.zeros(len(t)),
+            gradient=lambda t, u: np.zeros_like(u),
+            p=1.5, xi=lambda t: np.zeros_like(t), eta=1.0, delta=1.0, nu=1.5,
+        )
+        with pytest.raises(NotImplementedError, match="hessian_at"):
+            nl.hessian_at(TIMES, np.ones((N_DEFAULT, 1)))
+
+
 class TestEnergy:
     def test_zero_signal_zero_energy(self, prob):
         assert evaluate_energy(prob.zero_signal(), prob) == 0.0
@@ -202,9 +238,35 @@ class TestOperator:
         assert form == pytest.approx(prob.dt * np.sum(u.values * prob.apply(v.values)), rel=1e-10)
 
     def test_precondition_inverts_surrogate(self, operator_case):
+        # surrogate D^(1/2) (1 + |w|^(2a)) D^(1/2) with D^(-1/2) = prob.scaling
         prob, u, _ = operator_case
-        surrogate = riesz_composition(u, prob.order).values + u.values
+        half = u.with_values(u.values / prob.scaling)
+        surrogate = (riesz_composition(half, prob.order).values + half.values) / prob.scaling
         assert _rel_err(prob.precondition(surrogate), u.values) <= 1e-12
+
+    @pytest.mark.parametrize("factor", [1.0, 1000.0])
+    def test_precondition_symmetric_positive(self, operator_case, factor):
+        # in the L2(dt) inner product, also at a weight where the wall dominates D
+        prob, u, v = operator_case
+        prob = prob.with_lam(factor * prob.lam)
+        x, y = u.values, v.values
+        xpy = prob.dt * np.sum(x * prob.precondition(y))
+        assert xpy == pytest.approx(prob.dt * np.sum(prob.precondition(x) * y), rel=1e-12)
+        assert prob.dt * np.sum(x * prob.precondition(x)) > 0.0
+        assert prob.dt * np.sum(y * prob.precondition(y)) > 0.0
+
+    def test_scaling_follows_lam(self, operator_case):
+        # D^(-1/2) = (1 + lam diag(L) / s)^(-1/2), s = |w|^(2a) at half the Nyquist frequency
+        prob, _, _ = operator_case
+        s = (np.pi / (2.0 * prob.dt)) ** (2.0 * prob.order.alpha)
+        assert s == pytest.approx(np.median(prob.kinetic), rel=1e-12)
+        for lam in (prob.lam, 100.0 * prob.lam):
+            other = prob.with_lam(lam)
+            diag = np.diagonal(other.matrix_values, axis1=1, axis2=2)
+            assert other.scaling.shape == (prob.n_samples, prob.n_components)
+            assert _rel_err(other.scaling, 1.0 / np.sqrt(1.0 + lam * diag / s)) <= 1e-14
+        core = (prob.times > 0.0) & (prob.times < 0.5)
+        assert np.all(prob.scaling[core] == 1.0)
 
     def test_with_lam_shares_arrays(self, prob):
         other = prob.with_lam(3.0 * prob.lam)

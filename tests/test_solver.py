@@ -22,7 +22,7 @@ from frachs import (
     zero_nonlinearity,
 )
 from frachs.nonlinearity import Nonlinearity
-from frachs.solver import _backtrack, _Objective, _witness
+from frachs.solver import _backtrack, _Objective, _truncated_cg, _witness
 
 from conftest import DT, N_DEFAULT, T_MIN
 
@@ -96,6 +96,7 @@ class TestMinimize:
         lying = Nonlinearity(
             density=lambda t, u: 60.0 * base.density(t, u),
             gradient=lambda t, u: 60.0 * base.gradient(t, u),
+            hessian_at=lambda t, u: tuple(60.0 * c for c in base.hessian_at(t, u)),
             p=base.p,
             xi=base.xi,
             eta=base.eta,
@@ -116,6 +117,73 @@ class TestLineSearch:
         vals = scale * base
         g = obj.grad(vals)
         assert _backtrack(obj, vals, obj.energy(vals), g, -1e-30 * g, cfg) is None
+
+
+class TestNewtonStep:
+    def test_hessian_closure_is_evaluated_at_its_iterate(self, prob, rng):
+        # a closure built at a second iterate must not reuse the first one's coefficients
+        obj = _Objective(prob)
+        base, scale = _witness(prob)
+        first = scale * base
+        second = first + 0.3 * scale * random_band_limited(rng, N_DEFAULT, T_MIN, DT).values
+        v = random_band_limited(rng, N_DEFAULT, T_MIN, DT).values
+        h_first, h_second = obj.hessian(first), obj.hessian(second)
+
+        def fresh(vals):
+            f, g = prob.nonlinearity.hessian_at(prob.times, vals)
+            return prob.apply(v) - (f[:, None] * v + (g * np.sum(vals * v, axis=1))[:, None] * vals)
+
+        for action, vals in ((h_second, second), (h_first, first)):
+            ref = fresh(vals)
+            assert np.max(np.abs(action(v) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(h_first(v) - h_second(v))) > 1e-3 * np.max(np.abs(fresh(second)))
+
+    def test_cg_stops_on_nonpositive_rz(self, prob):
+        # a preconditioner that lost definiteness gives (r, z) < 0: CG returns the
+        # current (zero) iterate instead of dividing by it
+        obj = _Objective(prob)
+        obj.precondition = lambda x: -x
+        base, scale = _witness(prob)
+        vals = scale * base
+        g = obj.grad(vals)
+        d = _truncated_cg(obj, obj.hessian(vals), g, 0.5, 50)
+        assert np.all(d == 0.0)
+
+    def test_non_finite_density_reads_as_infinite_energy(self, prob):
+        # +inf, not NaN or -inf, so the line search can never accept such a point
+        base = power_nonlinearity()
+        for bad_value in (np.nan, np.inf):
+            bad = Nonlinearity(
+                density=lambda t, u, b=bad_value: np.where(np.abs(t) < 0.1, b, 0.0),
+                gradient=base.gradient, hessian_at=base.hessian_at,
+                p=base.p, xi=base.xi, eta=base.eta, delta=base.delta, nu=base.nu,
+            )
+            obj = _Objective(_with_nonlinearity(prob, bad))
+            assert obj.energy(np.ones((N_DEFAULT, 1))) == np.inf
+
+
+class TestStopReason:
+    def test_converged_run_stops_on_grad_tol(self, prob, cfg):
+        res = minimize(prob, cfg)
+        assert res.converged and res.stop_reason == "grad_tol"
+
+    def test_starved_run_stops_on_max_iters(self, prob):
+        res = minimize(prob, SolverConfig(max_iters=2))
+        assert not res.converged and res.stop_reason == "max_iters"
+        assert res.iterations == 2
+
+    def test_unreachable_tolerance_stops_on_no_descent(self, prob, cfg):
+        # from a converged solution no step lowers the energy by more than its rounding
+        start = minimize(prob, cfg).u
+        res = minimize(prob, SolverConfig(grad_tol=1e-30), start=start)
+        assert not res.converged and res.stop_reason == "no_descent"
+        assert res.iterations < SolverConfig().max_iters
+
+    def test_sweep_rows_carry_the_stop_reason(self, prob):
+        thr = prob.constants.lambda_threshold
+        report = concentration_sweep(prob, [thr, 10 * thr, 100 * thr], SolverConfig(max_iters=2))
+        assert {r.stop_reason for r in report.rows if not r.converged} == {"max_iters"}
+        assert {r.stop_reason for r in report.rows if r.converged} <= {"grad_tol"}
 
 
 class TestSolveBvp:
