@@ -39,9 +39,9 @@ from .grid import (
     fft_forward,
     fft_inverse,
     integrate,
-    l2_inner,
     l2_norm,
     midpoint_grid,
+    pointwise_dot,
     random_band_limited,
     reflect,
     signal_from_function,

@@ -124,12 +124,25 @@ def _write_manifest(out_dir: str, cfg: ExperimentConfig, command: str):
     _write_json(os.path.join(out_dir, f"manifest-{cfg.config_hash()}.json"), payload)
 
 
+CSV_BLOCK_ROWS = 256  # rows formatted per block: bounded memory, few Python calls
+
+
 def _write_solution_csv(path: str, u):
+    """``t,u_1,...,u_n`` with every value as ``%.17g``, which round-trips a double.
+
+    One row template is applied to the ``tolist()`` of a block of rows at a
+    time; the whole table as Python floats at once would cost about a MiB at
+    N = 8192.
+    """
     cols = ["t"] + [f"u_{i + 1}" for i in range(u.n_components)]
+    template = ",".join(["%.17g"] * len(cols)) + "\n"
+    times = u.times
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for t, row in zip(u.times, u.values):
-            fh.write(",".join(format(x, ".17g") for x in [t, *row]) + "\n")
+        for start in range(0, u.n_samples, CSV_BLOCK_ROWS):
+            rows = slice(start, start + CSV_BLOCK_ROWS)
+            block = np.column_stack([times[rows], u.values[rows]]).tolist()
+            fh.write("".join([template % tuple(row) for row in block]))
 
 
 def _check_payload(cfg: ExperimentConfig, prob_parts) -> tuple[dict, bool]:

@@ -62,6 +62,14 @@ class Problem:
     bilinear form of ``||.||_lam^2``, :meth:`apply` its L2 representer and
     :meth:`precondition` the inverse of the surrogate
     ``D^(1/2) (1 + |w|^(2a)) D^(1/2)``, ``D = 1 + lam diag(L(t)) / s``.
+    Layout rule: component-axis sums go through
+    :func:`~frachs.grid.pointwise_dot` or per-component columns, and
+    coefficient arrays are kept at the full ``(., n)`` shape
+    (``matrix_entries[i, j]`` is the contiguous curve ``L_ij(t)``): on
+    C-ordered ``(N, n)`` arrays, short-axis reductions and column broadcasts
+    cost several times the same arithmetic.  Results are finished in place on
+    freshly allocated arrays, since each ``(N, n)`` temporary costs a new
+    allocation in the solver's inner loop.
     """
 
     order: FracOrder
@@ -74,6 +82,7 @@ class Problem:
     constants: EmbeddingConstants
     times: np.ndarray = field(init=False, repr=False)
     matrix_values: np.ndarray = field(init=False, repr=False)
+    matrix_entries: np.ndarray = field(init=False, repr=False)
     xi_values: np.ndarray = field(init=False, repr=False)
     kinetic: np.ndarray = field(init=False, repr=False)
     parseval: np.ndarray = field(init=False, repr=False)
@@ -85,20 +94,24 @@ class Problem:
             raise ValueError("weight lam must be positive")
         times = self.t_min + self.dt * np.arange(self.n_samples)
         # rfft half-spectrum: |w|^(2a), the Parseval weights (every bin but
-        # DC and Nyquist stands for a conjugate pair) and the preconditioner
+        # DC and Nyquist stands for a conjugate pair) and the preconditioner,
+        # each repeated over the n columns
         freqs = 2.0 * np.pi * np.fft.rfftfreq(self.n_samples, d=self.dt)
         kinetic = np.abs(freqs) ** self.order.doubled
         parseval = np.full(len(freqs), 2.0)
         parseval[0] = 1.0
         if self.n_samples % 2 == 0:
             parseval[-1] = 1.0
+        matrix_values = self.potential.matrix_at(times)
+        n = self.n_components
         arrays = {
             "times": times,
-            "matrix_values": self.potential.matrix_at(times),
+            "matrix_values": matrix_values,
+            "matrix_entries": np.ascontiguousarray(matrix_values.transpose(1, 2, 0)),
             "xi_values": self.nonlinearity.xi_at(times),
-            "kinetic": kinetic[:, None],
-            "parseval": parseval[:, None],
-            "precond": (1.0 / (1.0 + kinetic))[:, None],
+            "kinetic": np.repeat(kinetic[:, None], n, axis=1),
+            "parseval": np.repeat(parseval[:, None], n, axis=1),
+            "precond": np.repeat((1.0 / (1.0 + kinetic))[:, None], n, axis=1),
         }
         for name, value in arrays.items():
             value.setflags(write=False)
@@ -143,12 +156,22 @@ class Problem:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """L2 representer of the form: ``|w|^(2a) x + lam L x``."""
         principal = np.fft.irfft(self.kinetic * np.fft.rfft(x, axis=0), self.n_samples, axis=0)
-        return principal + self.lam * np.einsum("nij,nj->ni", self.matrix_values, x)
+        weighted = np.empty_like(x)
+        for i, row in enumerate(self.matrix_entries):
+            column = row[0] * x[:, 0]
+            for j in range(1, len(row)):
+                column += row[j] * x[:, j]
+            weighted[:, i] = column
+        weighted *= self.lam
+        weighted += principal
+        return weighted
 
     def precondition(self, x: np.ndarray) -> np.ndarray:
         """``D^(-1/2) (1 + |w|^(2a))^(-1) D^(-1/2) x``: symmetric positive in L2(dt)."""
         d = self.scaling
-        return d * np.fft.irfft(self.precond * np.fft.rfft(d * x, axis=0), self.n_samples, axis=0)
+        out = np.fft.irfft(self.precond * np.fft.rfft(d * x, axis=0), self.n_samples, axis=0)
+        out *= d
+        return out
 
     def check_signal(self, u: SampledSignal):
         if u.n_samples != self.n_samples or u.t_min != self.t_min or u.dt != self.dt:

@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from .grid import pointwise_dot
 from .spaces import CheckResult, ResolutionError
 
 __all__ = [
@@ -102,24 +103,28 @@ def power_nonlinearity(
         return xi_scale * np.exp(-(t**2) / xi_width)
 
     def density(t, u):
-        mag2 = np.sum(u**2, axis=1)
+        mag2 = pointwise_dot(u, u)
         if eps == 0.0:
             return xi(t) * mag2 ** (p / 2.0) / p
         return xi(t) * ((mag2 + eps**2) ** (p / 2.0) - eps**p) / p
 
     def gradient(t, u):
-        mag2 = np.sum(u**2, axis=1)
+        mag2 = pointwise_dot(u, u)
         if eps == 0.0:
             with np.errstate(divide="ignore"):
                 factor = np.where(mag2 > 0.0, mag2 ** ((p - 2.0) / 2.0), 0.0)
         else:
             factor = (mag2 + eps**2) ** ((p - 2.0) / 2.0)
-        return (xi(t) * factor)[:, None] * u
+        coeff = xi(t) * factor
+        out = np.empty_like(u)
+        for i in range(u.shape[1]):
+            out[:, i] = coeff * u[:, i]
+        return out
 
     def hessian_at(t, u):
         # W'' is unbounded as |u| -> 0 and the (p-4)/2 power overflows below ~1e-100:
         # the model drops the nonlinear curvature there, as at u = 0 itself
-        mag2 = np.sum(u**2, axis=1) + eps**2
+        mag2 = pointwise_dot(u, u) + eps**2
         safe = mag2 > 1e-100
         weight = np.where(safe, xi(t), 0.0)
         mag2 = np.where(safe, mag2, 1.0)
@@ -191,7 +196,8 @@ def verify_growth(
     for d in dirs:
         for s in amps:
             u = np.broadcast_to(s * d, (len(times), n_components))
-            gmag = np.sqrt(np.sum(nl.gradient(times, u) ** 2, axis=1))
+            g = nl.gradient(times, u)
+            gmag = np.sqrt(pointwise_dot(g, g))
             slack = xi_vals * s ** (nl.p - 1.0) - gmag
             j = int(np.argmin(slack))
             if slack[j] < worst_w1:
@@ -240,15 +246,17 @@ def verify_growth(
         for s in amps[amps >= 0.25]:
             u = np.broadcast_to(s * d, (len(times), n_components)).copy()
             g = nl.gradient(times, u)
-            gscale = max(float(np.max(np.sqrt(np.sum(g**2, axis=1)))), 1e-300)
+            gmag = np.sqrt(pointwise_dot(g, g))
+            gscale = max(float(np.max(gmag)), 1e-300)
             fd = np.empty_like(g)
             for c in range(n_components):
                 up, dn = u.copy(), u.copy()
                 up[:, c] += h
                 dn[:, c] -= h
                 fd[:, c] = (nl.density(times, up) - nl.density(times, dn)) / (2.0 * h)
-            err = np.sqrt(np.sum((fd - g) ** 2, axis=1))
-            den = np.maximum(np.sqrt(np.sum(g**2, axis=1)), 1e-4 * gscale)
+            diff = fd - g
+            err = np.sqrt(pointwise_dot(diff, diff))
+            den = np.maximum(gmag, 1e-4 * gscale)
             rel = err / den
             j = int(np.argmax(rel))
             if rel[j] > worst_fd:

@@ -37,7 +37,7 @@ from .energy import (
     negative_energy_witness,
     smooth_bump,
 )
-from .grid import SampledSignal
+from .grid import SampledSignal, pointwise_dot
 from .spaces import h_alpha_norm
 
 __all__ = [
@@ -96,7 +96,10 @@ class _Objective:
 
     def __init__(self, prob: Problem, mask: np.ndarray | None = None):
         self.prob = prob
-        self.mask = None if mask is None else np.asarray(mask, bool)[:, None]
+        # coefficient arrays at the full (N, n) shape: column broadcasts are slow
+        self.mask = None if mask is None else np.repeat(
+            np.asarray(mask, bool)[:, None], prob.n_components, axis=1
+        )
         self.dt = prob.dt
         self.floor = lower_bound_minimum(prob)[1]
         self.n_energy = 0
@@ -125,18 +128,25 @@ class _Objective:
         self.n_grad += 1
         prob = self.prob
         grad_w = prob.nonlinearity.gradient(prob.times, vals)
-        return self.project(prob.apply(vals) - grad_w)
+        out = prob.apply(vals)
+        out -= grad_w
+        return self.project(out)
 
     def hessian(self, vals: np.ndarray):
         """The Hessian action at ``vals``, with the coefficients of ``W''`` formed once."""
         prob = self.prob
         f, g = prob.nonlinearity.hessian_at(prob.times, vals)
-        f = f[:, None]
+        f = np.repeat(f[:, None], vals.shape[1], axis=1)
         gu = g[:, None] * vals
 
         def action(v: np.ndarray) -> np.ndarray:
-            uv = np.sum(vals * v, axis=1, keepdims=True)
-            return self.project(prob.apply(v) - (f * v + uv * gu))
+            uv = pointwise_dot(vals, v)
+            curvature = f * v
+            for i in range(v.shape[1]):
+                curvature[:, i] += uv * gu[:, i]
+            out = prob.apply(v)
+            out -= curvature
+            return self.project(out)
 
         return action
 
@@ -181,7 +191,7 @@ def _truncated_cg(obj, hess, g, rel_tol, max_cg):
     d = np.zeros_like(g)
     r = -g
     z = obj.precondition(r)
-    p = z.copy()
+    p = z
     rz = obj.inner(r, z)
     r0 = obj.norm(r)
     for i in range(max_cg):
@@ -192,8 +202,8 @@ def _truncated_cg(obj, hess, g, rel_tol, max_cg):
         if php <= 1e-16 * obj.inner(p, p):
             return (z if i == 0 else d)
         a = rz / php
-        d = d + a * p
-        r = r - a * hp
+        d += a * p
+        r -= a * hp
         if obj.norm(r) <= rel_tol * r0:
             return d
         z = obj.precondition(r)
@@ -367,7 +377,7 @@ def _sweep_row(prob, result, u_tilde, c_tilde, bound) -> SweepRow:
     u = result.u
     a_lo, a_hi = prob.potential.well
     outside = (prob.times <= a_lo) | (prob.times >= a_hi)
-    mag_sq = np.sum(u.values**2, axis=1)
+    mag_sq = pointwise_dot(u.values, u.values)
     total = float(prob.dt * np.sum(mag_sq))
     tail = float(prob.dt * np.sum(mag_sq[outside])) / total if total > 0 else 0.0
     envelope = prob.potential.envelope_at(prob.times)

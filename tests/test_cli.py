@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from frachs.cli import main
+from frachs import SampledSignal
+from frachs.cli import _write_solution_csv, main
 from frachs.config import ConfigError, parse_config_text
 
 BASE = "[scenario]\npreset = default\n"
@@ -25,6 +27,25 @@ def artifact(out_dir, prefix, suffix=".json"):
     ]
     assert len(names) == 1, names
     return os.path.join(out_dir, names[0])
+
+
+class TestSolutionCsv:
+    @pytest.mark.parametrize("n_samples", [8, 1024])
+    def test_matches_per_value_format(self, tmp_path, n_samples):
+        # per-value format(x, ".17g") was the writer's definition; 1024 rows span blocks
+        special = [0.0, -0.0, 5e-324, 1e300, -1.5]
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((n_samples, 2))
+        values[: len(special), 0] = special
+        values[: len(special), 1] = special[::-1]
+        u = SampledSignal(-0.1, 0.025, values)
+        path = tmp_path / "solution.csv"
+        _write_solution_csv(str(path), u)
+        expected = "t,u_1,u_2\n" + "".join(
+            ",".join(format(x, ".17g") for x in [t, *row]) + "\n"
+            for t, row in zip(u.times, u.values)
+        )
+        assert path.read_text(encoding="utf-8") == expected
 
 
 class TestConfigParsing:

@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from frachs import (
+    PotentialMatrix,
     SampledSignal,
     WitnessError,
     default_problem,
@@ -14,16 +15,19 @@ from frachs import (
     lower_bound,
     lower_bound_minimum,
     negative_energy_witness,
+    pointwise_dot,
     power_nonlinearity,
     random_band_limited,
     riesz_composition,
     rotated_well_potential,
     signal_from_function,
     smooth_bump,
+    vanishing_well_potential,
     verify_growth,
     zero_nonlinearity,
 )
 from frachs.nonlinearity import Nonlinearity
+from frachs.solver import _Objective
 
 from conftest import DT, N_DEFAULT, T_MIN
 
@@ -275,6 +279,68 @@ class TestOperator:
         assert other.kinetic is prob.kinetic
         with pytest.raises(ValueError, match="positive"):
             prob.with_lam(0.0)
+
+
+def _symmetric_3x3_potential() -> PotentialMatrix:
+    """The scalar wall times a symmetric positive definite 3x3 matrix with distinct
+    off-diagonal entries and a t-dependent diagonal."""
+    base = vanishing_well_potential()
+    m = np.array([[2.0, 0.3, -0.2], [0.3, 1.5, 0.7], [-0.2, 0.7, 3.0]])
+
+    def matrix(t):
+        wall = base.matrix_at(t)[:, 0, 0]
+        return wall[:, None, None] * (m + 0.1 * np.cos(t)[:, None, None] * np.eye(3))
+
+    return PotentialMatrix(3, matrix, base.envelope, base.threshold, base.well, base.core)
+
+
+class TestColumnKernels:
+    """The per-column kernels reproduce the numpy reductions and broadcasts they replace."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pointwise_dot_matches_axis_sum(self, n, rng):
+        x, y = rng.standard_normal((2, N_DEFAULT, n))
+        x[:7] = -0.0  # signed-zero products: numpy's sum starts from +0
+        y[:7] = np.array([-1.0, 1.0, 0.0, -0.0, 2.0, -2.0, -0.0])[:, None]
+        ref = np.sum(x * y, axis=1)
+        got = pointwise_dot(x, y)
+        assert got.shape == (N_DEFAULT,)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+        # a broadcast row, as verify_growth passes it, and a square
+        d = rng.standard_normal(n)
+        row = np.broadcast_to(0.7 * d, (N_DEFAULT, n))
+        assert np.array_equal(pointwise_dot(row, y), np.sum(row * y, axis=1))
+        assert np.array_equal(pointwise_dot(x, x), np.sum(x**2, axis=1))
+
+    def test_apply_matches_einsum_bits(self, operator_case):
+        prob, u, _ = operator_case
+        x = u.values
+        # the multiplier as one column broadcast over the components, as before
+        kinetic = prob.kinetic[:, :1]
+        spectral = np.fft.irfft(kinetic * np.fft.rfft(x, axis=0), prob.n_samples, axis=0)
+        ref = spectral + prob.lam * np.einsum("nij,nj->ni", prob.matrix_values, x)
+        got = prob.apply(x)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, ref)
+
+    def test_apply_on_3x3_potential(self, rng):
+        prob = default_problem(potential=_symmetric_3x3_potential())
+        x = random_band_limited(rng, N_DEFAULT, T_MIN, DT, 3, band_fraction=1.0).values
+        assert prob.matrix_entries.shape == (3, 3, N_DEFAULT)
+        assert prob.kinetic.shape == prob.precond.shape == (N_DEFAULT // 2 + 1, 3)
+        x_hat = np.fft.rfft(x, axis=0)
+        spectral = np.fft.irfft(prob.kinetic[:, :1] * x_hat, prob.n_samples, axis=0)
+        ref = spectral + prob.lam * np.einsum("nij,nj->ni", prob.matrix_values, x)
+        assert _rel_err(prob.apply(x), ref) <= 1e-14
+
+    def test_hessian_action_matches_broadcast_form(self, operator_case):
+        prob, u, v = operator_case
+        vals = 0.1 * u.values
+        f, g = prob.nonlinearity.hessian_at(prob.times, vals)
+        uv = np.sum(vals * v.values, axis=1, keepdims=True)
+        ref = prob.apply(v.values) - (f[:, None] * v.values + uv * (g[:, None] * vals))
+        assert np.array_equal(_Objective(prob).hessian(vals)(v.values), ref)
 
 
 class TestLowerBound:
