@@ -57,7 +57,7 @@ for _ in range(300):
     ratio = u.sup_norm() / h_alpha_norm(u, a)
     worst["sup/||.||_a"] = max(worst.get("sup/||.||_a", 0.0), ratio)
     rep = embedding_bounds(u, const, pot, lam, a)
-    for row in rep.rows:
+    for row in rep.checks:
         key = f"{row.name} margin"
         worst[key] = min(worst.get(key, np.inf), row.worst_margin)
 

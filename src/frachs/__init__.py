@@ -10,12 +10,10 @@ interval where the potential matrix vanishes.
 __version__ = "0.1.0"
 
 from .energy import (
-    EnergyReport,
     Problem,
     WitnessError,
     default_problem,
     directional_derivative,
-    energy_report,
     evaluate_energy,
     gradient,
     lower_bound,
@@ -38,17 +36,14 @@ from .grid import (
     Spectrum,
     fft_forward,
     fft_inverse,
-    integrate,
     l2_norm,
     midpoint_grid,
     pointwise_dot,
     random_band_limited,
     reflect,
     signal_from_function,
-    zeros_like,
 )
 from .nonlinearity import (
-    GrowthReport,
     Nonlinearity,
     power_nonlinearity,
     verify_growth,
@@ -67,6 +62,7 @@ from .solver import (
 )
 from .spaces import (
     AdmissibilityError,
+    CheckReport,
     EmbeddingConstants,
     PotentialMatrix,
     ResolutionError,
@@ -81,7 +77,6 @@ from .spaces import (
     sobolev_constant,
     vanishing_well_potential,
     verify_potential,
-    x_alpha_norm,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

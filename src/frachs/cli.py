@@ -19,6 +19,7 @@ manifest).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import os
@@ -90,10 +91,7 @@ def build_nonlinearity(cfg: ExperimentConfig):
 
 
 def solver_config(cfg: ExperimentConfig) -> SolverConfig:
-    return SolverConfig(
-        max_iters=cfg.max_iters, grad_tol=cfg.grad_tol, armijo=cfg.armijo,
-        shrink=cfg.shrink, max_cg=cfg.max_cg,
-    )
+    return SolverConfig(max_iters=cfg.max_iters, grad_tol=cfg.grad_tol)
 
 
 def _json_default(obj):
@@ -145,101 +143,101 @@ def _write_solution_csv(path: str, u):
             fh.write("".join([template % tuple(row) for row in block]))
 
 
-def _check_payload(cfg: ExperimentConfig, prob_parts) -> tuple[dict, bool]:
-    """Run the potential, growth and admissibility checks; returns (report, ok)."""
+def _check_section(report) -> dict:
+    """JSON section of one :class:`~frachs.spaces.CheckReport`."""
+    return {"passed": report.passed, "checks": [dataclasses.asdict(c) for c in report.checks]}
+
+
+def _structural_checks(cfg: ExperimentConfig, potential):
+    """L1-L3 and L1 admissibility on the configured grid.
+
+    Returns the potential's check report, the ``admissibility`` section of
+    the check payload, and the embedding constants (None when L1 fails).
+    """
     t_min, dt = midpoint_grid(cfg.grid_n, cfg.domain)
-    times = t_min + dt * np.arange(cfg.grid_n)
-    potential, nonlinearity = prob_parts
-    report: dict = {"config_hash": cfg.config_hash()}
-
-    pot_report = verify_potential(potential, times, seed=cfg.seed)
-    report["potential"] = {
-        "passed": pot_report.passed,
-        "checks": [
-            {"name": c.name, "passed": c.passed, "worst_margin": c.worst_margin,
-             "location": c.location, "detail": c.detail}
-            for c in pot_report.checks
-        ],
-    }
-
-    growth = verify_growth(
-        nonlinearity, times, potential.core, potential.n_components, seed=cfg.seed
-    )
-    report["growth"] = {
-        "passed": growth.passed,
-        "checks": [
-            {"name": c.name, "passed": c.passed, "worst_margin": c.worst_margin,
-             "location": c.location, "detail": c.detail}
-            for c in growth.checks
-        ],
-    }
-
+    pot_report = verify_potential(potential, t_min + dt * np.arange(cfg.grid_n), seed=cfg.seed)
     order = FracOrder(cfg.alpha)
     try:
         constants = compute_embedding_constants(potential, order, cfg.grid_n, t_min, dt)
-        report["admissibility"] = {
-            "name": "L1-admissibility",
-            "passed": True,
-            "c_alpha": constants.c_alpha,
-            "sublevel_measure": constants.sublevel_measure,
-            "product": constants.admissibility_product,
-            "margin": constants.admissibility_margin,
-            "theta0": constants.theta0,
-            "lambda_threshold": constants.lambda_threshold,
-        }
-        adm_ok = True
     except (AdmissibilityError, ValueError) as exc:
-        report["admissibility"] = {"name": "L1-admissibility", "passed": False, "reason": str(exc)}
-        adm_ok = False
+        return pot_report, {"name": "L1-admissibility", "passed": False, "reason": str(exc)}, None
+    admissibility = {
+        "name": "L1-admissibility",
+        "passed": True,
+        "c_alpha": constants.c_alpha,
+        "sublevel_measure": constants.sublevel_measure,
+        "product": constants.admissibility_product,
+        "margin": constants.admissibility_margin,
+        "theta0": constants.theta0,
+        "lambda_threshold": constants.lambda_threshold,
+    }
+    return pot_report, admissibility, constants
 
-    ok = pot_report.passed and growth.passed and adm_ok
-    report["passed"] = ok
-    return report, ok
+
+def _check_payload(cfg: ExperimentConfig, prob_parts) -> tuple[dict, list[str]]:
+    """Run the growth, potential and admissibility checks; returns (report, failed names)."""
+    potential, nonlinearity = prob_parts
+    t_min, dt = midpoint_grid(cfg.grid_n, cfg.domain)
+    growth = verify_growth(
+        nonlinearity, t_min + dt * np.arange(cfg.grid_n), potential.core,
+        potential.n_components, seed=cfg.seed,
+    )
+    pot_report, admissibility, constants = _structural_checks(cfg, potential)
+    failed = pot_report.failed_names() + growth.failed_names()
+    if constants is None:
+        failed.append("L1-admissibility")
+    report = {
+        "config_hash": cfg.config_hash(),
+        "potential": _check_section(pot_report),
+        "growth": _check_section(growth),
+        "admissibility": admissibility,
+        "passed": not failed,
+    }
+    return report, failed
 
 
 def cmd_check(cfg: ExperimentConfig, out_dir: str) -> int:
     parts = (build_potential(cfg), build_nonlinearity(cfg))
-    report, ok = _check_payload(cfg, parts)
+    report, failed = _check_payload(cfg, parts)
     _write_manifest(out_dir, cfg, "check")
     _write_json(os.path.join(out_dir, f"check-{cfg.config_hash()}.json"), report)
-    if not ok:
-        failed = []
-        for section in ("potential", "growth"):
-            failed += [c["name"] for c in report[section]["checks"] if not c["passed"]]
-        if not report["admissibility"]["passed"]:
-            failed.append("L1-admissibility")
+    if failed:
         print("check: FAIL (" + ", ".join(failed) + ")")
         return EXIT_HYPOTHESIS
     print("check: PASS")
     return EXIT_OK
 
 
-def _gate_l_hypotheses(cfg: ExperimentConfig, potential) -> tuple[int, object]:
-    """Structural gate for solve/bvp/sweep: potential checks + admissibility."""
-    t_min, dt = midpoint_grid(cfg.grid_n, cfg.domain)
-    times = t_min + dt * np.arange(cfg.grid_n)
-    pot_report = verify_potential(potential, times, seed=cfg.seed)
+def _gated_problem(cfg: ExperimentConfig) -> tuple[int, Problem | None]:
+    """The problem of solve/bvp/sweep at 10x the threshold, or the exit status that stops them.
+
+    Alpha must admit the variational setting and the potential must pass
+    L1-L3 and L1 admissibility; a failure is reported on stderr.
+    """
+    if not FracOrder(cfg.alpha).variational_ok:
+        print(f"config error: the solver needs alpha in (1/2, 1), got {cfg.alpha}", file=sys.stderr)
+        return EXIT_CONFIG, None
+    potential = build_potential(cfg)
+    pot_report, admissibility, constants = _structural_checks(cfg, potential)
     if not pot_report.passed:
         print("hypothesis failure: " + ", ".join(pot_report.failed_names()), file=sys.stderr)
         return EXIT_HYPOTHESIS, None
-    order = FracOrder(cfg.alpha)
-    try:
-        constants = compute_embedding_constants(potential, order, cfg.grid_n, t_min, dt)
-    except (AdmissibilityError, ValueError) as exc:
-        print(f"hypothesis failure: L1-admissibility ({exc})", file=sys.stderr)
+    if constants is None:
+        print(f"hypothesis failure: L1-admissibility ({admissibility['reason']})", file=sys.stderr)
         return EXIT_HYPOTHESIS, None
-    return EXIT_OK, constants
+    t_min, dt = midpoint_grid(cfg.grid_n, cfg.domain)
+    return EXIT_OK, Problem(
+        FracOrder(cfg.alpha), cfg.grid_n, t_min, dt, potential, build_nonlinearity(cfg),
+        10.0 * constants.lambda_threshold, constants,
+    )
 
 
 def _solve_common(cfg: ExperimentConfig, out_dir: str, restricted: bool) -> int:
-    if not FracOrder(cfg.alpha).variational_ok:
-        print(f"config error: the solver needs alpha in (1/2, 1), got {cfg.alpha}", file=sys.stderr)
-        return EXIT_CONFIG
-    potential = build_potential(cfg)
-    status, constants = _gate_l_hypotheses(cfg, potential)
+    status, prob = _gated_problem(cfg)
     if status != EXIT_OK:
         return status
-    lam = cfg.lam if cfg.lam > 0 else 10.0 * constants.lambda_threshold
+    constants = prob.constants
+    lam = cfg.lam if cfg.lam > 0 else prob.lam
     if lam < constants.lambda_threshold:
         print(
             f"config error: lambda = {lam:.6g} is below the threshold "
@@ -247,18 +245,14 @@ def _solve_common(cfg: ExperimentConfig, out_dir: str, restricted: bool) -> int:
             file=sys.stderr,
         )
         return EXIT_CONFIG
-    t_min, dt = midpoint_grid(cfg.grid_n, cfg.domain)
-    prob = Problem(
-        FracOrder(cfg.alpha), cfg.grid_n, t_min, dt,
-        potential, build_nonlinearity(cfg), lam, constants,
-    )
+    prob = prob.with_lam(lam)
     scfg = solver_config(cfg)
     result = solve_bvp(prob, scfg) if restricted else minimize(prob, scfg)
 
     tag = "bvp" if restricted else "solve"
     h = cfg.config_hash()
     growth = verify_growth(
-        prob.nonlinearity, prob.times, potential.core, potential.n_components, seed=cfg.seed
+        prob.nonlinearity, prob.times, prob.potential.core, prob.n_components, seed=cfg.seed
     )
     report = {
         "config_hash": h,
@@ -306,17 +300,14 @@ def cmd_bvp(cfg, out_dir) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
-    if not FracOrder(cfg.alpha).variational_ok:
-        print(f"config error: the solver needs alpha in (1/2, 1), got {cfg.alpha}", file=sys.stderr)
-        return EXIT_CONFIG
     if len(cfg.lambdas) < 3:
         print("config error: a sweep needs at least 3 ascending weights in 'lambdas'",
               file=sys.stderr)
         return EXIT_CONFIG
-    potential = build_potential(cfg)
-    status, constants = _gate_l_hypotheses(cfg, potential)
+    status, prob = _gated_problem(cfg)
     if status != EXIT_OK:
         return status
+    constants = prob.constants
     if cfg.lambdas[0] < constants.lambda_threshold:
         print(
             f"config error: all weights must be >= the threshold "
@@ -324,11 +315,6 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
             file=sys.stderr,
         )
         return EXIT_CONFIG
-    t_min, dt = midpoint_grid(cfg.grid_n, cfg.domain)
-    prob = Problem(
-        FracOrder(cfg.alpha), cfg.grid_n, t_min, dt,
-        potential, build_nonlinearity(cfg), cfg.lambdas[0], constants,
-    )
     report = concentration_sweep(prob, cfg.lambdas, solver_config(cfg), warm_start=cfg.warm_start)
     h = cfg.config_hash()
     csv_path = os.path.join(out_dir, f"sweep-{h}.csv")

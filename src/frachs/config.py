@@ -16,6 +16,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass, fields
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "parse_config_text"]
@@ -55,10 +56,7 @@ class ExperimentConfig:
     # [solver]
     max_iters: int = 5000
     grad_tol: float = 1e-8
-    armijo: float = 1e-4
-    shrink: float = 0.5
     seed: int = 0
-    max_cg: int = 250
     warm_start: bool = True
     # [output]
     out_dir: str = "runs"
@@ -95,8 +93,7 @@ _SECTION_OF = {
     "nu": "scenario", "delta": "scenario", "xi_scale": "scenario",
     "xi_width": "scenario", "eps": "scenario", "lam": "scenario",
     "lambdas": "scenario", "grid_n": "scenario", "domain": "scenario",
-    "max_iters": "solver", "grad_tol": "solver", "armijo": "solver",
-    "shrink": "solver", "seed": "solver", "max_cg": "solver", "warm_start": "solver",
+    "max_iters": "solver", "grad_tol": "solver", "seed": "solver", "warm_start": "solver",
     "out_dir": "output",
 }
 
@@ -172,11 +169,18 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         fail("field 'lambdas': all weights must be positive")
     if any(b < a for a, b in zip(cfg.lambdas, cfg.lambdas[1:])):
         fail("field 'lambdas': weights must be ascending")
-    for name in ("max_iters", "max_cg", "grad_tol"):
+    for name in ("max_iters", "grad_tol"):
         if getattr(cfg, name) <= 0:
             fail(f"field '{name}': must be positive, got {getattr(cfg, name)}")
-    if not (0 < cfg.armijo < 1 and 0 < cfg.shrink < 1):
-        fail("fields 'armijo'/'shrink': must lie in (0, 1)")
+    if cfg.seed < 0:
+        fail(f"field 'seed': must be nonnegative, got {cfg.seed}")
+    # last, so a value some check above already rejects keeps that diagnostic
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type == "float" and not math.isfinite(value):
+            fail(f"field '{'lambda' if f.name == 'lam' else f.name}': must be finite, got {value}")
+    if not all(math.isfinite(x) for x in cfg.lambdas):
+        fail("field 'lambdas': all weights must be finite")
     return cfg
 
 

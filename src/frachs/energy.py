@@ -9,9 +9,9 @@ whose critical points are the weak solutions of the underlying system.
 the real-FFT half-spectrum and used by the solver as well.  The module
 provides its evaluation, the directional derivative, the L2-Riesz
 gradient representer (the descent field used by the solver), the closed-form
-coercivity lower bound, and the construction of a small-amplitude bump with
-strictly negative energy (the start point that keeps descent away from the
-trivial critical point u = 0).
+coercivity lower bound (its constant is ``Problem.coercivity``), and the
+construction of a small-amplitude bump with strictly negative energy (the
+start point that keeps descent away from the trivial critical point u = 0).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import FracOrder, SampledSignal, l2_norm
+from .grid import FracOrder, SampledSignal
 from .nonlinearity import Nonlinearity, power_nonlinearity
 from .spaces import (
     EmbeddingConstants,
@@ -33,8 +33,6 @@ from .spaces import (
 
 __all__ = [
     "Problem",
-    "EnergyReport",
-    "energy_report",
     "default_problem",
     "evaluate_energy",
     "directional_derivative",
@@ -55,7 +53,7 @@ class WitnessError(RuntimeError):
 class Problem:
     """Discretized problem instance: order, grid, weights and nonlinearity.
 
-    Grid arrays (times, matrix values, xi values) and the half-spectrum
+    Grid arrays (times, matrix values) and the half-spectrum
     arrays of the quadratic form are evaluated once at construction and
     shared read-only by all evaluations.  The one discrete operator of the
     problem acts on raw ``(N, n)`` sample arrays: :meth:`form` is the
@@ -83,15 +81,12 @@ class Problem:
     times: np.ndarray = field(init=False, repr=False)
     matrix_values: np.ndarray = field(init=False, repr=False)
     matrix_entries: np.ndarray = field(init=False, repr=False)
-    xi_values: np.ndarray = field(init=False, repr=False)
     kinetic: np.ndarray = field(init=False, repr=False)
     parseval: np.ndarray = field(init=False, repr=False)
     precond: np.ndarray = field(init=False, repr=False)
     scaling: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("weight lam must be positive")
         times = self.t_min + self.dt * np.arange(self.n_samples)
         # rfft half-spectrum: |w|^(2a), the Parseval weights (every bin but
         # DC and Nyquist stands for a conjugate pair) and the preconditioner,
@@ -108,7 +103,6 @@ class Problem:
             "times": times,
             "matrix_values": matrix_values,
             "matrix_entries": np.ascontiguousarray(matrix_values.transpose(1, 2, 0)),
-            "xi_values": self.nonlinearity.xi_at(times),
             "kinetic": np.repeat(kinetic[:, None], n, axis=1),
             "parseval": np.repeat(parseval[:, None], n, axis=1),
             "precond": np.repeat((1.0 / (1.0 + kinetic))[:, None], n, axis=1),
@@ -124,7 +118,10 @@ class Problem:
         ``s = (pi / (2 dt))^(2a)`` is ``|w|^(2a)`` at half the Nyquist
         frequency, the median of the half-spectrum multipliers: the wall
         ``lam L`` takes over the diagonal where it exceeds that kinetic scale.
+        Construction and :meth:`with_lam` both pass here, so ``lam`` is checked here.
         """
+        if not 0 < self.lam < np.inf:
+            raise ValueError(f"weight lam must be positive and finite, got {self.lam}")
         s = (np.pi / (2.0 * self.dt)) ** self.order.doubled
         diag = np.diagonal(self.matrix_values, axis1=1, axis2=2)
         scaling = (1.0 + self.lam * diag / s) ** -0.5
@@ -135,10 +132,20 @@ class Problem:
     def n_components(self) -> int:
         return self.potential.n_components
 
+    @property
+    def coercivity(self) -> float:
+        """Coercivity constant ``A = ||xi||_(L^(2/(2-p))) / (p theta0^(p/2))``.
+
+        ``I(u) >= r^2/2 - A r^p`` with ``r = ||u||_lam`` for lam at or above
+        the embedding threshold (the chain runs through the L2 embedding
+        bound); A itself does not depend on lam.
+        """
+        p = self.nonlinearity.p
+        xi_norm = self.nonlinearity.xi_dual_norm(self.times, self.dt)
+        return xi_norm / (p * self.constants.theta0 ** (p / 2.0))
+
     def with_lam(self, lam: float) -> "Problem":
         """The same grid and data at another weight, sharing every array but the scaling."""
-        if lam <= 0:
-            raise ValueError("weight lam must be positive")
         other = copy.copy(self)
         object.__setattr__(other, "lam", lam)
         other._set_scaling()
@@ -218,25 +225,6 @@ def default_problem(
     return Problem(order, n_samples, t_min, dt, pot, nl, lam, constants)
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    energy: float
-    grad_norm: float
-    lower_bound: float
-    witness_scale: float | None = None
-
-
-def energy_report(u: SampledSignal, prob: Problem, witness_scale: float | None = None) -> EnergyReport:
-    """Bundle the energy, gradient norm and coercivity bound at one point."""
-    g = gradient(u, prob)
-    return EnergyReport(
-        energy=evaluate_energy(u, prob),
-        grad_norm=l2_norm(g),
-        lower_bound=lower_bound(u, prob),
-        witness_scale=witness_scale,
-    )
-
-
 def _density_values(prob: Problem, u: SampledSignal) -> np.ndarray:
     w = prob.nonlinearity.density(prob.times, u.values)
     if not np.all(np.isfinite(w)):
@@ -280,22 +268,15 @@ def gradient(u: SampledSignal, prob: Problem) -> SampledSignal:
 
 
 def lower_bound(u: SampledSignal, prob: Problem) -> float:
-    """Coercivity bound: I(u) >= r^2/2 - A r^p with r = ||u||_lam.
-
-    A = ||xi||_{L^{2/(2-p)}} / (p theta0^{p/2}); valid for lam at or above the
-    embedding threshold (the chain runs through the L2 embedding bound).
-    """
+    """Coercivity bound: I(u) >= r^2/2 - A r^p with r = ||u||_lam, A = ``prob.coercivity``."""
     if prob.lam < prob.constants.lambda_threshold:
         raise ValueError(
             f"the bound needs lam >= {prob.constants.lambda_threshold:.6g}, "
             f"got {prob.lam:.6g}"
         )
     prob.check_signal(u)
-    p = prob.nonlinearity.p
-    xi_norm = prob.nonlinearity.xi_dual_norm(prob.times, prob.dt)
-    coeff = xi_norm / (p * prob.constants.theta0 ** (p / 2.0))
     r = np.sqrt(prob.lambda_norm_sq(u))
-    return float(0.5 * r**2 - coeff * r**p)
+    return float(0.5 * r**2 - prob.coercivity * r**prob.nonlinearity.p)
 
 
 def lower_bound_minimum(prob: Problem) -> tuple[float, float]:
@@ -305,8 +286,7 @@ def lower_bound_minimum(prob: Problem) -> tuple[float, float]:
     value = (1/2 - 1/p) r_star^2 < 0.
     """
     p = prob.nonlinearity.p
-    xi_norm = prob.nonlinearity.xi_dual_norm(prob.times, prob.dt)
-    coeff = xi_norm / (p * prob.constants.theta0 ** (p / 2.0))
+    coeff = prob.coercivity
     if coeff == 0.0:
         return 0.0, 0.0
     r_star = (p * coeff) ** (1.0 / (2.0 - p))

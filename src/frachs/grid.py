@@ -25,10 +25,8 @@ __all__ = [
     "fft_forward",
     "fft_inverse",
     "signal_from_function",
-    "zeros_like",
     "midpoint_grid",
     "reflect",
-    "integrate",
     "l2_norm",
     "pointwise_dot",
     "random_band_limited",
@@ -57,11 +55,6 @@ class FracOrder:
     def doubled(self) -> float:
         """Order 2*alpha of the left-right composition."""
         return 2.0 * self.alpha
-
-    @property
-    def complement(self) -> float:
-        """Order 1 - alpha."""
-        return 1.0 - self.alpha
 
 
 def pointwise_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -124,10 +117,6 @@ class SampledSignal:
         return self.values.shape[1]
 
     @property
-    def period(self) -> float:
-        return self.n_samples * self.dt
-
-    @property
     def times(self) -> np.ndarray:
         return self.t_min + self.dt * np.arange(self.n_samples)
 
@@ -164,10 +153,6 @@ def signal_from_function(fn, n_samples: int, t_min: float, dt: float) -> Sampled
     """Sample ``fn`` (vectorized, t-array -> (N,) or (N, n)) on the grid."""
     t = t_min + dt * np.arange(n_samples)
     return SampledSignal(t_min, dt, np.asarray(fn(t), dtype=float))
-
-
-def zeros_like(u: SampledSignal) -> SampledSignal:
-    return u.with_values(np.zeros_like(u.values))
 
 
 def midpoint_grid(n_samples: int, domain: float) -> tuple[float, float]:
@@ -227,11 +212,6 @@ def fft_inverse(spec: Spectrum) -> SampledSignal:
     return SampledSignal(spec.t_min, spec.dt, values.real)
 
 
-def integrate(u: SampledSignal) -> np.ndarray:
-    """Componentwise integral over the period (periodic trapezoid = dt * sum)."""
-    return u.dt * np.sum(u.values, axis=0)
-
-
 def l2_norm(u: SampledSignal) -> float:
     return float(np.sqrt(u.dt * np.sum(u.values**2)))
 
@@ -243,13 +223,8 @@ def random_band_limited(
     dt: float,
     n_components: int = 1,
     band_fraction: float = 0.25,
-    envelope: bool = False,
 ) -> SampledSignal:
-    """Random real signal with spectral content below ``band_fraction`` of Nyquist.
-
-    With ``envelope=True`` the signal is multiplied by a wide Gaussian so that
-    it decays at the grid ends (needed by quadrature-based oracles).
-    """
+    """Random real signal with spectral content below ``band_fraction`` of Nyquist, unit peak."""
     freqs = 2.0 * np.pi * np.fft.fftfreq(n_samples, d=dt)
     w_max = band_fraction * np.pi / dt
     raw = np.zeros((n_samples, n_components), dtype=complex)
@@ -259,11 +234,6 @@ def random_band_limited(
         (n_band, n_components)
     )
     values = np.fft.ifft(raw, axis=0).real
-    if envelope:
-        t = t_min + dt * np.arange(n_samples)
-        t_mid = t_min + 0.5 * n_samples * dt
-        half = 0.5 * n_samples * dt
-        values = values * np.exp(-((t - t_mid) / (0.25 * half)) ** 2)[:, None]
     peak = np.max(np.abs(values))
     if peak > 0:
         values = values / peak

@@ -4,7 +4,9 @@ A :class:`Nonlinearity` bundles the scalar density W(t, u), its gradient in
 u, the pointwise coefficients of its u-Hessian and the growth data: an
 exponent p in (1, 2) with a weight xi(t) bounding the gradient (hypothesis
 W1), and constants (eta, delta, nu) giving a lower bound |W| >= eta |u|^nu on
-the core interval for small |u| (hypothesis W2).
+the core interval for small |u| (hypothesis W2).  :func:`verify_growth`
+samples both hypotheses and the declared gradient and returns a
+:class:`~frachs.spaces.CheckReport`.
 
 The default family W(t, u) = xi(t) |u|^p / p saturates W1 with equality; an
 optional epsilon-regularization rounds off the gradient's non-Lipschitz corner
@@ -19,11 +21,10 @@ from typing import Callable
 import numpy as np
 
 from .grid import pointwise_dot
-from .spaces import CheckResult, ResolutionError
+from .spaces import CheckReport, CheckResult, ResolutionError
 
 __all__ = [
     "Nonlinearity",
-    "GrowthReport",
     "power_nonlinearity",
     "zero_nonlinearity",
     "verify_growth",
@@ -157,38 +158,26 @@ def zero_nonlinearity(p: float = 1.5, delta: float = 1.0) -> Nonlinearity:
     return Nonlinearity(density, gradient, p, xi, 1.0, delta, p, hessian_at)
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    passed: bool
-    checks: tuple[CheckResult, ...]
-
-    def failed_names(self) -> list[str]:
-        return [c.name for c in self.checks if not c.passed]
-
-
 def verify_growth(
     nl: Nonlinearity,
     times: np.ndarray,
     core: tuple[float, float],
     n_components: int = 1,
     seed: int = 0,
-    n_directions: int = 4,
-    n_amplitudes: int = 24,
-    max_amplitude: float = 2.0,
-) -> GrowthReport:
+) -> CheckReport:
     """Sample the growth hypotheses on a (t, u) mesh; failures are data.
 
-    W1: |grad W(t, u)| <= xi(t) |u|^(p-1) over the grid times random
-    directions with |u| up to ``max_amplitude``.  W2: |W(t, u)| >= eta |u|^nu
+    W1: |grad W(t, u)| <= xi(t) |u|^(p-1) over the grid times 4 random
+    directions and 24 amplitudes |u| up to 2.  W2: |W(t, u)| >= eta |u|^nu
     for t in the closed core and |u| <= delta.  Also cross-checks the declared
     gradient against centered differences of the density away from u = 0.
     A closed core without grid samples raises :class:`ResolutionError`.
     """
     times = np.asarray(times, dtype=float)
     rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_directions, n_components))
+    dirs = rng.standard_normal((4, n_components))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    amps = np.linspace(0.0, max_amplitude, n_amplitudes + 1)[1:]
+    amps = np.linspace(0.0, 2.0, 25)[1:]
     xi_vals = nl.xi_at(times)
     checks = []
 
@@ -271,4 +260,4 @@ def verify_growth(
         )
     )
 
-    return GrowthReport(all(c.passed for c in checks), tuple(checks))
+    return CheckReport(tuple(checks))

@@ -17,6 +17,9 @@ iterate is checked against the closed-form coercivity floor; dropping below
 it signals a gradient bug and raises.  Every result names why the descent
 stopped: ``grad_tol``, ``max_iters`` or ``no_descent``.
 
+The line search (``ARMIJO``, ``SHRINK``) and the CG cap (``MAX_CG``) are fixed
+constants; ``SolverConfig`` holds only ``max_iters`` and ``grad_tol``.
+
 Descent starts from the negative-energy bump, never from 0: the energy is
 negative from the first iterate on, so the trivial critical point u = 0 is
 unreachable.
@@ -52,6 +55,10 @@ __all__ = [
     "uniform_bound_constant",
 ]
 
+ARMIJO = 1e-4  # sufficient-decrease fraction of the backtracking line search
+SHRINK = 0.5  # step factor per backtrack
+MAX_CG = 250  # CG iterations per Newton step
+
 
 class DivergenceError(RuntimeError):
     """An iterate fell below the coercivity floor: the gradient is inconsistent."""
@@ -61,15 +68,10 @@ class DivergenceError(RuntimeError):
 class SolverConfig:
     max_iters: int = 5000
     grad_tol: float = 1e-8
-    armijo: float = 1e-4
-    shrink: float = 0.5
-    max_cg: int = 250
 
     def __post_init__(self):
-        if self.max_iters <= 0 or self.grad_tol <= 0 or self.max_cg <= 0:
-            raise ValueError("max_iters, grad_tol and max_cg must be positive")
-        if not (0 < self.armijo < 1 and 0 < self.shrink < 1):
-            raise ValueError("line-search parameters must lie in (0, 1)")
+        if self.max_iters <= 0 or self.grad_tol <= 0:
+            raise ValueError("max_iters and grad_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -162,7 +164,7 @@ class _Objective:
             )
 
 
-def _backtrack(obj, vals, f, g, d, cfg):
+def _backtrack(obj, vals, f, g, d):
     """Armijo backtracking from unit step; returns (new_vals, new_f) or None.
 
     A step is accepted only if it strictly lowers the energy: once the slope
@@ -176,13 +178,13 @@ def _backtrack(obj, vals, f, g, d, cfg):
     while tau > 1e-20:
         cand = vals + tau * d
         f_new = obj.energy(cand)
-        if f_new < f and f_new <= f + cfg.armijo * tau * slope:
+        if f_new < f and f_new <= f + ARMIJO * tau * slope:
             return cand, f_new
-        tau *= cfg.shrink
+        tau *= SHRINK
     return None
 
 
-def _truncated_cg(obj, hess, g, rel_tol, max_cg):
+def _truncated_cg(obj, hess, g, rel_tol):
     """Approximately solve ``hess(d) = -g``, exiting on negative curvature.
 
     A nonpositive ``(r, z)`` means the preconditioner lost definiteness at
@@ -194,7 +196,7 @@ def _truncated_cg(obj, hess, g, rel_tol, max_cg):
     p = z
     rz = obj.inner(r, z)
     r0 = obj.norm(r)
-    for i in range(max_cg):
+    for i in range(MAX_CG):
         if rz <= 0.0:
             return d
         hp = hess(p)
@@ -225,10 +227,8 @@ def _descend(prob, cfg, start_vals, mask=None) -> SolveResult:
     steps = 0
     stop_reason = "max_iters"
     while steps < cfg.max_iters and g_norm > cfg.grad_tol:
-        d = _truncated_cg(obj, obj.hessian(vals), g, min(0.5, np.sqrt(g_norm)), cfg.max_cg)
-        step = _backtrack(obj, vals, f, g, d, cfg) or _backtrack(
-            obj, vals, f, g, -obj.precondition(g), cfg
-        )
+        d = _truncated_cg(obj, obj.hessian(vals), g, min(0.5, np.sqrt(g_norm)))
+        step = _backtrack(obj, vals, f, g, d) or _backtrack(obj, vals, f, g, -obj.precondition(g))
         if step is None:
             stop_reason = "no_descent"  # no direction lowers the energy at rounding level
             break
@@ -286,14 +286,7 @@ def minimize(prob: Problem, cfg: SolverConfig, start: SampledSignal | None = Non
     return _descend(prob, cfg, start_vals)
 
 
-def _core_mask(prob: Problem) -> np.ndarray:
-    lo, hi = prob.potential.core
-    return (prob.times > lo) & (prob.times < hi)
-
-
-def solve_bvp(
-    prob: Problem, cfg: SolverConfig, extra_starts: tuple[SampledSignal, ...] = ()
-) -> SolveResult:
+def solve_bvp(prob: Problem, cfg: SolverConfig) -> SolveResult:
     """Minimize the functional restricted to signals vanishing outside the core.
 
     The core must be normalized to start at 0 (an interval (0, T)).  Dirichlet
@@ -305,7 +298,7 @@ def solve_bvp(
     lo, hi = prob.potential.core
     if lo != 0.0:
         raise ValueError(f"the restricted problem expects a core (0, T), got ({lo}, {hi})")
-    mask = _core_mask(prob)
+    mask = (prob.times > lo) & (prob.times < hi)
     base, s = _witness(prob)
     scales = [s]
     for factor in (4.0, 16.0):
@@ -317,28 +310,21 @@ def solve_bvp(
         result = _descend(prob, cfg, scale * base, mask)
         if best is None or result.energy < best.energy:
             best = result
-    for sig in extra_starts:
-        prob.check_signal(sig)
-        result = _descend(prob, cfg, sig.values, mask)
-        if result.energy < best.energy:
-            best = result
     return best
 
 
 def uniform_bound_constant(prob: Problem) -> float:
     """Norm bound holding on the whole negative-energy sublevel set.
 
-    The positive root of r^2/2 = A r^p (A the coercivity coefficient) bounds
+    The positive root of r^2/2 = A r^p (A = ``Problem.coercivity``) bounds
     ||u||_lam for every u with nonpositive energy; returned with a 1.05
     safety factor.  Degenerates to 0 when the gradient weight vanishes.
     """
-    p = prob.nonlinearity.p
-    xi_norm = prob.nonlinearity.xi_dual_norm(prob.times, prob.dt)
-    if xi_norm == 0.0:
+    coeff = prob.coercivity
+    if coeff == 0.0:
         warnings.warn("gradient weight xi is identically zero; the bound degenerates to 0")
         return 0.0
-    coeff = xi_norm / (p * prob.constants.theta0 ** (p / 2.0))
-    root = (2.0 * coeff) ** (1.0 / (2.0 - p))
+    root = (2.0 * coeff) ** (1.0 / (2.0 - prob.nonlinearity.p))
     return float(1.05 * root)
 
 

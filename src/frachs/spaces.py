@@ -10,6 +10,10 @@ and in the continuum limit.  From ``C_alpha`` and the sublevel measure the
 derived constants ``theta0`` (controls L^2 and L^r bounds) and
 ``lambda_threshold`` (the smallest weight for which those bounds hold) are
 computed by closed formulas.
+
+Every hypothesis check (L1-L3 here, W1-W2 in ``nonlinearity``, the embedding
+inequalities) returns one :class:`CheckReport`: its ordered
+:class:`CheckResult` entries, with failures reported as data, not raised.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ __all__ = [
     "PotentialMatrix",
     "EmbeddingConstants",
     "CheckResult",
-    "PotentialReport",
+    "CheckReport",
     "AdmissibilityError",
     "ResolutionError",
     "vanishing_well_potential",
@@ -37,9 +41,7 @@ __all__ = [
     "grid_sobolev_constant",
     "sobolev_constant",
     "compute_embedding_constants",
-    "weighted_term",
     "lambda_norm",
-    "x_alpha_norm",
     "h_alpha_norm",
     "embedding_bounds",
 ]
@@ -50,7 +52,7 @@ class AdmissibilityError(ValueError):
 
 
 class ResolutionError(Exception):
-    """The grid is too coarse to resolve the core: a set the problem needs holds no sample."""
+    """The grid does not resolve or cover a set the problem needs (too coarse or too short)."""
 
 
 @dataclass(frozen=True)
@@ -124,10 +126,10 @@ def vanishing_well_potential(
     return PotentialMatrix(1, matrix, envelope, threshold, well, core)
 
 
-def rotated_well_potential(angle: float = np.pi / 6, **kwargs) -> PotentialMatrix:
-    """2x2 preset: the scalar wall and twice the scalar wall on rotated axes."""
+def rotated_well_potential(**kwargs) -> PotentialMatrix:
+    """2x2 preset: the scalar wall and twice the scalar wall on axes rotated by pi/6."""
     scalar = vanishing_well_potential(**kwargs)
-    c, s = np.cos(angle), np.sin(angle)
+    c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
     rot = np.array([[c, -s], [s, c]])
 
     def matrix(t):
@@ -152,28 +154,33 @@ class CheckResult:
 
 
 @dataclass(frozen=True)
-class PotentialReport:
-    passed: bool
+class CheckReport:
+    """The ordered results of one family of hypothesis checks."""
+
     checks: tuple[CheckResult, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
     def failed_names(self) -> list[str]:
         return [c.name for c in self.checks if not c.passed]
 
 
-def verify_potential(
-    potential: PotentialMatrix, times: np.ndarray, seed: int = 0, n_probe: int = 8
-) -> PotentialReport:
+def verify_potential(potential: PotentialMatrix, times: np.ndarray, seed: int = 0) -> CheckReport:
     """Check the structural hypotheses of the potential at grid resolution.
 
-    Verifies matrix symmetry and the envelope bound (L1) against random probe
-    directions, the envelope's zero set (L2) and the vanishing of the matrix
-    on the closed core (L3).  Failures are reported as data, not raised.
+    Verifies matrix symmetry and the envelope bound (L1) against 8 random
+    probe directions, the envelope's zero set (L2) and the vanishing of the
+    matrix on the closed core (L3).  Failures are reported as data, not
+    raised; a grid that does not cover the well with a margin of one well
+    width on each side raises :class:`ResolutionError`.
     """
     times = np.asarray(times, dtype=float)
     a, b = potential.well
     margin = b - a
     if times[0] > a - margin or times[-1] < b + margin:
-        raise ValueError(
+        raise ResolutionError(
             f"grid [{times[0]:.3g}, {times[-1]:.3g}] must cover the well with margin "
             f">= {margin:.3g} on each side"
         )
@@ -197,7 +204,7 @@ def verify_potential(
     n = potential.n_components
     margin_env = np.inf
     loc_env = None
-    for _ in range(n_probe):
+    for _ in range(8):
         x = rng.standard_normal(n)
         x /= np.linalg.norm(x)
         quad_form = np.einsum("i,nij,j->n", x, L, x)
@@ -251,7 +258,7 @@ def verify_potential(
         )
     )
 
-    return PotentialReport(all(c.passed for c in checks), tuple(checks))
+    return CheckReport(tuple(checks))
 
 
 def measure_sublevel(potential: PotentialMatrix, times: np.ndarray, dt: float) -> float:
@@ -356,36 +363,18 @@ def compute_embedding_constants(
     return EmbeddingConstants.from_data(c_alpha, m, potential.threshold)
 
 
-def weighted_term(u: SampledSignal, potential: PotentialMatrix) -> float:
-    """Quadrature of the matrix-weighted quadratic form int (L(t)u, u) dt."""
-    L = potential.matrix_at(u.times)
-    return float(u.dt * np.einsum("ni,nij,nj->", u.values, L, u.values))
-
-
 def lambda_norm(u: SampledSignal, potential: PotentialMatrix, lam: float, a: FracOrder) -> float:
     """Weighted energy norm: (seminorm^2 + lam * int (L u, u) dt)^(1/2)."""
     if lam <= 0:
         raise ValueError("weight lam must be positive")
-    return float(np.sqrt(seminorm_alpha(u, a) ** 2 + lam * weighted_term(u, potential)))
-
-
-def x_alpha_norm(u: SampledSignal, potential: PotentialMatrix, a: FracOrder) -> float:
-    """Unweighted energy norm (the lam = 1 case)."""
-    return lambda_norm(u, potential, 1.0, a)
+    L = potential.matrix_at(u.times)
+    weighted = float(u.dt * np.einsum("ni,nij,nj->", u.values, L, u.values))
+    return float(np.sqrt(seminorm_alpha(u, a) ** 2 + lam * weighted))
 
 
 def h_alpha_norm(u: SampledSignal, a: FracOrder) -> float:
     """Full fractional Sobolev norm (L2 norm plus seminorm, in quadrature)."""
     return float(np.sqrt(l2_norm(u) ** 2 + seminorm_alpha(u, a) ** 2))
-
-
-@dataclass(frozen=True)
-class EmbeddingReport:
-    rows: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.rows)
 
 
 def embedding_bounds(
@@ -394,12 +383,11 @@ def embedding_bounds(
     potential: PotentialMatrix,
     lam: float,
     a: FracOrder,
-    exponents: tuple[int, ...] = (3, 4, 6),
-) -> EmbeddingReport:
+) -> CheckReport:
     """Evaluate both sides of the L^2 and L^r embedding inequalities.
 
     For lam >= lambda_threshold the weighted norm dominates
-    ``theta0 ||u||_L2^2`` and, for each r > 2,
+    ``theta0 ||u||_L2^2`` and, for r = 3, 4 and 6,
     ``theta0^(r/2) m^((r-2)/2) ||u||_Lr^r``; margins are rhs - lhs >= 0.
     """
     if lam < constants.lambda_threshold:
@@ -411,7 +399,7 @@ def embedding_bounds(
     mag = u.magnitude()
     l2_sq = u.dt * float(np.sum(mag**2))
     theta0, m = constants.theta0, constants.sublevel_measure
-    rows = [
+    checks = [
         CheckResult(
             "L2-bound",
             l2_sq <= norm_lam**2 / theta0 + 1e-12,
@@ -419,10 +407,10 @@ def embedding_bounds(
             detail="||u||_L2^2 <= ||u||_lam^2 / theta0",
         )
     ]
-    for r in exponents:
+    for r in (3, 4, 6):
         lhs = u.dt * float(np.sum(mag**r))
         rhs = norm_lam**r / (theta0 ** (r / 2.0) * m ** ((r - 2.0) / 2.0))
-        rows.append(
+        checks.append(
             CheckResult(
                 f"L{r}-bound",
                 lhs <= rhs + 1e-12,
@@ -430,4 +418,4 @@ def embedding_bounds(
                 detail=f"||u||_L{r}^{r} <= theta0^(-{r}/2) m^(-({r}-2)/2) ||u||_lam^{r}",
             )
         )
-    return EmbeddingReport(tuple(rows))
+    return CheckReport(tuple(checks))

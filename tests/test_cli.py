@@ -126,11 +126,14 @@ class TestExitCodes:
         assert "unknown field 'sobolev_trials'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "line", ["memory = 10", "newton_switch_tol = 1e-5", "parallel = true"]
+        "line",
+        ["memory = 10", "newton_switch_tol = 1e-5", "parallel = true",
+         "armijo = 1e-4", "shrink = 0.5", "max_cg = 250"],
     )
     def test_removed_solver_keys(self, tmp_path, capsys, line):
         # Newton-CG is the only descent method and the sweep runs sequentially,
-        # so neither the quasi-Newton memory, the phase switch nor threads are configurable
+        # so neither the quasi-Newton memory, the phase switch nor threads are configurable;
+        # the line-search constants and the CG cap are fixed in the solver
         cfg = write(tmp_path, BASE + line + "\n")
         assert main(["check", "--config", cfg]) == 2
         assert f"unknown field '{line.split()[0]}'" in capsys.readouterr().err
@@ -164,6 +167,39 @@ class TestExitCodes:
             assert "config error" in err and "does not resolve the core" in err
         else:
             assert "L1-admissibility" in err
+
+    @pytest.mark.parametrize("command", ["check", "solve", "bvp", "sweep"])
+    def test_domain_too_short_for_the_well(self, tmp_path, capsys, command):
+        # the grid must cover the well (-0.25, 0.75) with one well width to spare
+        cfg = write(tmp_path, BASE + "lambdas = 2,20,200\ngrid_n = 512\n")
+        out = str(tmp_path / "o")
+        assert main([command, "--config", cfg, "--out", out, "--domain", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "must cover the well" in err and "domain = 2" in err
+        assert "Traceback" not in err
+        assert main([command, "--config", cfg, "--out", out, "--domain", "4"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (["solve", "--lambda", "nan"], ""),
+            (["solve", "--lambda", "inf"], ""),
+            (["sweep", "--lambdas", "2,20,nan"], ""),
+            (["sweep", "--lambdas", "2,20,inf"], ""),
+            (["check", "--seed", "-1"], ""),
+            (["solve", "--seed", "-1"], ""),
+            (["ops-selftest", "--seed", "-1"], ""),
+            (["check"], "wall_height = inf\n"),
+        ],
+        ids=["lambda-nan", "lambda-inf", "lambdas-nan", "lambdas-inf", "check-seed",
+             "solve-seed", "selftest-seed", "wall-height-inf"],
+    )
+    def test_non_finite_or_negative_values_rejected(self, tmp_path, capsys, argv, line):
+        cfg = write(tmp_path, BASE + line)
+        out = ["--out", str(tmp_path / "o")] if argv[0] != "ops-selftest" else []
+        assert main([argv[0], "--config", cfg, *out, *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: field '") and "Traceback" not in err
 
     def test_alpha_near_half_fails_admissibility(self, tmp_path, capsys):
         # C^2 = 1/(2a sin(pi/(2a))) is about 15.9 at a = 0.51, so C^2 |{l<k}| > 1
@@ -212,6 +248,26 @@ class TestCheck:
         assert main(["check", "--config", cfg, "--out", out]) == 1
         report = json.load(open(artifact(out, "check-")))
         assert report["growth"]["passed"] is False
+
+    def test_report_schema(self, tmp_path):
+        # the potential and growth sections share one shape, on passing and failing configs
+        names = {
+            "potential": ["L1-symmetry", "L1-envelope", "L2-kernel", "L3-vanishing"],
+            "growth": ["W1-growth", "W2-lower-bound", "gradient-consistency"],
+        }
+        for nonlinearity, passed in (("power", True), ("zero", False)):
+            cfg = write(tmp_path, BASE + f"nonlinearity = {nonlinearity}\ngrid_n = 2048\n")
+            out = str(tmp_path / nonlinearity)
+            main(["check", "--config", cfg, "--out", out])
+            report = json.load(open(artifact(out, "check-")))
+            for section, expected in names.items():
+                assert set(report[section]) == {"passed", "checks"}
+                checks = report[section]["checks"]
+                assert [c["name"] for c in checks] == expected
+                for c in checks:
+                    assert set(c) == {"name", "passed", "worst_margin", "location", "detail"}
+                assert report[section]["passed"] is all(c["passed"] for c in checks)
+            assert report["growth"]["passed"] is passed
 
 
 class TestSolve:

@@ -122,4 +122,3 @@ class TestFracOrder:
         assert FracOrder(0.75).variational_ok
         assert not FracOrder(0.5 - 1e-12).variational_ok
         assert FracOrder(0.55).doubled == pytest.approx(1.1)
-        assert FracOrder(0.55).complement == pytest.approx(0.45)

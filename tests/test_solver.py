@@ -109,14 +109,14 @@ class TestMinimize:
 
 
 class TestLineSearch:
-    def test_rejects_step_that_leaves_energy_unchanged(self, prob, cfg):
+    def test_rejects_step_that_leaves_energy_unchanged(self, prob):
         # the slope -1e-30 |g|^2 is far below the rounding of f, so every trial
         # point equals the start bit for bit and the Armijo test alone reads f <= f
         obj = _Objective(prob)
         base, scale = _witness(prob)
         vals = scale * base
         g = obj.grad(vals)
-        assert _backtrack(obj, vals, obj.energy(vals), g, -1e-30 * g, cfg) is None
+        assert _backtrack(obj, vals, obj.energy(vals), g, -1e-30 * g) is None
 
 
 class TestNewtonStep:
@@ -146,7 +146,7 @@ class TestNewtonStep:
         base, scale = _witness(prob)
         vals = scale * base
         g = obj.grad(vals)
-        d = _truncated_cg(obj, obj.hessian(vals), g, 0.5, 50)
+        d = _truncated_cg(obj, obj.hessian(vals), g, 0.5)
         assert np.all(d == 0.0)
 
     def test_non_finite_density_reads_as_infinite_energy(self, prob):

@@ -19,9 +19,8 @@ from frachs import (
     sobolev_constant,
     vanishing_well_potential,
     verify_potential,
-    x_alpha_norm,
 )
-from frachs.spaces import AdmissibilityError, EmbeddingConstants, PotentialMatrix
+from frachs.spaces import AdmissibilityError, EmbeddingConstants, PotentialMatrix, ResolutionError
 
 from conftest import DT, N_DEFAULT, T_MIN
 
@@ -52,7 +51,7 @@ class TestVerifyPotential:
 
     def test_insufficient_margin_rejected(self):
         wide = vanishing_well_potential(well=(-12.0, 12.0), core=(0.0, 0.5))
-        with pytest.raises(ValueError, match="margin"):
+        with pytest.raises(ResolutionError, match="margin"):
             verify_potential(wide, TIMES)
 
     def test_antisymmetric_perturbation_fails_symmetry(self):
@@ -252,14 +251,10 @@ class TestWeightedNorms:
         norms = [lambda_norm(u, prob.potential, lam, A75) for lam in (1.0, 2.0, 8.0, 64.0)]
         assert all(b >= a for a, b in zip(norms, norms[1:]))
 
-    def test_x_norm_is_unit_weight(self, prob, rng):
-        u = random_band_limited(rng, N_DEFAULT, T_MIN, DT)
-        assert x_alpha_norm(u, prob.potential, A75) == lambda_norm(u, prob.potential, 1.0, A75)
-
     def test_x_norm_below_lambda_norm(self, prob, rng):
         for _ in range(10):
             u = random_band_limited(rng, N_DEFAULT, T_MIN, DT)
-            x = x_alpha_norm(u, prob.potential, A75)
+            x = lambda_norm(u, prob.potential, 1.0, A75)
             assert x <= lambda_norm(u, prob.potential, 3.0, A75) + 1e-12 * x
 
     def test_h_alpha_controlled_by_x_norm(self, prob, rng):
@@ -272,7 +267,7 @@ class TestWeightedNorms:
                 rng, N_DEFAULT, T_MIN, DT, band_fraction=rng.uniform(0.02, 0.5)
             )
             h2 = h_alpha_norm(u, A75) ** 2
-            x2 = x_alpha_norm(u, prob.potential, A75) ** 2
+            x2 = lambda_norm(u, prob.potential, 1.0, A75) ** 2
             assert h2 <= factor * x2 * (1 + 1e-12)
 
 
@@ -283,7 +278,7 @@ class TestEmbeddingBounds:
             prob.constants.lambda_threshold, A75,
         )
         assert report.passed
-        assert all(r.worst_margin == 0.0 for r in report.rows)
+        assert all(r.worst_margin == 0.0 for r in report.checks)
 
     def test_random_ensemble_no_violations(self, prob, rng):
         thr = prob.constants.lambda_threshold
@@ -293,14 +288,14 @@ class TestEmbeddingBounds:
                     rng, N_DEFAULT, T_MIN, DT, band_fraction=rng.uniform(0.02, 0.5)
                 )
                 report = embedding_bounds(u, prob.constants, prob.potential, lam, A75)
-                assert report.passed, [(r.name, r.worst_margin) for r in report.rows]
+                assert report.passed, [(r.name, r.worst_margin) for r in report.checks]
 
     def test_margins_nondecreasing_in_weight(self, prob, rng):
         u = random_band_limited(rng, N_DEFAULT, T_MIN, DT)
         thr = prob.constants.lambda_threshold
         r1 = embedding_bounds(u, prob.constants, prob.potential, thr, A75)
         r2 = embedding_bounds(u, prob.constants, prob.potential, 10 * thr, A75)
-        for a, b in zip(r1.rows, r2.rows):
+        for a, b in zip(r1.checks, r2.checks):
             assert b.worst_margin >= a.worst_margin
 
     def test_below_threshold_rejected(self, prob, rng):
