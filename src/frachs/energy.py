@@ -59,7 +59,8 @@ class Problem:
     problem acts on raw ``(N, n)`` sample arrays: :meth:`form` is the
     bilinear form of ``||.||_lam^2``, :meth:`apply` its L2 representer and
     :meth:`precondition` the inverse of the surrogate
-    ``D^(1/2) (1 + |w|^(2a)) D^(1/2)``, ``D = 1 + lam diag(L(t)) / s``.
+    ``D^(1/2) (c + |w|^(2a)) D^(1/2)``, ``D = 1 + lam diag(L(t)) / s``, whose
+    kinetic block is shifted to the potential level ``c`` (:meth:`shift`).
     Layout rule: component-axis sums go through
     :func:`~frachs.grid.pointwise_dot` or per-component columns, and
     coefficient arrays are kept at the full ``(., n)`` shape
@@ -88,9 +89,9 @@ class Problem:
 
     def __post_init__(self):
         times = self.t_min + self.dt * np.arange(self.n_samples)
-        # rfft half-spectrum: |w|^(2a), the Parseval weights (every bin but
-        # DC and Nyquist stands for a conjugate pair) and the preconditioner,
-        # each repeated over the n columns
+        # rfft half-spectrum: |w|^(2a) and the Parseval weights (every bin but
+        # DC and Nyquist stands for a conjugate pair), each repeated over the
+        # n columns
         freqs = 2.0 * np.pi * np.fft.rfftfreq(self.n_samples, d=self.dt)
         kinetic = np.abs(freqs) ** self.order.doubled
         parseval = np.full(len(freqs), 2.0)
@@ -105,7 +106,6 @@ class Problem:
             "matrix_entries": np.ascontiguousarray(matrix_values.transpose(1, 2, 0)),
             "kinetic": np.repeat(kinetic[:, None], n, axis=1),
             "parseval": np.repeat(parseval[:, None], n, axis=1),
-            "precond": np.repeat((1.0 / (1.0 + kinetic))[:, None], n, axis=1),
         }
         for name, value in arrays.items():
             value.setflags(write=False)
@@ -113,20 +113,46 @@ class Problem:
         self._set_scaling()
 
     def _set_scaling(self):
-        """``D^(-1/2)`` of the preconditioner, ``(N, n)``, for the current ``lam``.
+        """The preconditioner's ``lam``-dependent parts, for the current ``lam``.
 
-        ``s = (pi / (2 dt))^(2a)`` is ``|w|^(2a)`` at half the Nyquist
-        frequency, the median of the half-spectrum multipliers: the wall
-        ``lam L`` takes over the diagonal where it exceeds that kinetic scale.
+        ``scaling`` is ``D^(-1/2)``, ``(N, n)``: ``s = (pi / (2 dt))^(2a)`` is
+        ``|w|^(2a)`` at half the Nyquist frequency, the median of the
+        half-spectrum multipliers, and the wall ``lam L`` takes over the
+        diagonal where it exceeds that kinetic scale.  ``precond`` is the
+        half-spectrum kinetic block :meth:`kinetic_inverse` over the whole grid.
         Construction and :meth:`with_lam` both pass here, so ``lam`` is checked here.
         """
         if not 0 < self.lam < np.inf:
             raise ValueError(f"weight lam must be positive and finite, got {self.lam}")
         s = (np.pi / (2.0 * self.dt)) ** self.order.doubled
-        diag = np.diagonal(self.matrix_values, axis1=1, axis2=2)
-        scaling = (1.0 + self.lam * diag / s) ** -0.5
+        scaling = (1.0 + self.lam * self._diagonal() / s) ** -0.5
         scaling.setflags(write=False)
         object.__setattr__(self, "scaling", scaling)
+        object.__setattr__(self, "precond", self.kinetic_inverse())
+
+    def _diagonal(self) -> np.ndarray:
+        return np.diagonal(self.matrix_values, axis1=1, axis2=2)
+
+    def shift(self, free: np.ndarray | None = None) -> float:
+        """Shift ``c = max(1, mean of lam diag L(t))`` of the kinetic block.
+
+        The mean runs over the ``(N, n)`` entries the descent may move: all of
+        them, or those where the boolean ``free`` is set.  Where ``lam L``
+        fills most of the line the low-frequency Hessian
+        ``|w|^(2a) + lam L - W''`` sits near ``c``, not near 1 (the shifted
+        kinetic block of Antoine, Levitt and Tang, J. Comput. Phys. 2017); on
+        the core, where ``L = 0``, ``c`` stays 1.
+        """
+        diag = self._diagonal()
+        if free is not None:
+            diag = diag[free]
+        return max(1.0, self.lam * float(np.mean(diag)))
+
+    def kinetic_inverse(self, free: np.ndarray | None = None) -> np.ndarray:
+        """Half-spectrum ``1 / (c + |w|^(2a))``, ``(N/2 + 1, n)``, with ``c = shift(free)``."""
+        out = 1.0 / (self.shift(free) + self.kinetic)
+        out.setflags(write=False)
+        return out
 
     @property
     def n_components(self) -> int:
@@ -173,10 +199,15 @@ class Problem:
         weighted += principal
         return weighted
 
-    def precondition(self, x: np.ndarray) -> np.ndarray:
-        """``D^(-1/2) (1 + |w|^(2a))^(-1) D^(-1/2) x``: symmetric positive in L2(dt)."""
+    def precondition(self, x: np.ndarray, kernel: np.ndarray | None = None) -> np.ndarray:
+        """``D^(-1/2) (c + |w|^(2a))^(-1) D^(-1/2) x``: symmetric positive in L2(dt).
+
+        ``kernel`` is a :meth:`kinetic_inverse` array; by default ``precond``,
+        the shift over the whole grid.
+        """
         d = self.scaling
-        out = np.fft.irfft(self.precond * np.fft.rfft(d * x, axis=0), self.n_samples, axis=0)
+        kernel = self.precond if kernel is None else kernel
+        out = np.fft.irfft(kernel * np.fft.rfft(d * x, axis=0), self.n_samples, axis=0)
         out *= d
         return out
 

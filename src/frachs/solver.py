@@ -9,13 +9,18 @@ the descent stops.  The pointwise coefficients of ``W''(u)``
 (``Nonlinearity.hessian_at``) are formed once per Newton step, so a CG
 iteration costs one ``Problem.apply`` and a few array products.  CG is
 preconditioned by ``Problem.precondition``, the inverse of the kinetic
-surrogate ``1 + |w|^(2a)`` scaled on both sides by ``D^(-1/2)``,
+surrogate ``c + |w|^(2a)`` scaled on both sides by ``D^(-1/2)``,
 ``D = 1 + lam diag(L(t)) / s``: a symmetric kinetic/potential split that
 accounts for the wall term ``lam L`` where it dominates the diagonal.  The
-line search accepts only steps that strictly lower the energy, and every
-iterate is checked against the closed-form coercivity floor; dropping below
-it signals a gradient bug and raises.  Every result names why the descent
-stopped: ``grad_tol``, ``max_iters`` or ``no_descent``.
+shift ``c = Problem.shift`` lifts the kinetic block to the mean wall level
+over the samples the descent may move, where the low-frequency Hessian
+sits; it is built once per descent.  The Newton forcing term is
+``min(0.5, |g|)``, so the inner solves tighten quadratically near the
+minimizer.  The line search accepts only steps that strictly lower the
+energy, and every iterate is checked against the closed-form coercivity
+floor; dropping below it signals a gradient bug and raises.  Every result
+names why the descent stopped: ``grad_tol``, ``max_iters`` or
+``no_descent``.
 
 The line search (``ARMIJO``, ``SHRINK``) and the CG cap (``MAX_CG``) are fixed
 constants; ``SolverConfig`` holds only ``max_iters`` and ``grad_tol``.
@@ -103,6 +108,8 @@ class _Objective:
             np.asarray(mask, bool)[:, None], prob.n_components, axis=1
         )
         self.dt = prob.dt
+        # the kinetic block's shift, over the samples the descent may move
+        self.kernel = prob.precond if mask is None else prob.kinetic_inverse(self.mask)
         self.floor = lower_bound_minimum(prob)[1]
         self.n_energy = 0
         self.n_grad = 0
@@ -153,7 +160,7 @@ class _Objective:
         return action
 
     def precondition(self, x: np.ndarray) -> np.ndarray:
-        return self.project(self.prob.precondition(x))
+        return self.project(self.prob.precondition(x, self.kernel))
 
     def check_floor(self, energy: float):
         tol = 1e-9 * (1.0 + abs(self.floor))
@@ -227,7 +234,7 @@ def _descend(prob, cfg, start_vals, mask=None) -> SolveResult:
     steps = 0
     stop_reason = "max_iters"
     while steps < cfg.max_iters and g_norm > cfg.grad_tol:
-        d = _truncated_cg(obj, obj.hessian(vals), g, min(0.5, np.sqrt(g_norm)))
+        d = _truncated_cg(obj, obj.hessian(vals), g, min(0.5, g_norm))
         step = _backtrack(obj, vals, f, g, d) or _backtrack(obj, vals, f, g, -obj.precondition(g))
         if step is None:
             stop_reason = "no_descent"  # no direction lowers the energy at rounding level
@@ -291,26 +298,16 @@ def solve_bvp(prob: Problem, cfg: SolverConfig) -> SolveResult:
 
     The core must be normalized to start at 0 (an interval (0, T)).  Dirichlet
     values outside the open core are pinned to exact zeros by construction
-    (zero-extension representation on the full grid).  Several deterministic
-    bump amplitudes are tried (the landscape of the sub-quadratic problem can
-    hold several critical points) and the deepest converged result wins.
+    (zero-extension representation on the full grid).  One descent runs, from
+    the negative-energy bump; on the core ``L = 0``, so the preconditioner's
+    kinetic shift stays 1 there.
     """
     lo, hi = prob.potential.core
     if lo != 0.0:
         raise ValueError(f"the restricted problem expects a core (0, T), got ({lo}, {hi})")
     mask = (prob.times > lo) & (prob.times < hi)
     base, s = _witness(prob)
-    scales = [s]
-    for factor in (4.0, 16.0):
-        cand = factor * s
-        if cand < prob.nonlinearity.delta:
-            scales.append(cand)
-    best = None
-    for scale in scales:
-        result = _descend(prob, cfg, scale * base, mask)
-        if best is None or result.energy < best.energy:
-            best = result
-    return best
+    return _descend(prob, cfg, s * base, mask)
 
 
 def uniform_bound_constant(prob: Problem) -> float:

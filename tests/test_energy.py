@@ -217,6 +217,13 @@ def operator_case(request, prob, rng):
     return prob, u, v
 
 
+def _mean_wall_shift(prob):
+    """``max(1, mean of lam diag L(t))`` over the whole grid, from the potential itself."""
+    matrix = prob.potential.matrix_at(prob.times)
+    diag = np.stack([matrix[:, i, i] for i in range(prob.n_components)], axis=1)
+    return max(1.0, prob.lam * float(np.mean(diag)))
+
+
 def _rel_err(x, ref):
     return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
 
@@ -242,11 +249,24 @@ class TestOperator:
         assert form == pytest.approx(prob.dt * np.sum(u.values * prob.apply(v.values)), rel=1e-10)
 
     def test_precondition_inverts_surrogate(self, operator_case):
-        # surrogate D^(1/2) (1 + |w|^(2a)) D^(1/2) with D^(-1/2) = prob.scaling
+        # surrogate D^(1/2) (c + |w|^(2a)) D^(1/2) with D^(-1/2) = prob.scaling
         prob, u, _ = operator_case
+        c = _mean_wall_shift(prob)
         half = u.with_values(u.values / prob.scaling)
-        surrogate = (riesz_composition(half, prob.order).values + half.values) / prob.scaling
+        surrogate = (riesz_composition(half, prob.order).values + c * half.values) / prob.scaling
         assert _rel_err(prob.precondition(surrogate), u.values) <= 1e-12
+
+    def test_shift_is_the_mean_wall_over_free_samples(self, operator_case):
+        # c = max(1, mean lam diag L) over every (N, n) entry: far above 1 where the
+        # wall fills the line, 1 on the core where L = 0
+        prob, _, _ = operator_case
+        c = _mean_wall_shift(prob)
+        assert c > 100.0
+        assert prob.shift() == pytest.approx(c, rel=1e-14)
+        assert np.array_equal(prob.precond, 1.0 / (prob.shift() + prob.kinetic))
+        core = (prob.times > 0.0) & (prob.times < 0.5)
+        assert prob.shift(core) == 1.0
+        assert prob.with_lam(1e-6).shift() == 1.0
 
     @pytest.mark.parametrize("factor", [1.0, 1000.0])
     def test_precondition_symmetric_positive(self, operator_case, factor):

@@ -4,6 +4,7 @@ from scipy.optimize import brentq
 
 from frachs import (
     DivergenceError,
+    PotentialMatrix,
     Problem,
     SampledSignal,
     SolverConfig,
@@ -19,6 +20,7 @@ from frachs import (
     smooth_bump,
     solve_bvp,
     uniform_bound_constant,
+    vanishing_well_potential,
     zero_nonlinearity,
 )
 from frachs.nonlinearity import Nonlinearity
@@ -162,6 +164,17 @@ class TestNewtonStep:
             assert obj.energy(np.ones((N_DEFAULT, 1))) == np.inf
 
 
+class TestShiftedPreconditioner:
+    def test_descent_shift_follows_its_free_samples(self, prob):
+        # the full-grid descent shifts the kinetic block to the wall level; the
+        # restricted one moves only core samples, where L = 0, so its shift is 1
+        assert _Objective(prob).kernel is prob.precond
+        assert prob.shift() > 100.0
+        core = (prob.times > 0.0) & (prob.times < 0.5)
+        restricted = _Objective(prob, core)
+        assert np.array_equal(restricted.kernel, 1.0 / (1.0 + prob.kinetic))
+
+
 class TestStopReason:
     def test_converged_run_stops_on_grad_tol(self, prob, cfg):
         res = minimize(prob, cfg)
@@ -221,8 +234,6 @@ class TestSolveBvp:
             assert abs(residual) <= 10 * cfg.grad_tol * l2_norm(phi)
 
     def test_core_not_anchored_at_zero_rejected(self, prob, cfg):
-        from frachs import vanishing_well_potential
-
         shifted = vanishing_well_potential(core=(0.1, 0.5))
         bad = Problem(
             prob.order, prob.n_samples, prob.t_min, prob.dt,
@@ -351,3 +362,81 @@ class TestSweep:
         thr = prob.constants.lambda_threshold
         with pytest.raises(ValueError, match="threshold"):
             concentration_sweep(prob, [0.5 * thr, thr, 10 * thr], cfg)
+
+
+LADDER = (2.0, 20.0, 200.0, 2000.0)
+
+
+def _counted_sweep(prob, cfg):
+    """The sweep on ``LADDER`` and the Hessian actions its CG solves took."""
+    count = [0]
+    hessian = _Objective.hessian
+
+    def counting(self, vals):
+        action = hessian(self, vals)
+
+        def counted(v):
+            count[0] += 1
+            return action(v)
+
+        return counted
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Objective, "hessian", counting)
+        report = concentration_sweep(prob, LADDER, cfg)
+    return report, count[0]
+
+
+def _wall_on_rotated_axes(angle, stiff):
+    """The scalar wall on the soft axis at ``angle`` and ``stiff`` times it on the other."""
+    scalar = vanishing_well_potential()
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+
+    def matrix(t):
+        wall = scalar.matrix_at(t)[:, 0, 0]
+        return wall[:, None, None] * (rot @ np.diag([1.0, stiff]) @ rot.T)
+
+    return PotentialMatrix(2, matrix, scalar.envelope, scalar.threshold, scalar.well, scalar.core)
+
+
+@pytest.fixture(scope="module")
+def ladders(cfg):
+    """Sweeps on ``LADDER`` at N = 1024: the default, alpha = 0.97 and rotated
+    presets, and a second rotation of the wall."""
+    cases = {
+        "default": default_problem(n_samples=1024),
+        "alpha-0.97": default_problem(alpha=0.97, n_samples=1024),
+        "rotated": default_problem(n_samples=1024, potential=rotated_well_potential()),
+        "rotated-1rad": default_problem(n_samples=1024, potential=_wall_on_rotated_axes(1.0, 4.0)),
+    }
+    return {name: _counted_sweep(prob, cfg) for name, prob in cases.items()}
+
+
+class TestLadderBudget:
+    """Deterministic Hessian-action budgets: the shifted kinetic block keeps CG short."""
+
+    @pytest.mark.parametrize("name, budget", [
+        ("default", 400), ("alpha-0.97", 500), ("rotated", 600),
+    ])
+    def test_hessian_actions_within_budget(self, ladders, name, budget):
+        report, actions = ladders[name]
+        assert not report.flagged
+        assert actions <= budget
+
+    @pytest.mark.parametrize("name", ["rotated", "rotated-1rad"])
+    def test_rotated_ladder_equals_scalar_ladder(self, ladders, name):
+        # the soft axis of the rotated wall is constant in t, the kinetic form is
+        # rotation invariant and W is radial: the energies are the scalar preset's
+        scalar, _ = ladders["default"]
+        rotated, _ = ladders[name]
+        assert not rotated.flagged
+        assert rotated.c_tilde == pytest.approx(scalar.c_tilde, rel=1e-13)
+        for a, b in zip(rotated.rows, scalar.rows):
+            assert a.c_lambda == pytest.approx(b.c_lambda, rel=1e-13)
+
+    def test_low_order_fine_ladder_unflagged(self, cfg):
+        # alpha = 0.7 at N = 4096: the lam = 2 rung needs the quadratic forcing term
+        report = concentration_sweep(default_problem(alpha=0.7), LADDER, cfg)
+        assert not report.flagged
+        assert {r.stop_reason for r in report.rows} == {"grad_tol"}
