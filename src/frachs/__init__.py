@@ -33,9 +33,6 @@ from .fracops import (
 from .grid import (
     FracOrder,
     SampledSignal,
-    Spectrum,
-    fft_forward,
-    fft_inverse,
     l2_norm,
     midpoint_grid,
     pointwise_dot,

@@ -40,8 +40,6 @@ from .fracops import (
 )
 from .grid import (
     FracOrder,
-    fft_forward,
-    fft_inverse,
     l2_norm,
     midpoint_grid,
     random_band_limited,
@@ -155,7 +153,7 @@ def _structural_checks(cfg: ExperimentConfig, potential):
     the check payload, and the embedding constants (None when L1 fails).
     """
     t_min, dt = midpoint_grid(cfg.grid_n, cfg.domain)
-    pot_report = verify_potential(potential, t_min + dt * np.arange(cfg.grid_n), seed=cfg.seed)
+    pot_report = verify_potential(potential, t_min + dt * np.arange(cfg.grid_n))
     order = FracOrder(cfg.alpha)
     try:
         constants = compute_embedding_constants(potential, order, cfg.grid_n, t_min, dt)
@@ -315,7 +313,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
             file=sys.stderr,
         )
         return EXIT_CONFIG
-    report = concentration_sweep(prob, cfg.lambdas, solver_config(cfg), warm_start=cfg.warm_start)
+    report = concentration_sweep(prob, cfg.lambdas, solver_config(cfg))
     h = cfg.config_hash()
     csv_path = os.path.join(out_dir, f"sweep-{h}.csv")
     cols = ["lambda", "c_lambda", "c_tilde", "tail_mass", "weighted_mass",
@@ -372,8 +370,6 @@ def cmd_ops_selftest(cfg: ExperimentConfig) -> int:
         results.append((name, err, tol, err <= tol))
 
     u = random_band_limited(rng, n, t_min, dt, band_fraction=0.2)
-    v = fft_inverse(fft_forward(u))
-    record("fft-roundtrip", np.max(np.abs(v.values - u.values)) / max(u.sup_norm(), 1e-300), 1e-12)
 
     m = max(1, n // 16)
     w1 = 2.0 * np.pi * m / (n * dt)

@@ -57,7 +57,6 @@ class ExperimentConfig:
     max_iters: int = 5000
     grad_tol: float = 1e-8
     seed: int = 0
-    warm_start: bool = True
     # [output]
     out_dir: str = "runs"
 
@@ -93,14 +92,12 @@ _SECTION_OF = {
     "nu": "scenario", "delta": "scenario", "xi_scale": "scenario",
     "xi_width": "scenario", "eps": "scenario", "lam": "scenario",
     "lambdas": "scenario", "grid_n": "scenario", "domain": "scenario",
-    "max_iters": "solver", "grad_tol": "solver", "seed": "solver", "warm_start": "solver",
+    "max_iters": "solver", "grad_tol": "solver", "seed": "solver",
     "out_dir": "output",
 }
 
 
 def _render(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
     if isinstance(value, tuple):
@@ -116,12 +113,6 @@ def _parse_value(name: str, raw: str):
             if raw == "":
                 return ()
             return tuple(float(x) for x in raw.split(","))
-        if kind == "bool":
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError("expected a boolean")
         if kind == "int":
             return int(raw)
         if kind == "float":

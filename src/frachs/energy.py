@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fracops import half_spectrum
 from .grid import FracOrder, SampledSignal
 from .nonlinearity import Nonlinearity, power_nonlinearity
 from .spaces import (
@@ -89,15 +90,8 @@ class Problem:
 
     def __post_init__(self):
         times = self.t_min + self.dt * np.arange(self.n_samples)
-        # rfft half-spectrum: |w|^(2a) and the Parseval weights (every bin but
-        # DC and Nyquist stands for a conjugate pair), each repeated over the
-        # n columns
-        freqs = 2.0 * np.pi * np.fft.rfftfreq(self.n_samples, d=self.dt)
-        kinetic = np.abs(freqs) ** self.order.doubled
-        parseval = np.full(len(freqs), 2.0)
-        parseval[0] = 1.0
-        if self.n_samples % 2 == 0:
-            parseval[-1] = 1.0
+        # the half-spectrum arrays, each repeated over the n columns
+        kinetic, parseval = half_spectrum(self.n_samples, self.dt, self.order)
         matrix_values = self.potential.matrix_at(times)
         n = self.n_components
         arrays = {

@@ -6,16 +6,19 @@ multiplication by ``(iw)^a`` / ``(-iw)^a`` on the principal branch
     (+-iw)^a = |w|^a * exp(+-i * a * pi * sgn(w) / 2),
 
 with the w = 0 mode mapped to zero.  The composition of right-after-left
-derivatives is the single real multiplier ``|w|^(2a)``.  A Grunwald-Letnikov
-quadrature of the defining half-line convolution is provided as an
-independent oracle for tests; it never feeds the spectral path.
+derivatives is the single real multiplier ``|w|^(2a)``.  Quadratic forms use
+that multiplier on the real-FFT half-spectrum: :func:`half_spectrum` gives it
+with the Parseval weights, shared by ``Problem``, :func:`seminorm_alpha` and
+the grid Sobolev constant.  A Grunwald-Letnikov quadrature of the defining
+half-line convolution is provided as an independent oracle for tests; it
+never feeds the spectral path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import FracOrder, SampledSignal, Spectrum, fft_forward, l2_norm
+from .grid import FracOrder, SampledSignal, l2_norm
 
 __all__ = [
     "left_derivative",
@@ -26,6 +29,7 @@ __all__ = [
     "grunwald_weights",
     "seminorm_alpha",
     "apply_multiplier",
+    "half_spectrum",
 ]
 
 _IMAG_TOL = 1e-10
@@ -33,6 +37,20 @@ _IMAG_TOL = 1e-10
 
 def _frequencies(u: SampledSignal) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(u.n_samples, d=u.dt)
+
+
+def half_spectrum(n_samples: int, dt: float, a: FracOrder) -> tuple[np.ndarray, np.ndarray]:
+    """``|w|^(2a)`` on the ``rfft`` bins and their Parseval weights.
+
+    Every bin but DC and Nyquist stands for a conjugate pair and weighs 2, so
+    ``sum weight * f(|w|) |rfft(x)|^2`` is the full-spectrum sum for real ``x``.
+    """
+    freqs = 2.0 * np.pi * np.fft.rfftfreq(n_samples, d=dt)
+    weight = np.full(len(freqs), 2.0)
+    weight[0] = 1.0
+    if n_samples % 2 == 0:
+        weight[-1] = 1.0
+    return freqs**a.doubled, weight
 
 
 def apply_multiplier(u: SampledSignal, multiplier: np.ndarray) -> SampledSignal:
@@ -149,10 +167,11 @@ def quadrature_left_derivative(u: SampledSignal, a: FracOrder) -> SampledSignal:
 def seminorm_alpha(u: SampledSignal, a: FracOrder) -> float:
     """Homogeneous fractional seminorm, the L2 norm of the left derivative.
 
-    Evaluated in frequency via the discrete Parseval identity:
-    ``seminorm^2 = (1/(N dt)) sum_k |w_k|^(2a) |u_hat_k|^2``.
+    Evaluated on the half-spectrum via the discrete Parseval identity:
+    ``seminorm^2 = (dt/N) sum_k |w_k|^(2a) |X_k|^2`` with ``X = fft(u)``.
     """
-    spec: Spectrum = fft_forward(u)
-    weight = np.abs(spec.frequencies) ** a.doubled
-    total = np.sum(weight[:, None] * np.abs(spec.coeffs) ** 2)
-    return float(np.sqrt(total / (u.n_samples * u.dt)))
+    kinetic, weight = half_spectrum(u.n_samples, u.dt, a)
+    x_hat = np.fft.rfft(u.values, axis=0)
+    power = x_hat.real**2 + x_hat.imag**2
+    total = np.sum((weight * kinetic)[:, None] * power)
+    return float(np.sqrt(total * u.dt / u.n_samples))

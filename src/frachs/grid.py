@@ -1,15 +1,11 @@
-"""Uniform periodic grids, sampled signals and their discrete Fourier transforms.
+"""Uniform periodic grids and sampled signals.
 
 A :class:`SampledSignal` is the universal value carrier of the library: a
 function R -> R^n truncated to one period [t_min, t_min + N*dt) of a uniform
 grid with N a power of two.  All integrals are evaluated with the trapezoid
 rule on the periodic grid (endpoint identified), i.e. ``dt * sum``, which is
 exact for trigonometric polynomials and makes the discrete Parseval identity
-hold to rounding error.
-
-The Fourier transform convention is ``u_hat(w) = int e^{-i t w} u(t) dt`` with
-angular frequencies ``w_k = 2 pi k / (N dt)`` in standard FFT ordering
-(negative half mapped).
+hold to rounding error.  Frequencies are angular, ``w_k = 2 pi k / (N dt)``.
 """
 
 from __future__ import annotations
@@ -21,9 +17,6 @@ import numpy as np
 __all__ = [
     "FracOrder",
     "SampledSignal",
-    "Spectrum",
-    "fft_forward",
-    "fft_inverse",
     "signal_from_function",
     "midpoint_grid",
     "reflect",
@@ -139,16 +132,6 @@ class SampledSignal:
         )
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Discrete Fourier data: frequencies w_k (FFT order) and complex coeffs (N, n)."""
-
-    t_min: float
-    dt: float
-    frequencies: np.ndarray = field(repr=False)
-    coeffs: np.ndarray = field(repr=False)
-
-
 def signal_from_function(fn, n_samples: int, t_min: float, dt: float) -> SampledSignal:
     """Sample ``fn`` (vectorized, t-array -> (N,) or (N, n)) on the grid."""
     t = t_min + dt * np.arange(n_samples)
@@ -180,36 +163,6 @@ def reflect(u: SampledSignal) -> SampledSignal:
         raise ValueError("grid is not reflection-symmetric (t_min is not a half-multiple of dt)")
     idx = (k0 - np.arange(n)) % n
     return u.with_values(u.values[idx])
-
-
-def fft_forward(u: SampledSignal) -> Spectrum:
-    """Discrete approximation of ``u_hat(w) = int e^{-i t w} u(t) dt``.
-
-    Exact (to rounding) for band-limited periodic signals; for decaying
-    signals the error is the tail truncated outside one period.
-    """
-    if not np.all(np.isfinite(u.values)):
-        raise ValueError("cannot transform a signal with non-finite samples")
-    freqs = 2.0 * np.pi * np.fft.fftfreq(u.n_samples, d=u.dt)
-    phase = np.exp(-1j * u.t_min * freqs)
-    coeffs = u.dt * phase[:, None] * np.fft.fft(u.values, axis=0)
-    return Spectrum(u.t_min, u.dt, freqs, coeffs)
-
-
-def fft_inverse(spec: Spectrum) -> SampledSignal:
-    """Exact discrete inverse of :func:`fft_forward`."""
-    n_samples = spec.coeffs.shape[0]
-    phase = np.exp(-1j * spec.t_min * spec.frequencies)
-    raw = spec.coeffs / (spec.dt * phase[:, None])
-    values = np.fft.ifft(raw, axis=0)
-    scale = np.max(np.abs(values), initial=0.0)
-    residue = np.max(np.abs(values.imag), initial=0.0)
-    if scale > 0 and residue > 1e-10 * scale:
-        raise ValueError(
-            f"inverse transform is not real: imaginary residue {residue / scale:.3e} "
-            "relative (conjugate symmetry violated)"
-        )
-    return SampledSignal(spec.t_min, spec.dt, values.real)
 
 
 def l2_norm(u: SampledSignal) -> float:

@@ -25,7 +25,8 @@ names why the descent stopped: ``grad_tol``, ``max_iters`` or
 The line search (``ARMIJO``, ``SHRINK``) and the CG cap (``MAX_CG``) are fixed
 constants; ``SolverConfig`` holds only ``max_iters`` and ``grad_tol``.
 
-Descent starts from the negative-energy bump, never from 0: the energy is
+Descent starts from the negative-energy bump, never from 0 (the sweep from
+the restricted solution, whose energy is ``c_tilde < 0``): the energy is
 negative from the first iterate on, so the trivial critical point u = 0 is
 unreachable.
 """
@@ -381,19 +382,15 @@ def _sweep_row(prob, result, u_tilde, c_tilde, bound) -> SweepRow:
     )
 
 
-def concentration_sweep(
-    prob: Problem,
-    lambdas,
-    cfg: SolverConfig,
-    warm_start: bool = True,
-) -> SweepReport:
+def concentration_sweep(prob: Problem, lambdas, cfg: SolverConfig) -> SweepReport:
     """Minimize along an ascending weight ladder and report concentration.
 
-    Warm starting seeds each weight with the previous solution (stabilizing
-    the branch the descent tracks); without it every weight starts from the
-    negative-energy bump.  Rows whose energy misses the restricted level are
-    retried from the restricted solution, which restores the ordering
-    c_lambda <= c_tilde whenever the descent landed on a shallower branch.
+    The first weight descends from the restricted solution ``u_tilde``: it
+    vanishes wherever ``L != 0``, so its energy is ``c_tilde`` at every
+    weight, and strict decrease gives ``c_lambda <= c_tilde`` on that row by
+    construction.  Every later weight starts from the solution before it,
+    which tracks the branch towards ``u_tilde`` as ``lam`` grows; its
+    ordering is checked and flagged, not repaired.
     """
     lambdas = [float(x) for x in lambdas]
     if len(lambdas) < 3:
@@ -408,19 +405,13 @@ def concentration_sweep(
     c_tilde = bvp.energy
     bound = uniform_bound_constant(prob)
 
-    base, scale = _witness(prob.with_lam(lambdas[0]))
-    start = scale * base
+    start = bvp.u.values
     rows = []
     solutions = []
     for lam in lambdas:
         p = prob.with_lam(lam)
         result = _descend(p, cfg, start)
-        if result.energy > c_tilde:
-            retry = _descend(p, cfg, bvp.u.values)
-            if retry.energy < result.energy:
-                result = retry
         rows.append(_sweep_row(p, result, bvp.u, c_tilde, bound))
         solutions.append(result.u)
-        if warm_start:
-            start = result.u.values
+        start = result.u.values
     return SweepReport(tuple(rows), c_tilde, bound, bvp, tuple(solutions))

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fracops import seminorm_alpha
+from .fracops import half_spectrum, seminorm_alpha
 from .grid import FracOrder, SampledSignal, l2_norm
 
 __all__ = [
@@ -167,12 +167,13 @@ class CheckReport:
         return [c.name for c in self.checks if not c.passed]
 
 
-def verify_potential(potential: PotentialMatrix, times: np.ndarray, seed: int = 0) -> CheckReport:
+def verify_potential(potential: PotentialMatrix, times: np.ndarray) -> CheckReport:
     """Check the structural hypotheses of the potential at grid resolution.
 
-    Verifies matrix symmetry and the envelope bound (L1) against 8 random
-    probe directions, the envelope's zero set (L2) and the vanishing of the
-    matrix on the closed core (L3).  Failures are reported as data, not
+    Verifies matrix symmetry and the envelope bound (L1), the envelope's zero
+    set (L2) and the vanishing of the matrix on the closed core (L3).  The
+    envelope bound is exact: the smallest eigenvalue of ``L(t)`` is
+    ``min (L(t)x, x)`` over unit ``x``.  Failures are reported as data, not
     raised; a grid that does not cover the well with a margin of one well
     width on each side raises :class:`ResolutionError`.
     """
@@ -200,25 +201,15 @@ def verify_potential(potential: PotentialMatrix, times: np.ndarray, seed: int = 
         )
     )
 
-    rng = np.random.default_rng(seed)
-    n = potential.n_components
-    margin_env = np.inf
-    loc_env = None
-    for _ in range(8):
-        x = rng.standard_normal(n)
-        x /= np.linalg.norm(x)
-        quad_form = np.einsum("i,nij,j->n", x, L, x)
-        gaps = quad_form - l_env
-        j = int(np.argmin(gaps))
-        if gaps[j] < margin_env:
-            margin_env = float(gaps[j])
-            loc_env = float(times[j])
+    gaps = np.linalg.eigvalsh(L)[:, 0] - l_env
+    j = int(np.argmin(gaps))
+    margin_env = float(gaps[j])
     checks.append(
         CheckResult(
             "L1-envelope",
             margin_env >= -1e-12,
             margin_env,
-            loc_env,
+            float(times[j]),
             "(L(t)x, x) >= l(t)|x|^2 for unit probe directions",
         )
     )
@@ -293,12 +284,13 @@ def continuum_sobolev_constant(a: FracOrder) -> float:
 def grid_sobolev_constant(a: FracOrder, n_samples: int, dt: float) -> float:
     """Sharp constant of the sup-norm bound for signals on one grid.
 
-    ``C_grid^2 = (1/(N dt)) sum_k 1/(1 + |w_k|^(2a))``.  By Cauchy-Schwarz
+    ``C_grid^2 = (1/(N dt)) sum_k 1/(1 + |w_k|^(2a))`` over the full spectrum,
+    summed on the half-spectrum with the Parseval weights.  By Cauchy-Schwarz
     every grid signal obeys the bound with this constant, and the profile
     ``u_hat_k = 1/(1 + |w_k|^(2a))``, peaked on a sample, attains it.
     """
-    freqs = 2.0 * np.pi * np.fft.fftfreq(n_samples, d=dt)
-    return float(np.sqrt(np.sum(1.0 / (1.0 + np.abs(freqs) ** a.doubled)) / (n_samples * dt)))
+    kinetic, weight = half_spectrum(n_samples, dt, a)
+    return float(np.sqrt(np.sum(weight / (1.0 + kinetic)) / (n_samples * dt)))
 
 
 def sobolev_constant(a: FracOrder, n_samples: int, dt: float) -> float:

@@ -128,12 +128,13 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "line",
         ["memory = 10", "newton_switch_tol = 1e-5", "parallel = true",
-         "armijo = 1e-4", "shrink = 0.5", "max_cg = 250"],
+         "armijo = 1e-4", "shrink = 0.5", "max_cg = 250", "warm_start = false"],
     )
     def test_removed_solver_keys(self, tmp_path, capsys, line):
         # Newton-CG is the only descent method and the sweep runs sequentially,
         # so neither the quasi-Newton memory, the phase switch nor threads are configurable;
-        # the line-search constants and the CG cap are fixed in the solver
+        # the line-search constants and the CG cap are fixed in the solver, and
+        # every sweep rung after the first starts from the one before
         cfg = write(tmp_path, BASE + line + "\n")
         assert main(["check", "--config", cfg]) == 2
         assert f"unknown field '{line.split()[0]}'" in capsys.readouterr().err

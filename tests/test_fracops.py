@@ -212,3 +212,14 @@ class TestSeminorm:
         u = random_band_limited(rng, N_DEFAULT, T_MIN, DT, n_components=2)
         sn = seminorm_alpha(u, A75)
         assert abs(sn - l2_norm(left_derivative(u, A75))) <= 1e-10 * sn
+
+    @pytest.mark.parametrize("n_components", [1, 2])
+    def test_half_spectrum_sum_matches_full_spectrum(self, rng, n_components):
+        # noise plus the Nyquist tone (-1)^j: the half-spectrum holds that bin once
+        nyquist = (-1.0) ** np.arange(N_DEFAULT)
+        values = rng.standard_normal((N_DEFAULT, n_components)) + nyquist[:, None]
+        u = SampledSignal(T_MIN, DT, values)
+        freqs = 2 * np.pi * np.fft.fftfreq(N_DEFAULT, d=DT)
+        power = np.abs(np.fft.fft(values, axis=0)) ** 2
+        full = np.sum(np.abs(freqs)[:, None] ** 1.5 * power) * DT / N_DEFAULT
+        assert seminorm_alpha(u, A75) == pytest.approx(np.sqrt(full), rel=1e-13)

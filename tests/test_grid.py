@@ -4,15 +4,12 @@ import pytest
 from frachs import (
     FracOrder,
     SampledSignal,
-    fft_forward,
-    fft_inverse,
-    midpoint_grid,
     random_band_limited,
     reflect,
     signal_from_function,
 )
 
-from conftest import DT, N_DEFAULT, T_MIN
+from conftest import DT, T_MIN
 
 
 class TestSampledSignal:
@@ -43,52 +40,6 @@ class TestSampledSignal:
         u = SampledSignal(0.0, 0.5, np.ones(8))
         with pytest.raises(ValueError):
             u.values[0] = 2.0
-
-
-class TestFourier:
-    def test_zero_signal_zero_coeffs(self):
-        u = SampledSignal(T_MIN, DT, np.zeros(N_DEFAULT))
-        spec = fft_forward(u)
-        assert np.all(spec.coeffs == 0)
-
-    def test_roundtrip(self, rng):
-        u = random_band_limited(rng, N_DEFAULT, T_MIN, DT, n_components=2)
-        v = fft_inverse(fft_forward(u))
-        assert np.max(np.abs(v.values - u.values)) <= 1e-12 * u.sup_norm()
-
-    def test_pure_tone_two_coeffs(self):
-        m = 37
-        w1 = 2 * np.pi * m / (N_DEFAULT * DT)
-        u = signal_from_function(lambda t: np.cos(w1 * t), N_DEFAULT, T_MIN, DT)
-        spec = fft_forward(u)
-        mags = np.abs(spec.coeffs[:, 0])
-        order = np.argsort(mags)[::-1]
-        # two dominant bins at +-w1 with value N*dt/2, everything else at rounding level
-        assert set(np.round(spec.frequencies[order[:2]] / w1)) == {-1.0, 1.0}
-        expected = N_DEFAULT * DT / 2
-        assert np.allclose(spec.coeffs[order[:2], 0], expected, rtol=1e-12)
-        assert mags[order[2]] <= 1e-10 * expected
-
-    def test_gaussian_matches_analytic_transform(self):
-        # oracle: the transform of exp(-t^2) is sqrt(pi) exp(-w^2/4)
-        n, domain = 1024, 40.0
-        t_min, dt = midpoint_grid(n, domain)
-        u = signal_from_function(lambda t: np.exp(-(t**2)), n, t_min, dt)
-        spec = fft_forward(u)
-        low = np.abs(spec.frequencies) <= 5.0
-        analytic = np.sqrt(np.pi) * np.exp(-spec.frequencies[low] ** 2 / 4)
-        rel = np.abs(spec.coeffs[low, 0] - analytic) / np.abs(analytic)
-        assert np.max(rel) <= 1e-8
-
-    def test_real_signal_conjugate_symmetric(self, rng):
-        u = random_band_limited(rng, 256, T_MIN, DT)
-        spec = fft_forward(u)
-        # bin -k holds the conjugate of bin k
-        k = np.arange(256)
-        paired = spec.coeffs[(-k) % 256, 0]
-        assert np.max(np.abs(paired - np.conj(spec.coeffs[:, 0]))) <= 1e-12 * np.max(
-            np.abs(spec.coeffs)
-        )
 
 
 class TestReflect:

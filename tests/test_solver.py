@@ -23,6 +23,7 @@ from frachs import (
     vanishing_well_potential,
     zero_nonlinearity,
 )
+from frachs import solver
 from frachs.nonlinearity import Nonlinearity
 from frachs.solver import _backtrack, _Objective, _truncated_cg, _witness
 
@@ -309,7 +310,42 @@ def short_report(prob, cfg):
     return concentration_sweep(prob, [thr, 10 * thr, 100 * thr], cfg)
 
 
+@pytest.fixture(scope="module")
+def traced_sweep(prob, cfg):
+    """The short ladder, its witness calls counted and its descents recorded."""
+    witnesses, descents = [0], []
+    witness, descend = solver.negative_energy_witness, solver._descend
+
+    def counted_witness(p):
+        witnesses[0] += 1
+        return witness(p)
+
+    def recorded_descend(*args, **kwargs):
+        descents.append(descend(*args, **kwargs))
+        return descents[-1]
+
+    thr = prob.constants.lambda_threshold
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "negative_energy_witness", counted_witness)
+        mp.setattr(solver, "_descend", recorded_descend)
+        report = concentration_sweep(prob, [thr, 10 * thr, 100 * thr], cfg)
+    return report, witnesses[0], descents
+
+
 class TestSweep:
+    def test_one_witness_per_sweep(self, traced_sweep):
+        # the bvp's bump is the only one: the ladder starts from its solution
+        _, witnesses, _ = traced_sweep
+        assert witnesses == 1
+
+    def test_first_rung_starts_at_the_restricted_level(self, traced_sweep):
+        # u_tilde vanishes where L != 0, so its energy is c_tilde at every weight
+        report, _, descents = traced_sweep
+        bvp, first = descents[0], descents[1]
+        assert bvp is report.bvp
+        assert first.history[0][0] == report.c_tilde
+        assert report.rows[0].c_lambda <= report.c_tilde
+
     def test_rows_ordered_and_unflagged(self, short_report):
         assert not short_report.flagged
         assert short_report.c_tilde < 0
@@ -334,7 +370,7 @@ class TestSweep:
 
     def test_repeated_weight_gives_identical_rows(self, prob, cfg):
         lam = 10 * prob.constants.lambda_threshold
-        report = concentration_sweep(prob, [lam, lam, lam], cfg, warm_start=False)
+        report = concentration_sweep(prob, [lam, lam, lam], cfg)
         r0 = report.rows[0]
         for r in report.rows[1:]:
             assert r == r0

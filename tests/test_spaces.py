@@ -82,6 +82,27 @@ class TestVerifyPotential:
         report = verify_potential(bad, TIMES)
         assert "L1-envelope" in report.failed_names()
 
+    def test_envelope_violation_off_probe_directions_detected(self):
+        # the soft axis of R(0.3) diag(wall, min(wall, l/2)) R(0.3)^T sits at l/2, so
+        # min (L x, x) - l = -l/2 reaches -0.5 where l has saturated to 1; random
+        # unit directions see only part of that dip, or none of it
+        base = vanishing_well_potential()
+        c, s = np.cos(0.3), np.sin(0.3)
+        rot = np.array([[c, -s], [s, c]])
+
+        def matrix(t):
+            wall = base.matrix_at(t)[:, 0, 0]
+            diag = np.zeros((len(t), 2, 2))
+            diag[:, 0, 0] = wall
+            diag[:, 1, 1] = np.minimum(wall, 0.5 * base.envelope_at(t))
+            return np.einsum("ij,njk,lk->nil", rot, diag, rot)
+
+        bad = PotentialMatrix(2, matrix, base.envelope, base.threshold, base.well, base.core)
+        report = verify_potential(bad, TIMES)
+        (envelope,) = [c for c in report.checks if c.name == "L1-envelope"]
+        assert not envelope.passed
+        assert envelope.worst_margin == pytest.approx(-0.5, abs=1e-12)
+
     def test_nonvanishing_core_detected(self):
         base = vanishing_well_potential()
         bad = PotentialMatrix(
@@ -194,6 +215,14 @@ class TestSobolevConstant:
         assert ratio <= c * (1 + 1e-12)
         if c == c_grid:
             assert ratio == pytest.approx(c, rel=1e-10)
+
+    @pytest.mark.parametrize("n, domain", [(64, 8.0), (4096, 32.0)])
+    def test_grid_constant_matches_full_spectrum_sum(self, n, domain):
+        # the full spectrum holds the Nyquist bin once
+        _, dt = midpoint_grid(n, domain)
+        freqs = 2 * np.pi * np.fft.fftfreq(n, d=dt)
+        full = np.sum(1.0 / (1.0 + np.abs(freqs) ** 1.5)) / (n * dt)
+        assert grid_sobolev_constant(A75, n, dt) == pytest.approx(np.sqrt(full), rel=1e-13)
 
     def test_sup_bound_holds_on_random_ensemble(self, rng):
         c = sobolev_constant(A75, N_DEFAULT, DT)
