@@ -126,19 +126,19 @@ CSV_BLOCK_ROWS = 256  # rows formatted per block: bounded memory, few Python cal
 def _write_solution_csv(path: str, u):
     """``t,u_1,...,u_n`` with every value as ``%.17g``, which round-trips a double.
 
-    One row template is applied to the ``tolist()`` of a block of rows at a
-    time; the whole table as Python floats at once would cost about a MiB at
-    N = 8192.
+    Each block of rows is formatted by one ``%`` of the row template
+    repeated once per row; the whole table as Python floats at once would
+    cost about a MiB at N = 8192.
     """
     cols = ["t"] + [f"u_{i + 1}" for i in range(u.n_components)]
-    template = ",".join(["%.17g"] * len(cols)) + "\n"
+    row_template = ",".join(["%.17g"] * len(cols)) + "\n"
     times = u.times
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
         for start in range(0, u.n_samples, CSV_BLOCK_ROWS):
             rows = slice(start, start + CSV_BLOCK_ROWS)
-            block = np.column_stack([times[rows], u.values[rows]]).tolist()
-            fh.write("".join([template % tuple(row) for row in block]))
+            block = np.column_stack([times[rows], u.values[rows]])
+            fh.write((row_template * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _check_section(report) -> dict:

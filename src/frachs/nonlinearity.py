@@ -171,9 +171,17 @@ def verify_growth(
     directions and 24 amplitudes |u| up to 2.  W2: |W(t, u)| >= eta |u|^nu
     for t in the closed core and |u| <= delta.  Also cross-checks the declared
     gradient against centered differences of the density away from u = 0.
-    A closed core without grid samples raises :class:`ResolutionError`.
+    Each (direction, amplitude) sample evaluates the gradient once, on a
+    broadcast row, and W1 and the difference check share it.  A closed core
+    without grid samples raises :class:`ResolutionError`.
     """
     times = np.asarray(times, dtype=float)
+    t_core = times[(times >= core[0]) & (times <= core[1])]
+    if t_core.size == 0:
+        raise ResolutionError(
+            f"the closed core {core} holds no grid sample: the grid does not resolve the core"
+        )
+    shape = (len(times), n_components)
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((4, n_components))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -181,16 +189,37 @@ def verify_growth(
     xi_vals = nl.xi_at(times)
     checks = []
 
+    h = 1e-5
     worst_w1, loc_w1 = np.inf, (np.nan, np.nan)
+    worst_fd, loc_fd = 0.0, np.nan
     for d in dirs:
         for s in amps:
-            u = np.broadcast_to(s * d, (len(times), n_components))
-            g = nl.gradient(times, u)
+            row = s * d
+            g = nl.gradient(times, np.broadcast_to(row, shape))
             gmag = np.sqrt(pointwise_dot(g, g))
             slack = xi_vals * s ** (nl.p - 1.0) - gmag
             j = int(np.argmin(slack))
             if slack[j] < worst_w1:
                 worst_w1, loc_w1 = float(slack[j]), (float(times[j]), float(s))
+            if s < 0.25:
+                continue
+            gscale = max(float(np.max(gmag)), 1e-300)
+            fd = np.empty_like(g)
+            for c in range(n_components):
+                up, dn = row.copy(), row.copy()
+                up[c] += h
+                dn[c] -= h
+                fd[:, c] = (
+                    nl.density(times, np.broadcast_to(up, shape))
+                    - nl.density(times, np.broadcast_to(dn, shape))
+                ) / (2.0 * h)
+            diff = fd - g
+            err = np.sqrt(pointwise_dot(diff, diff))
+            den = np.maximum(gmag, 1e-4 * gscale)
+            rel = err / den
+            j = int(np.argmax(rel))
+            if rel[j] > worst_fd:
+                worst_fd, loc_fd = float(rel[j]), float(times[j])
     checks.append(
         CheckResult(
             "W1-growth",
@@ -201,12 +230,6 @@ def verify_growth(
         )
     )
 
-    on_core = (times >= core[0]) & (times <= core[1])
-    t_core = times[on_core]
-    if t_core.size == 0:
-        raise ResolutionError(
-            f"the closed core {core} holds no grid sample: the grid does not resolve the core"
-        )
     worst_w2, loc_w2 = np.inf, (np.nan, np.nan)
     small = amps[amps <= nl.delta]
     if small.size == 0:
@@ -229,27 +252,6 @@ def verify_growth(
         )
     )
 
-    h = 1e-5
-    worst_fd, loc_fd = 0.0, np.nan
-    for d in dirs:
-        for s in amps[amps >= 0.25]:
-            u = np.broadcast_to(s * d, (len(times), n_components)).copy()
-            g = nl.gradient(times, u)
-            gmag = np.sqrt(pointwise_dot(g, g))
-            gscale = max(float(np.max(gmag)), 1e-300)
-            fd = np.empty_like(g)
-            for c in range(n_components):
-                up, dn = u.copy(), u.copy()
-                up[:, c] += h
-                dn[:, c] -= h
-                fd[:, c] = (nl.density(times, up) - nl.density(times, dn)) / (2.0 * h)
-            diff = fd - g
-            err = np.sqrt(pointwise_dot(diff, diff))
-            den = np.maximum(gmag, 1e-4 * gscale)
-            rel = err / den
-            j = int(np.argmax(rel))
-            if rel[j] > worst_fd:
-                worst_fd, loc_fd = float(rel[j]), float(times[j])
     checks.append(
         CheckResult(
             "gradient-consistency",

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,6 +47,20 @@ class TestSolutionCsv:
             for t, row in zip(u.times, u.values)
         )
         assert path.read_text(encoding="utf-8") == expected
+
+    def test_matches_per_row_template(self, tmp_path):
+        # 300 rows leave a ragged last block of 44; no power of two, so no SampledSignal
+        values = np.random.default_rng(4).standard_normal((300, 2))
+        u = SimpleNamespace(
+            times=-0.1 + 0.025 * np.arange(300), values=values, n_samples=300, n_components=2
+        )
+        path = tmp_path / "solution.csv"
+        _write_solution_csv(str(path), u)
+        template = "%.17g,%.17g,%.17g\n"
+        expected = "t,u_1,u_2\n" + "".join(
+            template % (t, *row) for t, row in zip(u.times.tolist(), u.values.tolist())
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
 
 
 class TestConfigParsing:

@@ -14,6 +14,7 @@ from frachs import (
     lambda_norm,
     lower_bound,
     lower_bound_minimum,
+    midpoint_grid,
     negative_energy_witness,
     pointwise_dot,
     power_nonlinearity,
@@ -28,10 +29,82 @@ from frachs import (
 )
 from frachs.nonlinearity import Nonlinearity
 from frachs.solver import _Objective
+from frachs.spaces import CheckReport, CheckResult
 
 from conftest import DT, N_DEFAULT, T_MIN
 
 TIMES = T_MIN + DT * np.arange(N_DEFAULT)
+
+
+def _reference_growth_report(nl, times, core, n_components, seed):
+    """``verify_growth`` as separate W1, W2 and difference loops, each evaluating
+    its own gradients on ``(N, n)`` copies: the reference the one-pass check must match."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((4, n_components))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    amps = np.linspace(0.0, 2.0, 25)[1:]
+    xi_vals = nl.xi_at(times)
+    checks = []
+
+    worst_w1, loc_w1 = np.inf, (np.nan, np.nan)
+    for d in dirs:
+        for s in amps:
+            u = np.broadcast_to(s * d, (len(times), n_components))
+            g = nl.gradient(times, u)
+            gmag = np.sqrt(pointwise_dot(g, g))
+            slack = xi_vals * s ** (nl.p - 1.0) - gmag
+            j = int(np.argmin(slack))
+            if slack[j] < worst_w1:
+                worst_w1, loc_w1 = float(slack[j]), (float(times[j]), float(s))
+    checks.append(CheckResult(
+        "W1-growth", worst_w1 >= -1e-12, worst_w1, loc_w1[0],
+        f"|grad W| <= xi(t)|u|^(p-1); worst at |u| = {loc_w1[1]:.3g}",
+    ))
+
+    t_core = times[(times >= core[0]) & (times <= core[1])]
+    worst_w2, loc_w2 = np.inf, (np.nan, np.nan)
+    small = amps[amps <= nl.delta]
+    if small.size == 0:
+        small = np.array([nl.delta / 2.0])
+    for d in dirs:
+        for s in small:
+            u = np.broadcast_to(s * d, (len(t_core), n_components))
+            w = np.abs(nl.density(t_core, u))
+            slack = w - nl.eta * s**nl.nu
+            j = int(np.argmin(slack))
+            if slack[j] < worst_w2:
+                worst_w2, loc_w2 = float(slack[j]), (float(t_core[j]), float(s))
+    checks.append(CheckResult(
+        "W2-lower-bound", worst_w2 >= -1e-12, worst_w2, loc_w2[0],
+        f"|W| >= eta |u|^nu on the core; worst at |u| = {loc_w2[1]:.3g}",
+    ))
+
+    h = 1e-5
+    worst_fd, loc_fd = 0.0, np.nan
+    for d in dirs:
+        for s in amps[amps >= 0.25]:
+            u = np.broadcast_to(s * d, (len(times), n_components)).copy()
+            g = nl.gradient(times, u)
+            gmag = np.sqrt(pointwise_dot(g, g))
+            gscale = max(float(np.max(gmag)), 1e-300)
+            fd = np.empty_like(g)
+            for c in range(n_components):
+                up, dn = u.copy(), u.copy()
+                up[:, c] += h
+                dn[:, c] -= h
+                fd[:, c] = (nl.density(times, up) - nl.density(times, dn)) / (2.0 * h)
+            diff = fd - g
+            err = np.sqrt(pointwise_dot(diff, diff))
+            den = np.maximum(gmag, 1e-4 * gscale)
+            rel = err / den
+            j = int(np.argmax(rel))
+            if rel[j] > worst_fd:
+                worst_fd, loc_fd = float(rel[j]), float(times[j])
+    checks.append(CheckResult(
+        "gradient-consistency", worst_fd <= 1e-5, 1e-5 - worst_fd, loc_fd,
+        "declared gradient vs centered differences of W away from u = 0",
+    ))
+    return CheckReport(tuple(checks))
 
 
 class TestGrowthChecks:
@@ -74,6 +147,53 @@ class TestGrowthChecks:
         )
         report = verify_growth(lying, TIMES, (0.0, 0.5))
         assert "gradient-consistency" in report.failed_names()
+
+    def test_sample_evaluation_counts(self):
+        # one gradient per (direction, amplitude) sample; the difference check
+        # adds two full-grid densities per component at the 22 amplitudes >= 0.25
+        base = power_nonlinearity()
+        n, calls = 2, {"gradient": 0, "full": 0, "core": 0}
+
+        def gradient(t, u):
+            calls["gradient"] += 1
+            return base.gradient(t, u)
+
+        def density(t, u):
+            calls["full" if len(t) == N_DEFAULT else "core"] += 1
+            return base.density(t, u)
+
+        counted = Nonlinearity(
+            density=density, gradient=gradient,
+            p=base.p, xi=base.xi, eta=base.eta, delta=base.delta, nu=base.nu,
+        )
+        verify_growth(counted, TIMES, (0.0, 0.5), n_components=n)
+        # W2 samples the 12 amplitudes <= delta = 1 on the core
+        assert calls == {"gradient": 4 * 24, "full": 4 * 22 * 2 * n, "core": 4 * 12}
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["power", "power-regularized", "zero", "lying"])
+    def test_matches_reference_loops(self, name, n, seed):
+        base = power_nonlinearity()
+        nl = {
+            "power": base,
+            "power-regularized": power_nonlinearity(eps=0.3),
+            "zero": zero_nonlinearity(),
+            "lying": Nonlinearity(
+                density=base.density,
+                gradient=lambda t, u: 1.5 * base.gradient(t, u),
+                p=base.p, xi=base.xi, eta=base.eta, delta=base.delta, nu=base.nu,
+            ),
+        }[name]
+        t_min, dt = midpoint_grid(1024, 32.0)
+        times = t_min + dt * np.arange(1024)
+        got = verify_growth(nl, times, (0.0, 0.5), n_components=n, seed=seed)
+        ref = _reference_growth_report(nl, times, (0.0, 0.5), n, seed)
+        assert len(got.checks) == len(ref.checks)
+        for a, b in zip(got.checks, ref.checks):
+            assert (a.name, a.passed, a.detail) == (b.name, b.passed, b.detail)
+            assert a.worst_margin == b.worst_margin
+            assert a.location == b.location or (np.isnan(a.location) and np.isnan(b.location))
 
     def test_nu_below_p_rejected(self):
         with pytest.raises(ValueError, match="nu"):

@@ -68,6 +68,20 @@ class TestVerifyPotential:
         report = verify_potential(bad, TIMES)
         assert "L1-symmetry" in report.failed_names()
 
+    def test_rotated_matrix_matches_einsum_bits(self):
+        # the two-term sum reproduces rot diag(wall, 2 wall) rot^T as numpy's einsum forms it
+        pot, scalar = rotated_well_potential(), vanishing_well_potential()
+        c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
+        rot = np.array([[c, -s], [s, c]])
+        fine_min, fine_dt = midpoint_grid(8192, 32.0)
+        random_times = np.random.default_rng(5).uniform(-20.0, 20.0, 4096)
+        for t in (fine_min + fine_dt * np.arange(8192), random_times):
+            wall = scalar.matrix_at(t)[:, 0, 0]
+            diag = np.zeros((len(t), 2, 2))
+            diag[:, 0, 0] = wall
+            diag[:, 1, 1] = 2.0 * wall
+            assert np.array_equal(pot.matrix_at(t), np.einsum("ij,njk,lk->nil", rot, diag, rot))
+
     def test_envelope_violation_detected(self):
         # 0.01 * wall dips below the envelope where l has saturated to 1
         base = vanishing_well_potential()
