@@ -9,71 +9,11 @@ interval where the potential matrix vanishes.
 
 __version__ = "0.1.0"
 
-from .energy import (
-    Problem,
-    WitnessError,
-    default_problem,
-    directional_derivative,
-    evaluate_energy,
-    gradient,
-    lower_bound,
-    lower_bound_minimum,
-    negative_energy_witness,
-    smooth_bump,
-)
-from .fracops import (
-    grunwald_weights,
-    left_derivative,
-    left_integral,
-    quadrature_left_derivative,
-    right_derivative,
-    riesz_composition,
-    seminorm_alpha,
-)
-from .grid import (
-    FracOrder,
-    SampledSignal,
-    l2_norm,
-    midpoint_grid,
-    pointwise_dot,
-    random_band_limited,
-    reflect,
-    signal_from_function,
-)
-from .nonlinearity import (
-    Nonlinearity,
-    power_nonlinearity,
-    verify_growth,
-    zero_nonlinearity,
-)
-from .solver import (
-    DivergenceError,
-    SolveResult,
-    SolverConfig,
-    SweepReport,
-    SweepRow,
-    concentration_sweep,
-    minimize,
-    solve_bvp,
-    uniform_bound_constant,
-)
-from .spaces import (
-    AdmissibilityError,
-    CheckReport,
-    EmbeddingConstants,
-    PotentialMatrix,
-    ResolutionError,
-    compute_embedding_constants,
-    continuum_sobolev_constant,
-    embedding_bounds,
-    grid_sobolev_constant,
-    h_alpha_norm,
-    lambda_norm,
-    measure_sublevel,
-    rotated_well_potential,
-    sobolev_constant,
-    vanishing_well_potential,
-    verify_potential,
-)
+from .energy import *
+from .fracops import *
+from .grid import *
+from .nonlinearity import *
+from .solver import *
+from .spaces import *
 
 __all__ = [name for name in dir() if not name.startswith("_")]

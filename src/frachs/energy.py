@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fracops import half_spectrum
-from .grid import FracOrder, SampledSignal
+from .grid import FracOrder, SampledSignal, pointwise_dot
 from .nonlinearity import Nonlinearity, power_nonlinearity
 from .spaces import (
     EmbeddingConstants,
@@ -62,6 +62,13 @@ class Problem:
     :meth:`precondition` the inverse of the surrogate
     ``D^(1/2) (c + |w|^(2a)) D^(1/2)``, ``D = 1 + lam diag(L(t)) / s``, whose
     kinetic block is shifted to the potential level ``c`` (:meth:`shift`).
+    :meth:`energy`, :meth:`grad` and :meth:`hessian` are the functional ``I``
+    and its derivatives on the same arrays, as the solver descends them.
+    The restricted (Dirichlet) problem is the same functional on the signals
+    that vanish outside an interval: :meth:`restricted` marks the ``(N, n)``
+    samples the descent may move in the boolean ``free`` (``None`` for the
+    whole line), and :meth:`project`, hence ``grad``, ``hessian`` and
+    ``precondition``, zero everything outside it.
     Layout rule: component-axis sums go through
     :func:`~frachs.grid.pointwise_dot` or per-component columns, and
     coefficient arrays are kept at the full ``(., n)`` shape
@@ -87,6 +94,7 @@ class Problem:
     parseval: np.ndarray = field(init=False, repr=False)
     precond: np.ndarray = field(init=False, repr=False)
     scaling: np.ndarray = field(init=False, repr=False)
+    free: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         times = self.t_min + self.dt * np.arange(self.n_samples)
@@ -113,40 +121,35 @@ class Problem:
         ``|w|^(2a)`` at half the Nyquist frequency, the median of the
         half-spectrum multipliers, and the wall ``lam L`` takes over the
         diagonal where it exceeds that kinetic scale.  ``precond`` is the
-        half-spectrum kinetic block :meth:`kinetic_inverse` over the whole grid.
-        Construction and :meth:`with_lam` both pass here, so ``lam`` is checked here.
+        half-spectrum kinetic block ``1 / (c + |w|^(2a))``, ``(N/2 + 1, n)``,
+        with ``c`` = :meth:`shift`.  Construction, :meth:`with_lam` and
+        :meth:`restricted` all pass here, so ``lam`` is checked here.
         """
         if not 0 < self.lam < np.inf:
             raise ValueError(f"weight lam must be positive and finite, got {self.lam}")
         s = (np.pi / (2.0 * self.dt)) ** self.order.doubled
         scaling = (1.0 + self.lam * self._diagonal() / s) ** -0.5
-        scaling.setflags(write=False)
-        object.__setattr__(self, "scaling", scaling)
-        object.__setattr__(self, "precond", self.kinetic_inverse())
+        precond = 1.0 / (self.shift() + self.kinetic)
+        for name, value in (("scaling", scaling), ("precond", precond)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def _diagonal(self) -> np.ndarray:
         return np.diagonal(self.matrix_values, axis1=1, axis2=2)
 
-    def shift(self, free: np.ndarray | None = None) -> float:
+    def shift(self) -> float:
         """Shift ``c = max(1, mean of lam diag L(t))`` of the kinetic block.
 
         The mean runs over the ``(N, n)`` entries the descent may move: all of
-        them, or those where the boolean ``free`` is set.  Where ``lam L``
-        fills most of the line the low-frequency Hessian
-        ``|w|^(2a) + lam L - W''`` sits near ``c``, not near 1 (the shifted
-        kinetic block of Antoine, Levitt and Tang, J. Comput. Phys. 2017); on
-        the core, where ``L = 0``, ``c`` stays 1.
+        them, or those in ``free``.  Where ``lam L`` fills most of the line
+        the low-frequency Hessian ``|w|^(2a) + lam L - W''`` sits near ``c``,
+        not near 1 (the shifted kinetic block of Antoine, Levitt and Tang,
+        J. Comput. Phys. 2017); on the core, where ``L = 0``, ``c`` stays 1.
         """
         diag = self._diagonal()
-        if free is not None:
-            diag = diag[free]
+        if self.free is not None:
+            diag = diag[self.free]
         return max(1.0, self.lam * float(np.mean(diag)))
-
-    def kinetic_inverse(self, free: np.ndarray | None = None) -> np.ndarray:
-        """Half-spectrum ``1 / (c + |w|^(2a))``, ``(N/2 + 1, n)``, with ``c = shift(free)``."""
-        out = 1.0 / (self.shift(free) + self.kinetic)
-        out.setflags(write=False)
-        return out
 
     @property
     def n_components(self) -> int:
@@ -165,9 +168,24 @@ class Problem:
         return xi_norm / (p * self.constants.theta0 ** (p / 2.0))
 
     def with_lam(self, lam: float) -> "Problem":
-        """The same grid and data at another weight, sharing every array but the scaling."""
+        """The same grid, data and ``free`` at another weight, sharing every array but the scaling."""
         other = copy.copy(self)
         object.__setattr__(other, "lam", lam)
+        other._set_scaling()
+        return other
+
+    def restricted(self, interval: tuple[float, float]) -> "Problem":
+        """The same problem on the signals that vanish outside the open ``interval``.
+
+        Its ``free`` marks the samples strictly inside ``interval``, so the
+        Dirichlet values are exact zeros by zero extension.
+        """
+        lo, hi = interval
+        inside = (self.times > lo) & (self.times < hi)
+        free = np.repeat(inside[:, None], self.n_components, axis=1)
+        free.setflags(write=False)
+        other = copy.copy(self)
+        object.__setattr__(other, "free", free)
         other._set_scaling()
         return other
 
@@ -193,17 +211,48 @@ class Problem:
         weighted += principal
         return weighted
 
-    def precondition(self, x: np.ndarray, kernel: np.ndarray | None = None) -> np.ndarray:
-        """``D^(-1/2) (c + |w|^(2a))^(-1) D^(-1/2) x``: symmetric positive in L2(dt).
-
-        ``kernel`` is a :meth:`kinetic_inverse` array; by default ``precond``,
-        the shift over the whole grid.
-        """
+    def precondition(self, x: np.ndarray) -> np.ndarray:
+        """``D^(-1/2) (c + |w|^(2a))^(-1) D^(-1/2) x``, projected: symmetric positive in L2(dt)."""
         d = self.scaling
-        kernel = self.precond if kernel is None else kernel
-        out = np.fft.irfft(kernel * np.fft.rfft(d * x, axis=0), self.n_samples, axis=0)
+        out = np.fft.irfft(self.precond * np.fft.rfft(d * x, axis=0), self.n_samples, axis=0)
         out *= d
-        return out
+        return self.project(out)
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """``x`` with every sample outside ``free`` set to 0 (``x`` itself on the whole line)."""
+        if self.free is None:
+            return x
+        return np.where(self.free, x, 0.0)
+
+    def energy(self, vals: np.ndarray) -> float:
+        """``I`` at raw samples, or ``+inf`` where it is not finite, so no such step is accepted."""
+        w = self.nonlinearity.density(self.times, vals)
+        f = 0.5 * self.form(vals, vals) - float(self.dt * np.sum(w))
+        return f if np.isfinite(f) else np.inf
+
+    def grad(self, vals: np.ndarray) -> np.ndarray:
+        """The projected L2 representer of the first variation at raw samples."""
+        grad_w = self.nonlinearity.gradient(self.times, vals)
+        out = self.apply(vals)
+        out -= grad_w
+        return self.project(out)
+
+    def hessian(self, vals: np.ndarray):
+        """The projected Hessian action at ``vals``, with the coefficients of ``W''`` formed once."""
+        f, g = self.nonlinearity.hessian_at(self.times, vals)
+        f = np.repeat(f[:, None], vals.shape[1], axis=1)
+        gu = g[:, None] * vals
+
+        def action(v: np.ndarray) -> np.ndarray:
+            uv = pointwise_dot(vals, v)
+            curvature = f * v
+            for i in range(v.shape[1]):
+                curvature[:, i] += uv * gu[:, i]
+            out = self.apply(v)
+            out -= curvature
+            return self.project(out)
+
+        return action
 
     def check_signal(self, u: SampledSignal):
         if u.n_samples != self.n_samples or u.t_min != self.t_min or u.dt != self.dt:
@@ -212,11 +261,6 @@ class Problem:
             raise ValueError(
                 f"signal has {u.n_components} components, problem has {self.n_components}"
             )
-
-    def zero_signal(self) -> SampledSignal:
-        return SampledSignal(
-            self.t_min, self.dt, np.zeros((self.n_samples, self.n_components))
-        )
 
     def lambda_norm_sq(self, u: SampledSignal) -> float:
         return self.form(u.values, u.values)

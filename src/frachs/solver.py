@@ -1,26 +1,29 @@
 """Monotone descent to the nontrivial minimizer, the restricted Dirichlet
 problem, and the weight-sweep harness that exhibits concentration.
 
-The minimizer runs truncated Newton-CG from the first iterate: conjugate
-gradients on the true Hessian action, stopped at negative curvature, then
-Armijo backtracking in the L2(dt) inner product; when the line search rejects
-that direction, the preconditioned steepest-descent direction is tried before
-the descent stops.  The pointwise coefficients of ``W''(u)``
-(``Nonlinearity.hessian_at``) are formed once per Newton step, so a CG
-iteration costs one ``Problem.apply`` and a few array products.  CG is
-preconditioned by ``Problem.precondition``, the inverse of the kinetic
-surrogate ``c + |w|^(2a)`` scaled on both sides by ``D^(-1/2)``,
+The descent acts on one ``Problem`` through its raw-array ``energy``,
+``grad``, ``hessian`` and ``precondition``; the restricted problem is the
+same functional on ``Problem.restricted(core)``, whose projection keeps every
+iterate zero outside the core.  The minimizer runs truncated Newton-CG from
+the first iterate: conjugate gradients on the true Hessian action, stopped at
+negative curvature, then Armijo backtracking in the L2(dt) inner product;
+when the line search rejects that direction, the preconditioned
+steepest-descent direction is tried before the descent stops.  The pointwise
+coefficients of ``W''(u)`` (``Nonlinearity.hessian_at``) are formed once per
+Newton step, so a CG iteration costs one ``Problem.apply`` and a few array
+products.  CG is preconditioned by ``Problem.precondition``, the inverse of
+the kinetic surrogate ``c + |w|^(2a)`` scaled on both sides by ``D^(-1/2)``,
 ``D = 1 + lam diag(L(t)) / s``: a symmetric kinetic/potential split that
 accounts for the wall term ``lam L`` where it dominates the diagonal.  The
 shift ``c = Problem.shift`` lifts the kinetic block to the mean wall level
 over the samples the descent may move, where the low-frequency Hessian
-sits; it is built once per descent.  The Newton forcing term is
+sits; it is built once per problem.  The Newton forcing term is
 ``min(0.5, |g|)``, so the inner solves tighten quadratically near the
 minimizer.  The line search accepts only steps that strictly lower the
 energy, and every iterate is checked against the closed-form coercivity
 floor; dropping below it signals a gradient bug and raises.  Every result
 names why the descent stopped: ``grad_tol``, ``max_iters`` or
-``no_descent``.
+``no_descent``, and carries the energy of its last accepted iterate.
 
 The line search (``ARMIJO``, ``SHRINK``) and the CG cap (``MAX_CG``) are fixed
 constants; ``SolverConfig`` holds only ``max_iters`` and ``grad_tol``.
@@ -41,7 +44,6 @@ import numpy as np
 from .energy import (
     Problem,
     WitnessError,
-    evaluate_energy,
     lower_bound_minimum,
     negative_energy_witness,
     smooth_bump,
@@ -94,105 +96,43 @@ class SolveResult:
     stop_reason: str
 
 
-class _Objective:
-    """Raw-array energy/gradient/Hessian bound to one problem instance.
+def _inner(prob: Problem, x: np.ndarray, y: np.ndarray) -> float:
+    return float(prob.dt * np.sum(x * y))
 
-    An optional boolean mask restricts the search to a subspace (values
-    outside the mask pinned to zero), realizing the Dirichlet constraint by
-    zero extension.
-    """
 
-    def __init__(self, prob: Problem, mask: np.ndarray | None = None):
-        self.prob = prob
-        # coefficient arrays at the full (N, n) shape: column broadcasts are slow
-        self.mask = None if mask is None else np.repeat(
-            np.asarray(mask, bool)[:, None], prob.n_components, axis=1
+def _norm(prob: Problem, x: np.ndarray) -> float:
+    return float(np.sqrt(prob.dt * np.sum(x**2)))
+
+
+def _check_floor(energy: float, floor: float):
+    if energy < floor - 1e-9 * (1.0 + abs(floor)):
+        raise DivergenceError(
+            f"iterate energy {energy:.6e} fell below the coercivity floor "
+            f"{floor:.6e}; the gradient is inconsistent with the energy"
         )
-        self.dt = prob.dt
-        # the kinetic block's shift, over the samples the descent may move
-        self.kernel = prob.precond if mask is None else prob.kinetic_inverse(self.mask)
-        self.floor = lower_bound_minimum(prob)[1]
-        self.n_energy = 0
-        self.n_grad = 0
-
-    def project(self, vals: np.ndarray) -> np.ndarray:
-        if self.mask is None:
-            return vals
-        return np.where(self.mask, vals, 0.0)
-
-    def inner(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(self.dt * np.sum(x * y))
-
-    def norm(self, x: np.ndarray) -> float:
-        return float(np.sqrt(self.dt * np.sum(x**2)))
-
-    def energy(self, vals: np.ndarray) -> float:
-        """The energy, or ``+inf`` where it is not finite, so no such step is accepted."""
-        self.n_energy += 1
-        prob = self.prob
-        w = prob.nonlinearity.density(prob.times, vals)
-        f = 0.5 * prob.form(vals, vals) - float(self.dt * np.sum(w))
-        return f if np.isfinite(f) else np.inf
-
-    def grad(self, vals: np.ndarray) -> np.ndarray:
-        self.n_grad += 1
-        prob = self.prob
-        grad_w = prob.nonlinearity.gradient(prob.times, vals)
-        out = prob.apply(vals)
-        out -= grad_w
-        return self.project(out)
-
-    def hessian(self, vals: np.ndarray):
-        """The Hessian action at ``vals``, with the coefficients of ``W''`` formed once."""
-        prob = self.prob
-        f, g = prob.nonlinearity.hessian_at(prob.times, vals)
-        f = np.repeat(f[:, None], vals.shape[1], axis=1)
-        gu = g[:, None] * vals
-
-        def action(v: np.ndarray) -> np.ndarray:
-            uv = pointwise_dot(vals, v)
-            curvature = f * v
-            for i in range(v.shape[1]):
-                curvature[:, i] += uv * gu[:, i]
-            out = prob.apply(v)
-            out -= curvature
-            return self.project(out)
-
-        return action
-
-    def precondition(self, x: np.ndarray) -> np.ndarray:
-        return self.project(self.prob.precondition(x, self.kernel))
-
-    def check_floor(self, energy: float):
-        tol = 1e-9 * (1.0 + abs(self.floor))
-        if energy < self.floor - tol:
-            raise DivergenceError(
-                f"iterate energy {energy:.6e} fell below the coercivity floor "
-                f"{self.floor:.6e}; the gradient is inconsistent with the energy"
-            )
 
 
-def _backtrack(obj, vals, f, g, d):
+def _backtrack(prob, vals, f, g, d):
     """Armijo backtracking from unit step; returns (new_vals, new_f) or None.
 
     A step is accepted only if it strictly lowers the energy: once the slope
     is below the rounding of ``f`` the Armijo test alone reads ``f_new <= f``
     and would accept a step that leaves the energy unchanged.
     """
-    slope = obj.inner(g, d)
+    slope = _inner(prob, g, d)
     if slope >= 0.0:
         return None
     tau = 1.0
     while tau > 1e-20:
         cand = vals + tau * d
-        f_new = obj.energy(cand)
+        f_new = prob.energy(cand)
         if f_new < f and f_new <= f + ARMIJO * tau * slope:
             return cand, f_new
         tau *= SHRINK
     return None
 
 
-def _truncated_cg(obj, hess, g, rel_tol):
+def _truncated_cg(prob, hess, g, rel_tol):
     """Approximately solve ``hess(d) = -g``, exiting on negative curvature.
 
     A nonpositive ``(r, z)`` means the preconditioner lost definiteness at
@@ -200,57 +140,60 @@ def _truncated_cg(obj, hess, g, rel_tol):
     """
     d = np.zeros_like(g)
     r = -g
-    z = obj.precondition(r)
+    z = prob.precondition(r)
     p = z
-    rz = obj.inner(r, z)
-    r0 = obj.norm(r)
+    rz = _inner(prob, r, z)
+    r0 = _norm(prob, r)
     for i in range(MAX_CG):
         if rz <= 0.0:
             return d
         hp = hess(p)
-        php = obj.inner(p, hp)
-        if php <= 1e-16 * obj.inner(p, p):
+        php = _inner(prob, p, hp)
+        if php <= 1e-16 * _inner(prob, p, p):
             return (z if i == 0 else d)
         a = rz / php
         d += a * p
         r -= a * hp
-        if obj.norm(r) <= rel_tol * r0:
+        if _norm(prob, r) <= rel_tol * r0:
             return d
-        z = obj.precondition(r)
-        rz_new = obj.inner(r, z)
+        z = prob.precondition(r)
+        rz_new = _inner(prob, r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     return d
 
 
-def _descend(prob, cfg, start_vals, mask=None) -> SolveResult:
-    """Truncated Newton-CG from ``start_vals``, with a steepest-descent fallback."""
-    obj = _Objective(prob, mask)
-    vals = obj.project(np.array(start_vals, dtype=float))
-    f = obj.energy(vals)
-    g = obj.grad(vals)
-    obj.check_floor(f)
-    g_norm = obj.norm(g)
+def _descend(prob, cfg, start_vals) -> SolveResult:
+    """Truncated Newton-CG from ``start_vals``, with a steepest-descent fallback.
+
+    On a :meth:`~frachs.energy.Problem.restricted` problem every iterate
+    stays zero outside ``prob.free``.
+    """
+    floor = lower_bound_minimum(prob)[1]
+    vals = prob.project(np.array(start_vals, dtype=float))
+    f = prob.energy(vals)
+    g = prob.grad(vals)
+    _check_floor(f, floor)
+    g_norm = _norm(prob, g)
     history = [(f, g_norm)]
     steps = 0
     stop_reason = "max_iters"
     while steps < cfg.max_iters and g_norm > cfg.grad_tol:
-        d = _truncated_cg(obj, obj.hessian(vals), g, min(0.5, g_norm))
-        step = _backtrack(obj, vals, f, g, d) or _backtrack(obj, vals, f, g, -obj.precondition(g))
+        d = _truncated_cg(prob, prob.hessian(vals), g, min(0.5, g_norm))
+        step = _backtrack(prob, vals, f, g, d) or _backtrack(prob, vals, f, g, -prob.precondition(g))
         if step is None:
             stop_reason = "no_descent"  # no direction lowers the energy at rounding level
             break
         vals, f = step
-        g = obj.grad(vals)
-        obj.check_floor(f)
-        g_norm = obj.norm(g)
+        g = prob.grad(vals)
+        _check_floor(f, floor)
+        g_norm = _norm(prob, g)
         steps += 1
         history.append((f, g_norm))
-    u = SampledSignal(prob.t_min, prob.dt, vals)
     converged = g_norm <= cfg.grad_tol
     return SolveResult(
-        u=u,
-        energy=evaluate_energy(u, prob),
+        u=SampledSignal(prob.t_min, prob.dt, vals),
+        energy=f,
         grad_norm=g_norm,
         grad_norm_weighted=float(np.sqrt(prob.form(g, g))),
         iterations=steps,
@@ -299,16 +242,15 @@ def solve_bvp(prob: Problem, cfg: SolverConfig) -> SolveResult:
 
     The core must be normalized to start at 0 (an interval (0, T)).  Dirichlet
     values outside the open core are pinned to exact zeros by construction
-    (zero-extension representation on the full grid).  One descent runs, from
-    the negative-energy bump; on the core ``L = 0``, so the preconditioner's
-    kinetic shift stays 1 there.
+    (zero-extension representation on the full grid): one descent runs on
+    ``prob.restricted(core)``, from the negative-energy bump.  On the core
+    ``L = 0``, so the preconditioner's kinetic shift stays 1 there.
     """
     lo, hi = prob.potential.core
     if lo != 0.0:
         raise ValueError(f"the restricted problem expects a core (0, T), got ({lo}, {hi})")
-    mask = (prob.times > lo) & (prob.times < hi)
     base, s = _witness(prob)
-    return _descend(prob, cfg, s * base, mask)
+    return _descend(prob.restricted((lo, hi)), cfg, s * base)
 
 
 def uniform_bound_constant(prob: Problem) -> float:

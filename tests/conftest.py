@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
-from frachs import SolverConfig, default_problem, midpoint_grid
+from frachs import SampledSignal, SolverConfig, default_problem, midpoint_grid
 
 # default desk-scale grid
 N_DEFAULT = 4096
 DOMAIN_DEFAULT = 32.0
 T_MIN, DT = midpoint_grid(N_DEFAULT, DOMAIN_DEFAULT)
+
+
+def zero_signal(prob):
+    """The zero signal on the grid of ``prob``."""
+    return SampledSignal(prob.t_min, prob.dt, np.zeros((prob.n_samples, prob.n_components)))
 
 
 @pytest.fixture(scope="session")

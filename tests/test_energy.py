@@ -28,10 +28,9 @@ from frachs import (
     zero_nonlinearity,
 )
 from frachs.nonlinearity import Nonlinearity
-from frachs.solver import _Objective
 from frachs.spaces import CheckReport, CheckResult
 
-from conftest import DT, N_DEFAULT, T_MIN
+from conftest import DT, N_DEFAULT, T_MIN, zero_signal
 
 TIMES = T_MIN + DT * np.arange(N_DEFAULT)
 
@@ -238,7 +237,7 @@ class TestHessianAt:
 
 class TestEnergy:
     def test_zero_signal_zero_energy(self, prob):
-        assert evaluate_energy(prob.zero_signal(), prob) == 0.0
+        assert evaluate_energy(zero_signal(prob), prob) == 0.0
 
     def test_scaling_identity_term_by_term(self, prob):
         u0, s = negative_energy_witness(prob)
@@ -261,13 +260,13 @@ class TestEnergy:
             prob.potential, bad, prob.lam, prob.constants,
         )
         with pytest.raises(ValueError, match="not finite at t"):
-            evaluate_energy(bad_prob.zero_signal(), bad_prob)
+            evaluate_energy(zero_signal(bad_prob), bad_prob)
 
 
 class TestDirectionalDerivative:
     def test_zero_base_point(self, prob, rng):
         phi = random_band_limited(rng, N_DEFAULT, T_MIN, DT)
-        assert directional_derivative(prob.zero_signal(), phi, prob) == pytest.approx(0.0, abs=1e-15)
+        assert directional_derivative(zero_signal(prob), phi, prob) == pytest.approx(0.0, abs=1e-15)
 
     def test_direction_equal_to_point(self, prob, rng):
         u = random_band_limited(rng, N_DEFAULT, T_MIN, DT)
@@ -290,12 +289,12 @@ class TestDirectionalDerivative:
     def test_grid_mismatch_rejected(self, prob):
         phi = SampledSignal(0.0, 0.5, np.zeros(8))
         with pytest.raises(ValueError):
-            directional_derivative(prob.zero_signal(), phi, prob)
+            directional_derivative(zero_signal(prob), phi, prob)
 
 
 class TestGradient:
     def test_zero_point(self, prob):
-        g = gradient(prob.zero_signal(), prob)
+        g = gradient(zero_signal(prob), prob)
         assert np.all(g.values == 0)
 
     def test_riesz_representation(self, prob, rng):
@@ -384,8 +383,7 @@ class TestOperator:
         assert c > 100.0
         assert prob.shift() == pytest.approx(c, rel=1e-14)
         assert np.array_equal(prob.precond, 1.0 / (prob.shift() + prob.kinetic))
-        core = (prob.times > 0.0) & (prob.times < 0.5)
-        assert prob.shift(core) == 1.0
+        assert prob.restricted((0.0, 0.5)).shift() == 1.0
         assert prob.with_lam(1e-6).shift() == 1.0
 
     @pytest.mark.parametrize("factor", [1.0, 1000.0])
@@ -419,6 +417,35 @@ class TestOperator:
         assert other.kinetic is prob.kinetic
         with pytest.raises(ValueError, match="positive"):
             prob.with_lam(0.0)
+
+
+class TestRestricted:
+    """``Problem.restricted``: the same functional on the signals vanishing outside the core."""
+
+    def test_derivatives_vanish_outside_the_open_core(self, prob, rng):
+        restricted = prob.restricted((0.0, 0.5))
+        outside = (prob.times <= 0.0) | (prob.times >= 0.5)
+        u, v = (random_band_limited(rng, N_DEFAULT, T_MIN, DT).values for _ in range(2))
+        vals = 0.1 * u
+        for out in (restricted.grad(vals), restricted.hessian(vals)(v), restricted.precondition(v)):
+            assert np.all(out[outside] == 0.0)
+            assert np.any(out[~outside] != 0.0)
+        # the same functional: on the core the restriction changes nothing
+        assert restricted.energy(vals) == prob.energy(vals)
+        assert np.array_equal(restricted.grad(vals)[~outside], prob.grad(vals)[~outside])
+
+    def test_with_lam_keeps_free_and_leaves_the_parent(self, prob):
+        restricted = prob.restricted((0.0, 0.5))
+        other = restricted.with_lam(100.0 * prob.lam)
+        assert other.free is restricted.free
+        assert not restricted.free.flags.writeable
+        assert prob.free is None
+        assert other.shift() == 1.0
+        assert np.array_equal(prob.precond, 1.0 / (prob.shift() + prob.kinetic))
+
+    def test_precond_is_the_unshifted_kinetic_inverse(self, prob):
+        # on the core L = 0, so the shift is 1
+        assert np.array_equal(prob.restricted((0.0, 0.5)).precond, 1.0 / (1.0 + prob.kinetic))
 
 
 def _symmetric_3x3_potential() -> PotentialMatrix:
@@ -480,12 +507,12 @@ class TestColumnKernels:
         f, g = prob.nonlinearity.hessian_at(prob.times, vals)
         uv = np.sum(vals * v.values, axis=1, keepdims=True)
         ref = prob.apply(v.values) - (f[:, None] * v.values + uv * (g[:, None] * vals))
-        assert np.array_equal(_Objective(prob).hessian(vals)(v.values), ref)
+        assert np.array_equal(prob.hessian(vals)(v.values), ref)
 
 
 class TestLowerBound:
     def test_zero_signal(self, prob):
-        assert lower_bound(prob.zero_signal(), prob) == 0.0
+        assert lower_bound(zero_signal(prob), prob) == 0.0
 
     def test_minimum_matches_scalar_oracle(self, prob):
         p = prob.nonlinearity.p
@@ -512,7 +539,7 @@ class TestLowerBound:
     def test_below_threshold_rejected(self, prob):
         low = prob.with_lam(0.5 * prob.constants.lambda_threshold)
         with pytest.raises(ValueError, match="lam"):
-            lower_bound(low.zero_signal(), low)
+            lower_bound(zero_signal(low), low)
 
     def test_coercivity_beyond_bound_minimizer(self, prob, rng):
         # past the scalar bound's positive root every signal has positive energy

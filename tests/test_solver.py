@@ -11,6 +11,7 @@ from frachs import (
     concentration_sweep,
     default_problem,
     directional_derivative,
+    evaluate_energy,
     l2_norm,
     lower_bound_minimum,
     minimize,
@@ -25,7 +26,7 @@ from frachs import (
 )
 from frachs import solver
 from frachs.nonlinearity import Nonlinearity
-from frachs.solver import _backtrack, _Objective, _truncated_cg, _witness
+from frachs.solver import _backtrack, _truncated_cg, _witness
 
 from conftest import DT, N_DEFAULT, T_MIN
 
@@ -115,22 +116,20 @@ class TestLineSearch:
     def test_rejects_step_that_leaves_energy_unchanged(self, prob):
         # the slope -1e-30 |g|^2 is far below the rounding of f, so every trial
         # point equals the start bit for bit and the Armijo test alone reads f <= f
-        obj = _Objective(prob)
         base, scale = _witness(prob)
         vals = scale * base
-        g = obj.grad(vals)
-        assert _backtrack(obj, vals, obj.energy(vals), g, -1e-30 * g) is None
+        g = prob.grad(vals)
+        assert _backtrack(prob, vals, prob.energy(vals), g, -1e-30 * g) is None
 
 
 class TestNewtonStep:
     def test_hessian_closure_is_evaluated_at_its_iterate(self, prob, rng):
         # a closure built at a second iterate must not reuse the first one's coefficients
-        obj = _Objective(prob)
         base, scale = _witness(prob)
         first = scale * base
         second = first + 0.3 * scale * random_band_limited(rng, N_DEFAULT, T_MIN, DT).values
         v = random_band_limited(rng, N_DEFAULT, T_MIN, DT).values
-        h_first, h_second = obj.hessian(first), obj.hessian(second)
+        h_first, h_second = prob.hessian(first), prob.hessian(second)
 
         def fresh(vals):
             f, g = prob.nonlinearity.hessian_at(prob.times, vals)
@@ -141,15 +140,14 @@ class TestNewtonStep:
             assert np.max(np.abs(action(v) - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.max(np.abs(h_first(v) - h_second(v))) > 1e-3 * np.max(np.abs(fresh(second)))
 
-    def test_cg_stops_on_nonpositive_rz(self, prob):
+    def test_cg_stops_on_nonpositive_rz(self, prob, monkeypatch):
         # a preconditioner that lost definiteness gives (r, z) < 0: CG returns the
         # current (zero) iterate instead of dividing by it
-        obj = _Objective(prob)
-        obj.precondition = lambda x: -x
+        monkeypatch.setattr(Problem, "precondition", lambda self, x: -x)
         base, scale = _witness(prob)
         vals = scale * base
-        g = obj.grad(vals)
-        d = _truncated_cg(obj, obj.hessian(vals), g, 0.5)
+        g = prob.grad(vals)
+        d = _truncated_cg(prob, prob.hessian(vals), g, 0.5)
         assert np.all(d == 0.0)
 
     def test_non_finite_density_reads_as_infinite_energy(self, prob):
@@ -161,19 +159,21 @@ class TestNewtonStep:
                 gradient=base.gradient, hessian_at=base.hessian_at,
                 p=base.p, xi=base.xi, eta=base.eta, delta=base.delta, nu=base.nu,
             )
-            obj = _Objective(_with_nonlinearity(prob, bad))
-            assert obj.energy(np.ones((N_DEFAULT, 1))) == np.inf
+            assert _with_nonlinearity(prob, bad).energy(np.ones((N_DEFAULT, 1))) == np.inf
 
 
 class TestShiftedPreconditioner:
-    def test_descent_shift_follows_its_free_samples(self, prob):
+    def test_descent_shift_follows_its_free_samples(self, prob, cfg, monkeypatch):
         # the full-grid descent shifts the kinetic block to the wall level; the
         # restricted one moves only core samples, where L = 0, so its shift is 1
-        assert _Objective(prob).kernel is prob.precond
+        descended = []
+        monkeypatch.setattr(solver, "_descend", lambda p, *args: descended.append(p))
+        minimize(prob, cfg)
+        solve_bvp(prob, cfg)
+        full, restricted = descended
+        assert full.precond is prob.precond
         assert prob.shift() > 100.0
-        core = (prob.times > 0.0) & (prob.times < 0.5)
-        restricted = _Objective(prob, core)
-        assert np.array_equal(restricted.kernel, 1.0 / (1.0 + prob.kinetic))
+        assert np.array_equal(restricted.precond, 1.0 / (1.0 + prob.kinetic))
 
 
 class TestStopReason:
@@ -400,13 +400,30 @@ class TestSweep:
             concentration_sweep(prob, [0.5 * thr, thr, 10 * thr], cfg)
 
 
+
+class TestReportedEnergy:
+    """``SolveResult.energy`` is the energy of the descent's last accepted iterate."""
+
+    def test_minimize_and_bvp(self, prob, cfg):
+        for res in (minimize(prob, cfg), solve_bvp(prob, cfg)):
+            assert res.energy == res.history[-1][0]
+            assert res.energy == evaluate_energy(res.u, prob)
+
+    def test_every_sweep_descent(self, traced_sweep):
+        report, _, descents = traced_sweep
+        assert len(descents) == 1 + len(report.rows)
+        for res in descents:
+            assert res.energy == res.history[-1][0]
+        assert [r.c_lambda for r in report.rows] == [res.energy for res in descents[1:]]
+
+
 LADDER = (2.0, 20.0, 200.0, 2000.0)
 
 
 def _counted_sweep(prob, cfg):
     """The sweep on ``LADDER`` and the Hessian actions its CG solves took."""
     count = [0]
-    hessian = _Objective.hessian
+    hessian = Problem.hessian
 
     def counting(self, vals):
         action = hessian(self, vals)
@@ -418,7 +435,7 @@ def _counted_sweep(prob, cfg):
         return counted
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_Objective, "hessian", counting)
+        mp.setattr(Problem, "hessian", counting)
         report = concentration_sweep(prob, LADDER, cfg)
     return report, count[0]
 

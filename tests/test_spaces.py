@@ -22,7 +22,7 @@ from frachs import (
 )
 from frachs.spaces import AdmissibilityError, EmbeddingConstants, PotentialMatrix, ResolutionError
 
-from conftest import DT, N_DEFAULT, T_MIN
+from conftest import DT, N_DEFAULT, T_MIN, zero_signal
 
 A75 = FracOrder(0.75)
 TIMES = T_MIN + DT * np.arange(N_DEFAULT)
@@ -266,7 +266,7 @@ class TestEmbeddingConstants:
 
 class TestWeightedNorms:
     def test_zero_signal(self, prob):
-        u = prob.zero_signal()
+        u = zero_signal(prob)
         assert lambda_norm(u, prob.potential, 5.0, A75) == 0.0
 
     def test_core_supported_signal_sees_no_weight(self, prob):
@@ -317,7 +317,7 @@ class TestWeightedNorms:
 class TestEmbeddingBounds:
     def test_zero_signal_zero_margins(self, prob):
         report = embedding_bounds(
-            prob.zero_signal(), prob.constants, prob.potential,
+            zero_signal(prob), prob.constants, prob.potential,
             prob.constants.lambda_threshold, A75,
         )
         assert report.passed
