@@ -8,12 +8,13 @@ bvp          solve the restricted Dirichlet problem on the core interval
 sweep        run the ascending-weight ladder and report concentration
 ops-selftest validate the spectral operators on the configured grid
 
-Exit codes: 0 success, 1 hypothesis/selftest failure, 2 config error
-(including a grid too coarse to resolve the core), 3 solver non-convergence,
-4 flagged sweep row; exit 3 and every flagged row name the stop reason on
-stderr.  Artifacts are stamped with the config hash; identical config + seed
-reproduces byte-identical CSV/JSON payloads (timestamps live only in the
-manifest).
+Exit codes: 0 success, 1 hypothesis/selftest failure (including solve, bvp
+or sweep on a problem without a negative-energy witness, which writes no
+artifacts), 2 config error (including a grid too coarse to resolve the
+core), 3 solver non-convergence, 4 flagged sweep row; exit 3 and every
+flagged row name the stop reason on stderr.  Artifacts are stamped with the
+config hash; identical config + seed reproduces byte-identical CSV/JSON
+payloads (timestamps live only in the manifest).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, parse_config
-from .energy import Problem
+from .energy import Problem, WitnessError
 from .fracops import (
     left_derivative,
     left_integral,
@@ -496,6 +497,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc} (grid_n = {cfg.grid_n}, domain = {cfg.domain:g})",
               file=sys.stderr)
         return EXIT_CONFIG
+    except WitnessError as exc:
+        print(f"hypothesis failure: W2-witness ({exc})", file=sys.stderr)
+        return EXIT_HYPOTHESIS
 
 
 if __name__ == "__main__":

@@ -178,10 +178,16 @@ class Problem:
         """The same problem on the signals that vanish outside the open ``interval``.
 
         Its ``free`` marks the samples strictly inside ``interval``, so the
-        Dirichlet values are exact zeros by zero extension.
+        Dirichlet values are exact zeros by zero extension.  An interval that
+        holds no sample raises :class:`ResolutionError`.
         """
         lo, hi = interval
         inside = (self.times > lo) & (self.times < hi)
+        if not np.any(inside):
+            raise ResolutionError(
+                f"the interval {interval} holds no grid sample (dt = {self.dt:.6g}): "
+                "the grid does not resolve it"
+            )
         free = np.repeat(inside[:, None], self.n_components, axis=1)
         free.setflags(write=False)
         other = copy.copy(self)
@@ -262,9 +268,6 @@ class Problem:
                 f"signal has {u.n_components} components, problem has {self.n_components}"
             )
 
-    def lambda_norm_sq(self, u: SampledSignal) -> float:
-        return self.form(u.values, u.values)
-
 
 def default_problem(
     lam: float | None = None,
@@ -294,18 +297,20 @@ def default_problem(
     return Problem(order, n_samples, t_min, dt, pot, nl, lam, constants)
 
 
-def _density_values(prob: Problem, u: SampledSignal) -> np.ndarray:
-    w = prob.nonlinearity.density(prob.times, u.values)
-    if not np.all(np.isfinite(w)):
-        j = int(np.argmax(~np.isfinite(w)))
-        raise ValueError(f"nonlinear density is not finite at t = {prob.times[j]:.6g}")
-    return w
-
-
 def evaluate_energy(u: SampledSignal, prob: Problem) -> float:
-    """I(u) = 1/2 ||u||_lam^2 - int W(t, u) dt."""
+    """I(u) = 1/2 ||u||_lam^2 - int W(t, u) dt, which is :meth:`Problem.energy` of ``u``.
+
+    A density that is not finite raises, naming the first such time.
+    """
     prob.check_signal(u)
-    return 0.5 * prob.lambda_norm_sq(u) - float(u.dt * np.sum(_density_values(prob, u)))
+    f = prob.energy(u.values)
+    if f == np.inf:
+        bad = ~np.isfinite(prob.nonlinearity.density(prob.times, u.values))
+        if np.any(bad):
+            raise ValueError(
+                f"nonlinear density is not finite at t = {prob.times[np.argmax(bad)]:.6g}"
+            )
+    return f
 
 
 def directional_derivative(u: SampledSignal, phi: SampledSignal, prob: Problem) -> float:
@@ -326,14 +331,12 @@ def gradient(u: SampledSignal, prob: Problem) -> SampledSignal:
     """L2-Riesz representer of the first variation.
 
     g = (left-right composition of the derivative) u + lam L(t) u - grad W, so
-    that the directional derivative equals int (g, phi) dt for every phi.
+    that the directional derivative equals int (g, phi) dt for every phi: it is
+    :meth:`Problem.grad` of ``u``.  A non-finite gradient raises, naming its
+    time, as every :class:`~frachs.grid.SampledSignal` does.
     """
     prob.check_signal(u)
-    grad_w = prob.nonlinearity.gradient(prob.times, u.values)
-    if not np.all(np.isfinite(grad_w)):
-        j = int(np.argmax(~np.isfinite(np.sum(grad_w, axis=1))))
-        raise ValueError(f"nonlinear gradient is not finite at t = {prob.times[j]:.6g}")
-    return u.with_values(prob.apply(u.values) - grad_w)
+    return u.with_values(prob.grad(u.values))
 
 
 def lower_bound(u: SampledSignal, prob: Problem) -> float:
@@ -344,7 +347,7 @@ def lower_bound(u: SampledSignal, prob: Problem) -> float:
             f"got {prob.lam:.6g}"
         )
     prob.check_signal(u)
-    r = np.sqrt(prob.lambda_norm_sq(u))
+    r = np.sqrt(prob.form(u.values, u.values))
     return float(0.5 * r**2 - prob.coercivity * r**prob.nonlinearity.p)
 
 
@@ -398,7 +401,7 @@ def negative_energy_witness(prob: Problem) -> tuple[SampledSignal, float]:
             "the grid does not resolve the core"
         )
     u0 = SampledSignal(prob.t_min, prob.dt, values)
-    norm_sq = prob.lambda_norm_sq(u0)
+    norm_sq = prob.form(u0.values, u0.values)
     mass_nu = float(prob.dt * np.sum(u0.magnitude() ** nl.nu))
     s_est = (2.0 * nl.eta * mass_nu / norm_sq) ** (1.0 / (2.0 - nl.nu))
     s = min(0.5 * nl.delta, 0.5 * s_est)

@@ -28,10 +28,13 @@ names why the descent stopped: ``grad_tol``, ``max_iters`` or
 The line search (``ARMIJO``, ``SHRINK``) and the CG cap (``MAX_CG``) are fixed
 constants; ``SolverConfig`` holds only ``max_iters`` and ``grad_tol``.
 
-Descent starts from the negative-energy bump, never from 0 (the sweep from
-the restricted solution, whose energy is ``c_tilde < 0``): the energy is
+Descent starts from the negative-energy witness
+(:func:`~frachs.energy.negative_energy_witness`), never from 0 (the sweep
+from the restricted solution, whose energy is ``c_tilde``): the energy is
 negative from the first iterate on, so the trivial critical point u = 0 is
-unreachable.
+unreachable, and every unflagged sweep row has ``c_lambda <= c_tilde <=
+I(witness) < 0``.  A problem without a witness has no such start; its
+:class:`~frachs.energy.WitnessError` propagates, and nothing is solved.
 """
 
 from __future__ import annotations
@@ -41,13 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import (
-    Problem,
-    WitnessError,
-    lower_bound_minimum,
-    negative_energy_witness,
-    smooth_bump,
-)
+from .energy import Problem, lower_bound_minimum, negative_energy_witness
 from .grid import SampledSignal, pointwise_dot
 from .spaces import h_alpha_norm
 
@@ -203,25 +200,14 @@ def _descend(prob, cfg, start_vals) -> SolveResult:
     )
 
 
-def _witness(prob: Problem) -> tuple[np.ndarray, float]:
-    """Core bump and the scale at which descent starts: ``(base, scale)``."""
-    try:
-        u0, s = negative_energy_witness(prob)
-        return u0.values, s
-    except WitnessError:
-        # degenerate nonlinearity: no negative scaling exists; start from the
-        # half-delta bump and let descent find the trivial minimum
-        base = np.zeros((prob.n_samples, prob.n_components))
-        base[:, 0] = smooth_bump(prob.times, prob.potential.core)
-        return base, 0.5 * min(prob.nonlinearity.delta, 1.0)
-
-
 def minimize(prob: Problem, cfg: SolverConfig, start: SampledSignal | None = None) -> SolveResult:
-    """Descend the energy from the negative-energy bump (or a given start).
+    """Descend the energy from the negative-energy witness (or a given start).
 
-    Requires the weight to be at or above the embedding threshold so the
-    coercivity floor applies.  The returned history is strictly decreasing in
-    energy; ``converged`` means the L2 gradient norm reached ``grad_tol``.
+    Without a given start, a problem with no witness raises
+    :class:`~frachs.energy.WitnessError`.  Requires the weight to be at or
+    above the embedding threshold so the coercivity floor applies.  The
+    returned history is strictly decreasing in energy; ``converged`` means
+    the L2 gradient norm reached ``grad_tol``.
     """
     if prob.lam < prob.constants.lambda_threshold:
         raise ValueError(
@@ -229,8 +215,8 @@ def minimize(prob: Problem, cfg: SolverConfig, start: SampledSignal | None = Non
             f"got {prob.lam:.6g}"
         )
     if start is None:
-        base, scale = _witness(prob)
-        start_vals = scale * base
+        u0, s = negative_energy_witness(prob)
+        start_vals = s * u0.values
     else:
         prob.check_signal(start)
         start_vals = start.values
@@ -243,14 +229,15 @@ def solve_bvp(prob: Problem, cfg: SolverConfig) -> SolveResult:
     The core must be normalized to start at 0 (an interval (0, T)).  Dirichlet
     values outside the open core are pinned to exact zeros by construction
     (zero-extension representation on the full grid): one descent runs on
-    ``prob.restricted(core)``, from the negative-energy bump.  On the core
+    ``prob.restricted(core)``, from the negative-energy witness, so a problem
+    with none raises :class:`~frachs.energy.WitnessError`.  On the core
     ``L = 0``, so the preconditioner's kinetic shift stays 1 there.
     """
     lo, hi = prob.potential.core
     if lo != 0.0:
         raise ValueError(f"the restricted problem expects a core (0, T), got ({lo}, {hi})")
-    base, s = _witness(prob)
-    return _descend(prob.restricted((lo, hi)), cfg, s * base)
+    u0, s = negative_energy_witness(prob)  # first: its ResolutionError names the core
+    return _descend(prob.restricted((lo, hi)), cfg, s * u0.values)
 
 
 def uniform_bound_constant(prob: Problem) -> float:
@@ -309,7 +296,7 @@ def _sweep_row(prob, result, u_tilde, c_tilde, bound) -> SweepRow:
     envelope = prob.potential.envelope_at(prob.times)
     weighted = float(prob.dt * np.sum(envelope * mag_sq))
     diff = u.with_values(u.values - u_tilde.values)
-    norm_lam = float(np.sqrt(prob.lambda_norm_sq(u)))
+    norm_lam = float(np.sqrt(prob.form(u.values, u.values)))
     return SweepRow(
         lam=prob.lam,
         c_lambda=result.energy,
@@ -332,7 +319,9 @@ def concentration_sweep(prob: Problem, lambdas, cfg: SolverConfig) -> SweepRepor
     weight, and strict decrease gives ``c_lambda <= c_tilde`` on that row by
     construction.  Every later weight starts from the solution before it,
     which tracks the branch towards ``u_tilde`` as ``lam`` grows; its
-    ordering is checked and flagged, not repaired.
+    ordering is checked and flagged, not repaired.  ``c_tilde`` is at most
+    the witness energy, which is negative; without a witness the restricted
+    solve raises :class:`~frachs.energy.WitnessError` and no row is computed.
     """
     lambdas = [float(x) for x in lambdas]
     if len(lambdas) < 3:

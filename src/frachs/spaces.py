@@ -213,7 +213,7 @@ def verify_potential(potential: PotentialMatrix, times: np.ndarray) -> CheckRepo
             margin_env >= -1e-12,
             margin_env,
             float(times[j]),
-            "(L(t)x, x) >= l(t)|x|^2 for unit probe directions",
+            "(L(t)x, x) >= l(t)|x|^2: the smallest eigenvalue of L(t) is at least l(t)",
         )
     )
 

@@ -187,7 +187,7 @@ def test_criterion_6_coercivity_certificate(prob, rng):
     violations = 0
     for target in targets:
         u = random_band_limited(rng, N_DEFAULT, T_MIN, DT, band_fraction=rng.uniform(0.02, 0.5))
-        norm = np.sqrt(prob.lambda_norm_sq(u))
+        norm = np.sqrt(prob.form(u.values, u.values))
         u = u.with_values((target / norm) * u.values)
         if evaluate_energy(u, prob) < lower_bound(u, prob) - 1e-12:
             violations += 1

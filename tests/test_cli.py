@@ -170,14 +170,15 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command,n,code",
         [("solve", 8, 2), ("solve", 16, 2), ("solve", 32, 2), ("solve", 64, 1),
-         ("check", 8, 2), ("check", 16, 2), ("sweep", 32, 2)],
+         ("check", 8, 2), ("check", 16, 2), ("sweep", 32, 2), ("bvp", 32, 2)],
     )
-    def test_grid_too_coarse_for_the_core(self, tmp_path, capsys, command, n, code):
+    def test_grid_too_coarse_for_the_core(self, tmp_path, capsys, recwarn, command, n, code):
         # N = 8, 16: no sample has l < k; N = 32: the open core holds no sample;
         # N = 64 resolves the core but fails L1 admissibility
         cfg = write(tmp_path, BASE + "lambdas = 2,20,200\n")
         out = str(tmp_path / "o")
         assert main([command, "--config", cfg, "--out", out, "--grid-n", str(n)]) == code
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         if code == 2:
             assert "config error" in err and "does not resolve the core" in err
@@ -298,14 +299,6 @@ class TestSolve:
         header = open(csv_path).readline().strip()
         assert header == "t,u_1"
 
-    def test_zero_density_gives_flat_zero(self, tmp_path):
-        cfg = write(tmp_path, BASE + "nonlinearity = zero\n")
-        out = str(tmp_path / "out")
-        assert main(["solve", "--config", cfg, "--out", out]) == 0
-        report = json.load(open(artifact(out, "solve-report-")))
-        assert abs(report["energy"]) <= 1e-12
-        assert report["sup_norm"] <= 1e-10
-
     def test_non_convergence_exits_3_with_artifacts(self, tmp_path):
         cfg = write(tmp_path, BASE + "max_iters = 2\n")
         out = str(tmp_path / "out")
@@ -332,6 +325,38 @@ class TestSolve:
         assert main(["bvp", "--config", cfg, "--out", out]) == 0
         report = json.load(open(artifact(out, "bvp-report-")))
         assert report["c_tilde"] == report["energy"] < 0
+
+
+NO_WITNESS = {
+    "zero": "nonlinearity = zero\n",
+    "eps-0.3": "nonlinearity = power-regularized\neps = 0.3\n",
+    "eps-0.01": "nonlinearity = power-regularized\neps = 0.01\n",
+}
+
+
+class TestNoWitness:
+    """solve, bvp and sweep refuse a problem whose core bump has no negative-energy scale."""
+
+    @pytest.mark.parametrize("config", list(NO_WITNESS))
+    @pytest.mark.parametrize("command", ["solve", "bvp", "sweep"])
+    def test_exits_1_without_artifacts(self, tmp_path, capsys, command, config):
+        cfg = write(tmp_path, BASE + "lambdas = 2,20,200,2000\n" + NO_WITNESS[config])
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "hypothesis failure: W2-witness (" in err and "Traceback" not in err
+        assert os.listdir(out) == []
+
+    def test_small_eps_ladder_stays_negative(self, tmp_path):
+        # eps = 1e-3 fails the sampled W2 check, but its witness exists
+        cfg = write(
+            tmp_path, BASE + "lambdas = 2,20,200,2000\nnonlinearity = power-regularized\neps = 1e-3\n"
+        )
+        out = str(tmp_path / "out")
+        assert main(["sweep", "--config", cfg, "--out", out]) == 0
+        report = json.load(open(artifact(out, "sweep-report-")))
+        assert report["flagged"] is False
+        assert all(r["c_lambda"] <= report["c_tilde"] < 0 for r in report["rows"])
 
 
 class TestSweepCommand:

@@ -4,6 +4,7 @@ from scipy.optimize import minimize_scalar
 
 from frachs import (
     PotentialMatrix,
+    ResolutionError,
     SampledSignal,
     WitnessError,
     default_problem,
@@ -243,7 +244,7 @@ class TestEnergy:
         u0, s = negative_energy_witness(prob)
         scaled = u0.with_values(s * u0.values)
         total = evaluate_energy(scaled, prob)
-        quad = 0.5 * s**2 * prob.lambda_norm_sq(u0)
+        quad = 0.5 * s**2 * prob.form(u0.values, u0.values)
         w_term = prob.dt * np.sum(prob.nonlinearity.density(prob.times, s * u0.values))
         assert total == pytest.approx(quad - w_term, abs=1e-12 * max(abs(total), 1.0))
 
@@ -272,7 +273,7 @@ class TestDirectionalDerivative:
         u = random_band_limited(rng, N_DEFAULT, T_MIN, DT)
         lhs = directional_derivative(u, u, prob)
         grad_w = prob.nonlinearity.gradient(prob.times, u.values)
-        rhs = prob.lambda_norm_sq(u) - prob.dt * np.sum(grad_w * u.values)
+        rhs = prob.form(u.values, u.values) - prob.dt * np.sum(grad_w * u.values)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_matches_central_differences(self, prob, rng):
@@ -296,6 +297,21 @@ class TestGradient:
     def test_zero_point(self, prob):
         g = gradient(zero_signal(prob), prob)
         assert np.all(g.values == 0)
+
+    def test_nan_gradient_reported_with_location(self, prob):
+        bad = Nonlinearity(
+            density=lambda t, u: np.zeros(len(t)),
+            gradient=lambda t, u: np.where(np.abs(t)[:, None] < 0.1, np.nan, 0.0),
+            p=1.5, xi=lambda t: np.zeros_like(t), eta=1.0, delta=1.0, nu=1.5,
+        )
+        from frachs import Problem
+
+        bad_prob = Problem(
+            prob.order, prob.n_samples, prob.t_min, prob.dt,
+            prob.potential, bad, prob.lam, prob.constants,
+        )
+        with pytest.raises(ValueError, match=r"non-finite sample at t=-0\.0976"):
+            gradient(zero_signal(bad_prob), bad_prob)
 
     def test_riesz_representation(self, prob, rng):
         u = random_band_limited(rng, N_DEFAULT, T_MIN, DT)
@@ -447,6 +463,11 @@ class TestRestricted:
         # on the core L = 0, so the shift is 1
         assert np.array_equal(prob.restricted((0.0, 0.5)).precond, 1.0 / (1.0 + prob.kinetic))
 
+    def test_interval_without_samples_raises(self, prob):
+        # dt = 1/128 puts no sample strictly inside (0.001, 0.002)
+        with pytest.raises(ResolutionError, match="holds no grid sample"):
+            prob.restricted((0.001, 0.002))
+
 
 def _symmetric_3x3_potential() -> PotentialMatrix:
     """The scalar wall times a symmetric positive definite 3x3 matrix with distinct
@@ -547,7 +568,7 @@ class TestLowerBound:
         root = (2 ** (1 / (2 - prob.nonlinearity.p))) ** 2 * r_star  # (2 p A)^(1/(2-p)) scaled
         for _ in range(20):
             u = random_band_limited(rng, N_DEFAULT, T_MIN, DT)
-            norm = np.sqrt(prob.lambda_norm_sq(u))
+            norm = np.sqrt(prob.form(u.values, u.values))
             u = u.with_values((1.5 * root / norm) * u.values)
             assert evaluate_energy(u, prob) > 0
 
@@ -567,7 +588,7 @@ class TestWitness:
         u0, s = negative_energy_witness(prob)
         nl = prob.nonlinearity
         mass = prob.dt * np.sum(u0.magnitude() ** nl.nu)
-        s_max = (2 * nl.eta * mass / prob.lambda_norm_sq(u0)) ** (1 / (2 - nl.nu))
+        s_max = (2 * nl.eta * mass / prob.form(u0.values, u0.values)) ** (1 / (2 - nl.nu))
         assert s <= s_max
 
     def test_energy_sign_change_bracket(self, prob):
@@ -576,7 +597,7 @@ class TestWitness:
         u0, _ = negative_energy_witness(prob)
         nl = prob.nonlinearity
         mass_xi = prob.dt * np.sum(prob.nonlinearity.xi_at(prob.times) * u0.magnitude() ** nl.p)
-        norm_sq = prob.lambda_norm_sq(u0)
+        norm_sq = prob.form(u0.values, u0.values)
         s_c = (2 * mass_xi / (nl.p * norm_sq)) ** (1 / (2 - nl.p))
         below = evaluate_energy(u0.with_values(0.9 * s_c * u0.values), prob)
         above = evaluate_energy(u0.with_values(1.1 * s_c * u0.values), prob)

@@ -8,6 +8,7 @@ from frachs import (
     Problem,
     SampledSignal,
     SolverConfig,
+    WitnessError,
     concentration_sweep,
     default_problem,
     directional_derivative,
@@ -15,6 +16,7 @@ from frachs import (
     l2_norm,
     lower_bound_minimum,
     minimize,
+    negative_energy_witness,
     power_nonlinearity,
     random_band_limited,
     rotated_well_potential,
@@ -26,7 +28,7 @@ from frachs import (
 )
 from frachs import solver
 from frachs.nonlinearity import Nonlinearity
-from frachs.solver import _backtrack, _truncated_cg, _witness
+from frachs.solver import _backtrack, _truncated_cg
 
 from conftest import DT, N_DEFAULT, T_MIN
 
@@ -116,8 +118,8 @@ class TestLineSearch:
     def test_rejects_step_that_leaves_energy_unchanged(self, prob):
         # the slope -1e-30 |g|^2 is far below the rounding of f, so every trial
         # point equals the start bit for bit and the Armijo test alone reads f <= f
-        base, scale = _witness(prob)
-        vals = scale * base
+        u0, s = negative_energy_witness(prob)
+        vals = s * u0.values
         g = prob.grad(vals)
         assert _backtrack(prob, vals, prob.energy(vals), g, -1e-30 * g) is None
 
@@ -125,9 +127,9 @@ class TestLineSearch:
 class TestNewtonStep:
     def test_hessian_closure_is_evaluated_at_its_iterate(self, prob, rng):
         # a closure built at a second iterate must not reuse the first one's coefficients
-        base, scale = _witness(prob)
-        first = scale * base
-        second = first + 0.3 * scale * random_band_limited(rng, N_DEFAULT, T_MIN, DT).values
+        u0, s = negative_energy_witness(prob)
+        first = s * u0.values
+        second = first + 0.3 * s * random_band_limited(rng, N_DEFAULT, T_MIN, DT).values
         v = random_band_limited(rng, N_DEFAULT, T_MIN, DT).values
         h_first, h_second = prob.hessian(first), prob.hessian(second)
 
@@ -144,8 +146,8 @@ class TestNewtonStep:
         # a preconditioner that lost definiteness gives (r, z) < 0: CG returns the
         # current (zero) iterate instead of dividing by it
         monkeypatch.setattr(Problem, "precondition", lambda self, x: -x)
-        base, scale = _witness(prob)
-        vals = scale * base
+        u0, s = negative_energy_witness(prob)
+        vals = s * u0.values
         g = prob.grad(vals)
         d = _truncated_cg(prob, prob.hessian(vals), g, 0.5)
         assert np.all(d == 0.0)
@@ -200,6 +202,30 @@ class TestStopReason:
         assert {r.stop_reason for r in report.rows if r.converged} <= {"grad_tol"}
 
 
+def _short_sweep(prob, cfg):
+    thr = prob.constants.lambda_threshold
+    return concentration_sweep(prob, [thr, 10 * thr, 100 * thr], cfg)
+
+
+class TestWitnessStart:
+    """Descent starts only from a negative-energy witness; without one nothing is solved."""
+
+    @pytest.mark.parametrize(
+        "nl", [zero_nonlinearity(), power_nonlinearity(eps=0.3)], ids=["zero", "eps-0.3"]
+    )
+    @pytest.mark.parametrize(
+        "run", [minimize, solve_bvp, _short_sweep], ids=["minimize", "solve_bvp", "sweep"]
+    )
+    def test_no_witness_is_refused(self, prob, cfg, run, nl):
+        with pytest.raises(WitnessError, match="W2"):
+            run(_with_nonlinearity(prob, nl), cfg)
+
+    def test_bvp_ends_below_the_witness(self, prob, cfg):
+        u0, s = negative_energy_witness(prob)
+        witness = evaluate_energy(u0.with_values(s * u0.values), prob)
+        assert solve_bvp(prob, cfg).energy <= witness < 0
+
+
 class TestSolveBvp:
     def test_default_scenario(self, prob, cfg):
         res = solve_bvp(prob, cfg)
@@ -217,12 +243,6 @@ class TestSolveBvp:
         r1 = solve_bvp(prob, cfg)
         r2 = solve_bvp(prob.with_lam(100 * prob.lam), cfg)
         assert r1.energy == pytest.approx(r2.energy, rel=1e-12)
-
-    def test_zero_density_gives_trivial(self, prob, cfg):
-        quad_prob = _with_nonlinearity(prob, zero_nonlinearity())
-        res = solve_bvp(quad_prob, cfg)
-        assert abs(res.energy) <= 1e-12
-        assert res.u.sup_norm() <= 1e-10
 
     def test_weak_form_residual(self, prob, cfg, rng):
         res = solve_bvp(prob, cfg)
