@@ -10,11 +10,13 @@ ops-selftest validate the spectral operators on the configured grid
 
 Exit codes: 0 success, 1 hypothesis/selftest failure (including solve, bvp
 or sweep on a problem without a negative-energy witness, which writes no
-artifacts), 2 config error (including a grid too coarse to resolve the
-core), 3 solver non-convergence, 4 flagged sweep row; exit 3 and every
-flagged row name the stop reason on stderr.  Artifacts are stamped with the
-config hash; identical config + seed reproduces byte-identical CSV/JSON
-payloads (timestamps live only in the manifest).
+artifacts), 2 config error (including a grid too coarse to resolve the core
+and a domain too short to cover the well or the sublevel set), 3 solver
+non-convergence, 4 flagged sweep row; exit 3 and every flagged row name the
+stop reason on stderr.  Artifacts are stamped with the config hash;
+identical config + seed reproduces byte-identical CSV/JSON payloads
+(timestamps live only in the manifest).  Only ``check`` samples the growth
+hypotheses W1-W2; the other reports leave them to its report of the same hash.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, parse_config
-from .energy import Problem, WitnessError
+from .energy import Problem, WitnessError, default_problem
 from .fracops import (
     left_derivative,
     left_integral,
@@ -147,59 +149,43 @@ def _check_section(report) -> dict:
     return {"passed": report.passed, "checks": [dataclasses.asdict(c) for c in report.checks]}
 
 
-def _structural_checks(cfg: ExperimentConfig, potential):
-    """L1-L3 and L1 admissibility on the configured grid.
+def cmd_check(cfg: ExperimentConfig, out_dir: str) -> int:
+    """W1-W2, L1-L3 and L1 admissibility on the configured grid, as one JSON report.
 
-    Returns the potential's check report, the ``admissibility`` section of
-    the check payload, and the embedding constants (None when L1 fails).
+    The growth checks run first, so a grid too coarse for the core keeps their message.
     """
+    pot, nl = build_potential(cfg), build_nonlinearity(cfg)
     t_min, dt = midpoint_grid(cfg.grid_n, cfg.domain)
-    pot_report = verify_potential(potential, t_min + dt * np.arange(cfg.grid_n))
-    order = FracOrder(cfg.alpha)
-    try:
-        constants = compute_embedding_constants(potential, order, cfg.grid_n, t_min, dt)
-    except (AdmissibilityError, ValueError) as exc:
-        return pot_report, {"name": "L1-admissibility", "passed": False, "reason": str(exc)}, None
-    admissibility = {
-        "name": "L1-admissibility",
-        "passed": True,
-        "c_alpha": constants.c_alpha,
-        "sublevel_measure": constants.sublevel_measure,
-        "product": constants.admissibility_product,
-        "margin": constants.admissibility_margin,
-        "theta0": constants.theta0,
-        "lambda_threshold": constants.lambda_threshold,
-    }
-    return pot_report, admissibility, constants
-
-
-def _check_payload(cfg: ExperimentConfig, prob_parts) -> tuple[dict, list[str]]:
-    """Run the growth, potential and admissibility checks; returns (report, failed names)."""
-    potential, nonlinearity = prob_parts
-    t_min, dt = midpoint_grid(cfg.grid_n, cfg.domain)
-    growth = verify_growth(
-        nonlinearity, t_min + dt * np.arange(cfg.grid_n), potential.core,
-        potential.n_components, seed=cfg.seed,
-    )
-    pot_report, admissibility, constants = _structural_checks(cfg, potential)
+    times = t_min + dt * np.arange(cfg.grid_n)
+    growth = verify_growth(nl, times, pot.core, pot.n_components, seed=cfg.seed)
+    pot_report = verify_potential(pot, times)
     failed = pot_report.failed_names() + growth.failed_names()
-    if constants is None:
+    try:
+        constants = compute_embedding_constants(pot, FracOrder(cfg.alpha), cfg.grid_n, t_min, dt)
+    except ValueError as exc:  # AdmissibilityError, or alpha <= 1/2
+        admissibility = {"name": "L1-admissibility", "passed": False, "reason": str(exc)}
         failed.append("L1-admissibility")
+    else:
+        admissibility = {
+            "name": "L1-admissibility",
+            "passed": True,
+            "c_alpha": constants.c_alpha,
+            "sublevel_measure": constants.sublevel_measure,
+            "product": constants.admissibility_product,
+            "margin": constants.admissibility_margin,
+            "theta0": constants.theta0,
+            "lambda_threshold": constants.lambda_threshold,
+        }
+    h = cfg.config_hash()
     report = {
-        "config_hash": cfg.config_hash(),
+        "config_hash": h,
         "potential": _check_section(pot_report),
         "growth": _check_section(growth),
         "admissibility": admissibility,
         "passed": not failed,
     }
-    return report, failed
-
-
-def cmd_check(cfg: ExperimentConfig, out_dir: str) -> int:
-    parts = (build_potential(cfg), build_nonlinearity(cfg))
-    report, failed = _check_payload(cfg, parts)
     _write_manifest(out_dir, cfg, "check")
-    _write_json(os.path.join(out_dir, f"check-{cfg.config_hash()}.json"), report)
+    _write_json(os.path.join(out_dir, f"check-{h}.json"), report)
     if failed:
         print("check: FAIL (" + ", ".join(failed) + ")")
         return EXIT_HYPOTHESIS
@@ -217,18 +203,19 @@ def _gated_problem(cfg: ExperimentConfig) -> tuple[int, Problem | None]:
         print(f"config error: the solver needs alpha in (1/2, 1), got {cfg.alpha}", file=sys.stderr)
         return EXIT_CONFIG, None
     potential = build_potential(cfg)
-    pot_report, admissibility, constants = _structural_checks(cfg, potential)
+    t_min, dt = midpoint_grid(cfg.grid_n, cfg.domain)
+    pot_report = verify_potential(potential, t_min + dt * np.arange(cfg.grid_n))
     if not pot_report.passed:
         print("hypothesis failure: " + ", ".join(pot_report.failed_names()), file=sys.stderr)
         return EXIT_HYPOTHESIS, None
-    if constants is None:
-        print(f"hypothesis failure: L1-admissibility ({admissibility['reason']})", file=sys.stderr)
+    try:
+        return EXIT_OK, default_problem(
+            alpha=cfg.alpha, n_samples=cfg.grid_n, domain=cfg.domain,
+            potential=potential, nonlinearity=build_nonlinearity(cfg),
+        )
+    except AdmissibilityError as exc:
+        print(f"hypothesis failure: L1-admissibility ({exc})", file=sys.stderr)
         return EXIT_HYPOTHESIS, None
-    t_min, dt = midpoint_grid(cfg.grid_n, cfg.domain)
-    return EXIT_OK, Problem(
-        FracOrder(cfg.alpha), cfg.grid_n, t_min, dt, potential, build_nonlinearity(cfg),
-        10.0 * constants.lambda_threshold, constants,
-    )
 
 
 def _solve_common(cfg: ExperimentConfig, out_dir: str, restricted: bool) -> int:
@@ -250,9 +237,6 @@ def _solve_common(cfg: ExperimentConfig, out_dir: str, restricted: bool) -> int:
 
     tag = "bvp" if restricted else "solve"
     h = cfg.config_hash()
-    growth = verify_growth(
-        prob.nonlinearity, prob.times, prob.potential.core, prob.n_components, seed=cfg.seed
-    )
     report = {
         "config_hash": h,
         "command": tag,
@@ -267,7 +251,6 @@ def _solve_common(cfg: ExperimentConfig, out_dir: str, restricted: bool) -> int:
         "iterations": result.iterations,
         "converged": result.converged,
         "sup_norm": result.u.sup_norm(),
-        "growth_passed": growth.passed,
         "history": [[e, g] for e, g in result.history],
     }
     if restricted:

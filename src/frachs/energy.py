@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fracops import half_spectrum
-from .grid import FracOrder, SampledSignal, pointwise_dot
+from .grid import FracOrder, SampledSignal, midpoint_grid, pointwise_dot
 from .nonlinearity import Nonlinearity, power_nonlinearity
 from .spaces import (
     EmbeddingConstants,
@@ -285,8 +285,6 @@ def default_problem(
     interior of the core at grid resolution.  ``lam`` defaults to 10x the
     embedding threshold.
     """
-    from .grid import midpoint_grid
-
     t_min, dt = midpoint_grid(n_samples, domain)
     order = FracOrder(alpha)
     pot = potential if potential is not None else vanishing_well_potential()

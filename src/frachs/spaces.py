@@ -221,22 +221,17 @@ def verify_potential(potential: PotentialMatrix, times: np.ndarray) -> CheckRepo
     outside = ~inside
     zero_on_well = bool(np.all(np.abs(l_env[inside]) <= 1e-14))
     pos_outside = bool(np.all(l_env[outside] > 0.0))
-    finite = np.isfinite(a) and np.isfinite(b)
+    # the grid covers the well with a margin, so samples outside it exist
+    margin_l2 = float(np.min(l_env[outside]))
+    detail, loc = "", None
     if not zero_on_well:
         j = int(np.argmax(np.abs(l_env * inside)))
         detail, loc = "envelope must vanish on the closed well", float(times[j])
         margin_l2 = -float(np.max(np.abs(l_env[inside])))
     elif not pos_outside:
-        bad = outside & (l_env <= 0.0)
-        j = int(np.argmax(bad))
+        j = int(np.argmax(outside & (l_env <= 0.0)))
         detail, loc = "envelope must be positive outside the closed well", float(times[j])
-        margin_l2 = float(np.min(l_env[outside]))
-    else:
-        detail, loc = "", None
-        margin_l2 = float(np.min(l_env[outside])) if np.any(outside) else -1.0
-    checks.append(
-        CheckResult("L2-kernel", zero_on_well and pos_outside and finite, margin_l2, loc, detail)
-    )
+    checks.append(CheckResult("L2-kernel", zero_on_well and pos_outside, margin_l2, loc, detail))
 
     ia, ib = potential.core
     on_core = (times >= ia) & (times <= ib)
@@ -260,12 +255,12 @@ def measure_sublevel(potential: PotentialMatrix, times: np.ndarray, dt: float) -
 
     Exact for unions of intervals up to one dt per boundary.  The envelope
     must have risen to >= k at both grid ends, otherwise the truncation is too
-    small to capture the sublevel set.
+    small to capture the sublevel set and :class:`ResolutionError` is raised.
     """
     l_env = potential.envelope_at(np.asarray(times, dtype=float))
     k = potential.threshold
     if l_env[0] < k or l_env[-1] < k:
-        raise ValueError(
+        raise ResolutionError(
             "sublevel set {l < k} touches the grid boundary; enlarge the domain "
             f"(l = {l_env[0]:.3g} / {l_env[-1]:.3g} at the ends, k = {k})"
         )

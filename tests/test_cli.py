@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from frachs import SampledSignal
+from frachs import SampledSignal, cli
 from frachs.cli import _write_solution_csv, main
 from frachs.config import ConfigError, parse_config_text
 
@@ -196,6 +196,18 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert main([command, "--config", cfg, "--out", out, "--domain", "4"]) == 0
 
+    @pytest.mark.parametrize("command", ["check", "solve", "bvp", "sweep"])
+    def test_domain_too_short_for_the_sublevel_set(self, tmp_path, capsys, command):
+        # the grid covers the well with margin, but l < k still holds at its right end
+        cfg = write(tmp_path, BASE + "envelope_steepness = 2\nlambdas = 2,20,200\n")
+        out = tmp_path / "o"
+        argv = [command, "--config", cfg, "--out", str(out), "--domain", "4", "--grid-n", "512"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sublevel set {l < k} touches the grid boundary")
+        assert "(grid_n = 512, domain = 4)" in err and "Traceback" not in err
+        assert os.listdir(out) == []
+
     @pytest.mark.parametrize(
         "argv,line",
         [
@@ -325,6 +337,36 @@ class TestSolve:
         assert main(["bvp", "--config", cfg, "--out", out]) == 0
         report = json.load(open(artifact(out, "bvp-report-")))
         assert report["c_tilde"] == report["energy"] < 0
+
+    @pytest.mark.parametrize("command", ["solve", "bvp"])
+    def test_report_schema(self, tmp_path, command):
+        # the growth hypotheses live in the check report of the same config hash
+        cfg = write(tmp_path, BASE)
+        out = str(tmp_path / "out")
+        assert main([command, "--config", cfg, "--out", out]) == 0
+        report = json.load(open(artifact(out, f"{command}-report-")))
+        keys = {
+            "config_hash", "command", "lambda", "lambda_threshold", "theta0", "c_alpha",
+            "sublevel_measure", "energy", "grad_norm", "grad_norm_weighted", "iterations",
+            "converged", "sup_norm", "history",
+        }
+        assert set(report) == keys | ({"c_tilde"} if command == "bvp" else set())
+
+    def test_only_check_samples_growth(self, tmp_path, monkeypatch):
+        calls = []
+        sample = cli.verify_growth
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "verify_growth", counted)
+        cfg = write(tmp_path, BASE)
+        out = str(tmp_path / "out")
+        for command, expected in (("solve", 0), ("bvp", 0), ("check", 1)):
+            calls.clear()
+            assert main([command, "--config", cfg, "--out", out]) == 0
+            assert len(calls) == expected, command
 
 
 NO_WITNESS = {

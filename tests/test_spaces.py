@@ -159,7 +159,7 @@ class TestMeasureSublevel:
 
     def test_boundary_touching_rejected(self):
         flat = vanishing_well_potential(envelope_steepness=400.0)
-        with pytest.raises(ValueError, match="boundary"):
+        with pytest.raises(ResolutionError, match="boundary"):
             measure_sublevel(flat, TIMES, DT)
 
 
