@@ -10,8 +10,9 @@ ops-selftest validate the spectral operators on the configured grid
 
 Exit codes: 0 success, 1 hypothesis/selftest failure (including solve, bvp
 or sweep on a problem without a negative-energy witness, which writes no
-artifacts), 2 config error (including a grid too coarse to resolve the core
-and a domain too short to cover the well or the sublevel set), 3 solver
+artifacts), 2 config error (including a grid too coarse to resolve the core,
+a domain too short to cover the well or the sublevel set, an unreadable
+config and an output path that is not a directory), 3 solver
 non-convergence, 4 flagged sweep row; exit 3 and every flagged row name the
 stop reason on stderr.  Artifacts are stamped with the config hash;
 identical config + seed reproduces byte-identical CSV/JSON payloads
@@ -472,7 +473,12 @@ def main(argv=None) -> int:
         return cmd_ops_selftest(cfg)
 
     out_dir = cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:  # e.g. --out names an existing file
+        print(f"config error: cannot create the output directory {out_dir!r} ({exc.strerror})",
+              file=sys.stderr)
+        return EXIT_CONFIG
     commands = {"check": cmd_check, "solve": cmd_solve, "bvp": cmd_bvp, "sweep": cmd_sweep}
     try:
         return commands[args.command](cfg, out_dir)

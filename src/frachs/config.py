@@ -212,5 +212,11 @@ def parse_config_text(text: str, overrides: dict[str, object] | None = None) -> 
 
 
 def parse_config(path: str, overrides: dict[str, object] | None = None) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), overrides)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except IsADirectoryError:
+        raise ConfigError(f"{path!r} is a directory, not a config file") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path!r} is not UTF-8 text ({exc})") from None
+    return parse_config_text(text, overrides)

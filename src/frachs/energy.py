@@ -54,12 +54,13 @@ class WitnessError(RuntimeError):
 class Problem:
     """Discretized problem instance: order, grid, weights and nonlinearity.
 
-    Grid arrays (times, matrix values) and the half-spectrum
-    arrays of the quadratic form are evaluated once at construction and
-    shared read-only by all evaluations.  The one discrete operator of the
-    problem acts on raw ``(N, n)`` sample arrays: :meth:`form` is the
-    bilinear form of ``||.||_lam^2``, :meth:`apply` its L2 representer and
-    :meth:`precondition` the inverse of the surrogate
+    Grid arrays (times, matrix entries) and the half-spectrum multiplier
+    are evaluated once at construction and shared read-only by all
+    evaluations.  The one discrete operator of the problem acts on raw
+    ``(N, n)`` sample arrays: :meth:`apply` is ``|w|^(2a) + lam L(t)``,
+    :meth:`form`, the bilinear form of ``||.||_lam^2``, is its L2(dt) pairing
+    ``dt sum(x * apply(y))``, so the energy, its gradient and every norm go
+    through ``apply``, and :meth:`precondition` is the inverse of the surrogate
     ``D^(1/2) (c + |w|^(2a)) D^(1/2)``, ``D = 1 + lam diag(L(t)) / s``, whose
     kinetic block is shifted to the potential level ``c`` (:meth:`shift`).
     :meth:`energy`, :meth:`grad` and :meth:`hessian` are the functional ``I``
@@ -88,26 +89,21 @@ class Problem:
     lam: float
     constants: EmbeddingConstants
     times: np.ndarray = field(init=False, repr=False)
-    matrix_values: np.ndarray = field(init=False, repr=False)
     matrix_entries: np.ndarray = field(init=False, repr=False)
     kinetic: np.ndarray = field(init=False, repr=False)
-    parseval: np.ndarray = field(init=False, repr=False)
     precond: np.ndarray = field(init=False, repr=False)
     scaling: np.ndarray = field(init=False, repr=False)
     free: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         times = self.t_min + self.dt * np.arange(self.n_samples)
-        # the half-spectrum arrays, each repeated over the n columns
-        kinetic, parseval = half_spectrum(self.n_samples, self.dt, self.order)
-        matrix_values = self.potential.matrix_at(times)
-        n = self.n_components
+        kinetic, _ = half_spectrum(self.n_samples, self.dt, self.order)
+        matrix = self.potential.matrix_at(times)
         arrays = {
             "times": times,
-            "matrix_values": matrix_values,
-            "matrix_entries": np.ascontiguousarray(matrix_values.transpose(1, 2, 0)),
-            "kinetic": np.repeat(kinetic[:, None], n, axis=1),
-            "parseval": np.repeat(parseval[:, None], n, axis=1),
+            "matrix_entries": np.ascontiguousarray(matrix.transpose(1, 2, 0)),
+            # the multiplier repeated over the n columns
+            "kinetic": np.repeat(kinetic[:, None], self.n_components, axis=1),
         }
         for name, value in arrays.items():
             value.setflags(write=False)
@@ -135,7 +131,7 @@ class Problem:
             object.__setattr__(self, name, value)
 
     def _diagonal(self) -> np.ndarray:
-        return np.diagonal(self.matrix_values, axis1=1, axis2=2)
+        return np.ascontiguousarray(np.diagonal(self.matrix_entries))
 
     def shift(self) -> float:
         """Shift ``c = max(1, mean of lam diag L(t))`` of the kinetic block.
@@ -196,16 +192,11 @@ class Problem:
         return other
 
     def form(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Bilinear form of ``||.||_lam^2``: the Parseval sum plus lam int (L x, y)."""
-        x_hat = np.fft.rfft(x, axis=0)
-        y_hat = x_hat if y is x else np.fft.rfft(y, axis=0)
-        cross = x_hat.real * y_hat.real + x_hat.imag * y_hat.imag
-        spectral = np.sum(self.parseval * self.kinetic * cross) / self.n_samples
-        weighted = np.einsum("ni,nij,nj->", x, self.matrix_values, y)
-        return float(self.dt * (spectral + self.lam * weighted))
+        """Bilinear form of ``||.||_lam^2``: the L2(dt) pairing of ``x`` with :meth:`apply` of ``y``."""
+        return float(self.dt * np.sum(x * self.apply(y)))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """L2 representer of the form: ``|w|^(2a) x + lam L x``."""
+        """The operator of ``||.||_lam^2``: ``|w|^(2a) x + lam L x``."""
         principal = np.fft.irfft(self.kinetic * np.fft.rfft(x, axis=0), self.n_samples, axis=0)
         weighted = np.empty_like(x)
         for i, row in enumerate(self.matrix_entries):
@@ -314,9 +305,9 @@ def evaluate_energy(u: SampledSignal, prob: Problem) -> float:
 def directional_derivative(u: SampledSignal, phi: SampledSignal, prob: Problem) -> float:
     """First variation of the energy at u in direction phi: ``form(u, phi) - int grad W . phi``.
 
-    The derivative pairing inside the form is the spectral Parseval sum, which
-    equals the time-domain pairing of the one-sided derivatives exactly on the
-    grid.
+    The form pairs ``u`` with :meth:`Problem.apply` of ``phi``, whose kinetic
+    part is the multiplier ``|w|^(2a)``: on the grid that equals the
+    time-domain pairing of the one-sided derivatives.
     """
     prob.check_signal(u)
     if not u.same_grid(phi):

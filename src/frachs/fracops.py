@@ -6,12 +6,13 @@ multiplication by ``(iw)^a`` / ``(-iw)^a`` on the principal branch
     (+-iw)^a = |w|^a * exp(+-i * a * pi * sgn(w) / 2),
 
 with the w = 0 mode mapped to zero.  The composition of right-after-left
-derivatives is the single real multiplier ``|w|^(2a)``.  Quadratic forms use
-that multiplier on the real-FFT half-spectrum: :func:`half_spectrum` gives it
-with the Parseval weights, shared by ``Problem``, :func:`seminorm_alpha` and
-the grid Sobolev constant.  A Grunwald-Letnikov quadrature of the defining
-half-line convolution is provided as an independent oracle for tests; it
-never feeds the spectral path.
+derivatives is the single real multiplier ``|w|^(2a)``, taken on the real-FFT
+half-spectrum from :func:`half_spectrum`: ``Problem`` applies it (its
+quadratic form is the L2 pairing with that operator), while
+:func:`seminorm_alpha` and the grid Sobolev constant sum it with the Parseval
+weights.  A Grunwald-Letnikov quadrature of the defining half-line
+convolution, evaluated as one zero-padded FFT convolution, is provided as an
+independent oracle for tests; it never feeds the spectral path.
 """
 
 from __future__ import annotations
@@ -130,13 +131,13 @@ def grunwald_weights(alpha: float, count: int) -> np.ndarray:
 
 
 def quadrature_left_derivative(u: SampledSignal, a: FracOrder) -> SampledSignal:
-    """Direct time-domain oracle for :func:`left_derivative`.
+    """Time-domain quadrature oracle for :func:`left_derivative`.
 
     Weighted shifted Grunwald-Letnikov sum: the plain binomial-weight sum
     approximates the derivative at a half-sample offset, so the two unit
     shifts are blended as (1 - a/2) and a/2, giving second-order accuracy in
-    dt for smooth decaying signals.  Test oracle: direct O(N^2) convolution up
-    to 8192 samples, the same convolution by FFT above.
+    dt for smooth decaying signals.  Test oracle: the half-line sum is one
+    linear convolution with the weights, evaluated by zero-padded FFT.
 
     The half-line integral is truncated at the grid edge, so both tails of
     ``u`` must have decayed below 1e-12 of the peak.
@@ -152,14 +153,11 @@ def quadrature_left_derivative(u: SampledSignal, a: FracOrder) -> SampledSignal:
         )
     alpha = a.alpha
     weights = grunwald_weights(alpha, n + 1)
-    if n <= 8192:
-        conv = np.stack([np.convolve(weights, col)[: n + 1] for col in u.values.T], axis=1)
-    else:
-        # the identical linear convolution by FFT, zero-padded past its full
-        # length 2n so that no circular wrap-around reaches the n + 1 outputs kept
-        n_fft = 1 << (2 * n - 1).bit_length()
-        spec = np.fft.rfft(weights, n_fft)[:, None] * np.fft.rfft(u.values, n_fft, axis=0)
-        conv = np.fft.irfft(spec, n_fft, axis=0)[: n + 1]
+    # the linear convolution by FFT, zero-padded past its full length 2n so
+    # that no circular wrap-around reaches the n + 1 outputs kept
+    n_fft = 1 << (2 * n - 1).bit_length()
+    spec = np.fft.rfft(weights, n_fft)[:, None] * np.fft.rfft(u.values, n_fft, axis=0)
+    conv = np.fft.irfft(spec, n_fft, axis=0)[: n + 1]
     out = (1.0 - 0.5 * alpha) * conv[:n] + 0.5 * alpha * conv[1 : n + 1]
     return u.with_values(out / u.dt**alpha)
 

@@ -104,18 +104,13 @@ def power_nonlinearity(
         return xi_scale * np.exp(-(t**2) / xi_width)
 
     def density(t, u):
-        mag2 = pointwise_dot(u, u)
-        if eps == 0.0:
-            return xi(t) * mag2 ** (p / 2.0) / p
-        return xi(t) * ((mag2 + eps**2) ** (p / 2.0) - eps**p) / p
+        mag2 = pointwise_dot(u, u) + eps**2
+        return xi(t) * (mag2 ** (p / 2.0) - eps**p) / p
 
     def gradient(t, u):
-        mag2 = pointwise_dot(u, u)
-        if eps == 0.0:
-            with np.errstate(divide="ignore"):
-                factor = np.where(mag2 > 0.0, mag2 ** ((p - 2.0) / 2.0), 0.0)
-        else:
-            factor = (mag2 + eps**2) ** ((p - 2.0) / 2.0)
+        # the (p-2)/2 power is singular at mag2 = 0 (only for eps = 0): u = 0 gets 0 there
+        mag2 = pointwise_dot(u, u) + eps**2
+        factor = np.power(mag2, (p - 2.0) / 2.0, out=np.zeros_like(mag2), where=mag2 > 0.0)
         coeff = xi(t) * factor
         out = np.empty_like(u)
         for i in range(u.shape[1]):

@@ -6,9 +6,10 @@ The descent acts on one ``Problem`` through its raw-array ``energy``,
 same functional on ``Problem.restricted(core)``, whose projection keeps every
 iterate zero outside the core.  The minimizer runs truncated Newton-CG from
 the first iterate: conjugate gradients on the true Hessian action, stopped at
-negative curvature, then Armijo backtracking in the L2(dt) inner product;
-when the line search rejects that direction, the preconditioned
-steepest-descent direction is tried before the descent stops.  The pointwise
+negative curvature, then Armijo backtracking in the L2(dt) inner product
+along that one direction; when the line search rejects it, the descent stops
+(negative curvature at the first CG iteration already yields the
+preconditioned steepest-descent direction ``precondition(-g)``).  The pointwise
 coefficients of ``W''(u)`` (``Nonlinearity.hessian_at``) are formed once per
 Newton step, so a CG iteration costs one ``Problem.apply`` and a few array
 products.  CG is preconditioned by ``Problem.precondition``, the inverse of
@@ -161,7 +162,7 @@ def _truncated_cg(prob, hess, g, rel_tol):
 
 
 def _descend(prob, cfg, start_vals) -> SolveResult:
-    """Truncated Newton-CG from ``start_vals``, with a steepest-descent fallback.
+    """Truncated Newton-CG from ``start_vals``; stops when the line search rejects the direction.
 
     On a :meth:`~frachs.energy.Problem.restricted` problem every iterate
     stays zero outside ``prob.free``.
@@ -177,9 +178,9 @@ def _descend(prob, cfg, start_vals) -> SolveResult:
     stop_reason = "max_iters"
     while steps < cfg.max_iters and g_norm > cfg.grad_tol:
         d = _truncated_cg(prob, prob.hessian(vals), g, min(0.5, g_norm))
-        step = _backtrack(prob, vals, f, g, d) or _backtrack(prob, vals, f, g, -prob.precondition(g))
+        step = _backtrack(prob, vals, f, g, d)
         if step is None:
-            stop_reason = "no_descent"  # no direction lowers the energy at rounding level
+            stop_reason = "no_descent"  # the Newton direction lowers the energy by no step
             break
         vals, f = step
         g = prob.grad(vals)

@@ -126,6 +126,25 @@ class TestExitCodes:
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["check", "--config", str(tmp_path / "nope.ini")]) == 2
 
+    @pytest.mark.parametrize("case", ["out-is-a-file", "config-is-a-directory", "config-not-utf8"])
+    def test_unusable_path_is_config_error(self, tmp_path, capsys, case):
+        cfg, out = write(tmp_path, BASE), tmp_path / "o"
+        if case == "out-is-a-file":
+            out.write_text("")
+        elif case == "config-is-a-directory":
+            cfg = str(tmp_path / "cfg.d")
+            os.mkdir(cfg)
+        else:
+            cfg = str(tmp_path / "latin1.ini")
+            with open(cfg, "wb") as fh:
+                fh.write((BASE + "# caf\xe9\n").encode("latin-1"))
+        before = sorted(os.listdir(tmp_path))
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == before
+
     def test_missing_required_field(self, tmp_path):
         cfg = write(tmp_path, "[scenario]\nalpha = 0.75\n")
         assert main(["check", "--config", cfg]) == 2

@@ -200,6 +200,28 @@ class TestGrowthChecks:
             power_nonlinearity(p=1.5, nu=1.2)
 
 
+class TestPowerFamily:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_unregularized_matches_closed_form_bits(self, rng, n):
+        # eps = 0: xi |u|^p / p and xi |u|^(p-2) u in the same operation order, and
+        # exact zeros on the rows where u = 0, at which |u|^(p-2) is singular
+        nl = power_nonlinearity()
+        u = rng.standard_normal((N_DEFAULT, n))
+        zero = np.zeros(N_DEFAULT, dtype=bool)
+        zero[::7] = True
+        u[zero] = 0.0
+        u[::14] = -0.0
+        xi = nl.xi_at(TIMES)
+        mag2 = np.sum(u**2, axis=1)
+        density = xi * mag2 ** (nl.p / 2.0) / nl.p
+        factor = np.where(zero, 0.0, np.where(zero, 1.0, mag2) ** ((nl.p - 2.0) / 2.0))
+        grad = (xi * factor)[:, None] * u
+        got_density, got_grad = nl.density(TIMES, u), nl.gradient(TIMES, u)
+        assert np.array_equal(got_density, density)
+        assert np.array_equal(got_grad, grad)
+        assert np.all(got_density[zero] == 0.0) and np.all(got_grad[zero] == 0.0)
+
+
 class TestHessianAt:
     """``hessian_at`` coefficients against centered differences of ``gradient``."""
 
@@ -332,7 +354,7 @@ class TestGradient:
         u = signal_from_function(lambda t: np.cos(w1 * t), N_DEFAULT, T_MIN, DT)
         g = gradient(u, prob)
         principal = riesz_composition(u, prob.order)
-        wall = float(np.max(np.abs(prob.matrix_values)))
+        wall = float(np.max(np.abs(prob.potential.matrix_at(prob.times))))
         bound = (prob.lam * wall + np.max(prob.nonlinearity.xi_at(prob.times))) / w1**1.5
         rel = l2_norm(g.with_values(g.values - principal.values)) / l2_norm(principal)
         assert rel <= bound
@@ -420,7 +442,7 @@ class TestOperator:
         assert s == pytest.approx(np.median(prob.kinetic), rel=1e-12)
         for lam in (prob.lam, 100.0 * prob.lam):
             other = prob.with_lam(lam)
-            diag = np.diagonal(other.matrix_values, axis1=1, axis2=2)
+            diag = np.diagonal(other.potential.matrix_at(other.times), axis1=1, axis2=2)
             assert other.scaling.shape == (prob.n_samples, prob.n_components)
             assert _rel_err(other.scaling, 1.0 / np.sqrt(1.0 + lam * diag / s)) <= 1e-14
         core = (prob.times > 0.0) & (prob.times < 0.5)
@@ -429,7 +451,7 @@ class TestOperator:
     def test_with_lam_shares_arrays(self, prob):
         other = prob.with_lam(3.0 * prob.lam)
         assert other.lam == 3.0 * prob.lam
-        assert other.matrix_values is prob.matrix_values
+        assert other.matrix_entries is prob.matrix_entries
         assert other.kinetic is prob.kinetic
         with pytest.raises(ValueError, match="positive"):
             prob.with_lam(0.0)
@@ -507,7 +529,7 @@ class TestColumnKernels:
         # the multiplier as one column broadcast over the components, as before
         kinetic = prob.kinetic[:, :1]
         spectral = np.fft.irfft(kinetic * np.fft.rfft(x, axis=0), prob.n_samples, axis=0)
-        ref = spectral + prob.lam * np.einsum("nij,nj->ni", prob.matrix_values, x)
+        ref = spectral + prob.lam * np.einsum("nij,nj->ni", prob.potential.matrix_at(prob.times), x)
         got = prob.apply(x)
         assert got.flags.c_contiguous
         assert np.array_equal(got, ref)
@@ -519,7 +541,7 @@ class TestColumnKernels:
         assert prob.kinetic.shape == prob.precond.shape == (N_DEFAULT // 2 + 1, 3)
         x_hat = np.fft.rfft(x, axis=0)
         spectral = np.fft.irfft(prob.kinetic[:, :1] * x_hat, prob.n_samples, axis=0)
-        ref = spectral + prob.lam * np.einsum("nij,nj->ni", prob.matrix_values, x)
+        ref = spectral + prob.lam * np.einsum("nij,nj->ni", prob.potential.matrix_at(prob.times), x)
         assert _rel_err(prob.apply(x), ref) <= 1e-14
 
     def test_hessian_action_matches_broadcast_form(self, operator_case):
