@@ -60,9 +60,9 @@ class Problem:
     ``(N, n)`` sample arrays: :meth:`apply` is ``|w|^(2a) + lam L(t)``,
     :meth:`form`, the bilinear form of ``||.||_lam^2``, is its L2(dt) pairing
     ``dt sum(x * apply(y))``, so the energy, its gradient and every norm go
-    through ``apply``, and :meth:`precondition` is the inverse of the surrogate
-    ``D^(1/2) (c + |w|^(2a)) D^(1/2)``, ``D = 1 + lam diag(L(t)) / s``, whose
-    kinetic block is shifted to the potential level ``c`` (:meth:`shift`).
+    through ``apply``, and :meth:`precondition` sums the inverses of its
+    kinetic block shifted to the potential level ``c`` (:meth:`shift`) and of
+    ``1 + |w|^(2a)`` on the samples where ``diag L(t) = 0``.
     :meth:`energy`, :meth:`grad` and :meth:`hessian` are the functional ``I``
     and its derivatives on the same arrays, as the solver descends them.
     The restricted (Dirichlet) problem is the same functional on the signals
@@ -92,41 +92,39 @@ class Problem:
     matrix_entries: np.ndarray = field(init=False, repr=False)
     kinetic: np.ndarray = field(init=False, repr=False)
     precond: np.ndarray = field(init=False, repr=False)
-    scaling: np.ndarray = field(init=False, repr=False)
+    core_precond: np.ndarray = field(init=False, repr=False)
+    wall_free: np.ndarray = field(init=False, repr=False)
     free: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         times = self.t_min + self.dt * np.arange(self.n_samples)
         kinetic, _ = half_spectrum(self.n_samples, self.dt, self.order)
+        kinetic = np.repeat(kinetic[:, None], self.n_components, axis=1)  # over the n columns
         matrix = self.potential.matrix_at(times)
         arrays = {
             "times": times,
             "matrix_entries": np.ascontiguousarray(matrix.transpose(1, 2, 0)),
-            # the multiplier repeated over the n columns
-            "kinetic": np.repeat(kinetic[:, None], self.n_components, axis=1),
+            "kinetic": kinetic,
+            "core_precond": 1.0 / (1.0 + kinetic),
         }
         for name, value in arrays.items():
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-        self._set_scaling()
+        self._set_preconditioner()
 
-    def _set_scaling(self):
-        """The preconditioner's ``lam``-dependent parts, for the current ``lam``.
+    def _set_preconditioner(self):
+        """Set ``precond = 1 / (c + |w|^(2a))`` and ``wall_free`` (``diag L = 0`` in ``free``).
 
-        ``scaling`` is ``D^(-1/2)``, ``(N, n)``: ``s = (pi / (2 dt))^(2a)`` is
-        ``|w|^(2a)`` at half the Nyquist frequency, the median of the
-        half-spectrum multipliers, and the wall ``lam L`` takes over the
-        diagonal where it exceeds that kinetic scale.  ``precond`` is the
-        half-spectrum kinetic block ``1 / (c + |w|^(2a))``, ``(N/2 + 1, n)``,
-        with ``c`` = :meth:`shift`.  Construction, :meth:`with_lam` and
-        :meth:`restricted` all pass here, so ``lam`` is checked here.
+        Construction, :meth:`with_lam` and :meth:`restricted` all pass here, so
+        ``lam`` is checked here.
         """
         if not 0 < self.lam < np.inf:
             raise ValueError(f"weight lam must be positive and finite, got {self.lam}")
-        s = (np.pi / (2.0 * self.dt)) ** self.order.doubled
-        scaling = (1.0 + self.lam * self._diagonal() / s) ** -0.5
+        wall_free = self._diagonal() == 0.0
+        if self.free is not None:
+            wall_free &= self.free
         precond = 1.0 / (self.shift() + self.kinetic)
-        for name, value in (("scaling", scaling), ("precond", precond)):
+        for name, value in (("precond", precond), ("wall_free", wall_free)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -164,10 +162,10 @@ class Problem:
         return xi_norm / (p * self.constants.theta0 ** (p / 2.0))
 
     def with_lam(self, lam: float) -> "Problem":
-        """The same grid, data and ``free`` at another weight, sharing every array but the scaling."""
+        """The same grid, data and ``free`` at another weight; the arrays built from ``lam`` are rebuilt."""
         other = copy.copy(self)
         object.__setattr__(other, "lam", lam)
-        other._set_scaling()
+        other._set_preconditioner()
         return other
 
     def restricted(self, interval: tuple[float, float]) -> "Problem":
@@ -188,7 +186,7 @@ class Problem:
         free.setflags(write=False)
         other = copy.copy(self)
         object.__setattr__(other, "free", free)
-        other._set_scaling()
+        other._set_preconditioner()
         return other
 
     def form(self, x: np.ndarray, y: np.ndarray) -> float:
@@ -209,10 +207,15 @@ class Problem:
         return weighted
 
     def precondition(self, x: np.ndarray) -> np.ndarray:
-        """``D^(-1/2) (c + |w|^(2a))^(-1) D^(-1/2) x``, projected: symmetric positive in L2(dt)."""
-        d = self.scaling
-        out = np.fft.irfft(self.precond * np.fft.rfft(d * x, axis=0), self.n_samples, axis=0)
-        out *= d
+        """``(c + |w|^(2a))^(-1) x + R (1 + |w|^(2a))^(-1) R x``, projected, ``R`` = ``wall_free``.
+
+        Two-region additive Schwarz (Smith, Bjorstad and Gropp, *Domain Decomposition*,
+        1996): an SPD plus a PSD term, so symmetric positive definite in L2(dt).
+        """
+        out = np.fft.irfft(self.precond * np.fft.rfft(x, axis=0), self.n_samples, axis=0)
+        core = np.where(self.wall_free, x, 0.0)
+        core = np.fft.irfft(self.core_precond * np.fft.rfft(core, axis=0), self.n_samples, axis=0)
+        out += np.where(self.wall_free, core, 0.0)
         return self.project(out)
 
     def project(self, x: np.ndarray) -> np.ndarray:

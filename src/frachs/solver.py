@@ -12,13 +12,13 @@ along that one direction; when the line search rejects it, the descent stops
 preconditioned steepest-descent direction ``precondition(-g)``).  The pointwise
 coefficients of ``W''(u)`` (``Nonlinearity.hessian_at``) are formed once per
 Newton step, so a CG iteration costs one ``Problem.apply`` and a few array
-products.  CG is preconditioned by ``Problem.precondition``, the inverse of
-the kinetic surrogate ``c + |w|^(2a)`` scaled on both sides by ``D^(-1/2)``,
-``D = 1 + lam diag(L(t)) / s``: a symmetric kinetic/potential split that
-accounts for the wall term ``lam L`` where it dominates the diagonal.  The
-shift ``c = Problem.shift`` lifts the kinetic block to the mean wall level
-over the samples the descent may move, where the low-frequency Hessian
-sits; it is built once per problem.  The Newton forcing term is
+products.  CG is preconditioned by ``Problem.precondition``, the two-region
+additive Schwarz inverse built from the operator's own blocks: the kinetic
+block ``c + |w|^(2a)`` on the whole line, its shift ``c = Problem.shift``
+lifting it to the mean wall level over the samples the descent may move,
+where the low-frequency Hessian sits, plus the kinetic operator
+``1 + |w|^(2a)`` alone on the samples where ``L`` vanishes; both are built
+once per problem.  The Newton forcing term is
 ``min(0.5, |g|)``, so the inner solves tighten quadratically near the
 minimizer.  The line search accepts only steps that strictly lower the
 energy, and every iterate is checked against the closed-form coercivity
@@ -227,18 +227,15 @@ def minimize(prob: Problem, cfg: SolverConfig, start: SampledSignal | None = Non
 def solve_bvp(prob: Problem, cfg: SolverConfig) -> SolveResult:
     """Minimize the functional restricted to signals vanishing outside the core.
 
-    The core must be normalized to start at 0 (an interval (0, T)).  Dirichlet
-    values outside the open core are pinned to exact zeros by construction
-    (zero-extension representation on the full grid): one descent runs on
+    The core may sit anywhere inside the well.  Dirichlet values outside the
+    open core are pinned to exact zeros by construction (zero-extension
+    representation on the full grid): one descent runs on
     ``prob.restricted(core)``, from the negative-energy witness, so a problem
     with none raises :class:`~frachs.energy.WitnessError`.  On the core
-    ``L = 0``, so the preconditioner's kinetic shift stays 1 there.
+    ``L = 0``, so the preconditioner's two blocks coincide there.
     """
-    lo, hi = prob.potential.core
-    if lo != 0.0:
-        raise ValueError(f"the restricted problem expects a core (0, T), got ({lo}, {hi})")
     u0, s = negative_energy_witness(prob)  # first: its ResolutionError names the core
-    return _descend(prob.restricted((lo, hi)), cfg, s * u0.values)
+    return _descend(prob.restricted(prob.potential.core), cfg, s * u0.values)
 
 
 def uniform_bound_constant(prob: Problem) -> float:

@@ -457,6 +457,29 @@ class TestSweepCommand:
             assert "stop_reason" not in open(path).read()
 
 
+class TestCoreAwayFromZero:
+    """bvp and sweep on a core that does not start at 0."""
+
+    def test_bvp_vanishes_outside_the_core(self, tmp_path):
+        cfg = write(tmp_path, BASE + "i_min = 0.1\n")
+        out = str(tmp_path / "out")
+        assert main(["bvp", "--config", cfg, "--out", out]) == 0
+        report = json.load(open(artifact(out, "bvp-report-")))
+        assert report["converged"] is True
+        assert report["c_tilde"] == report["energy"] < 0
+        t, u = np.loadtxt(artifact(out, "bvp-solution-", ".csv"), delimiter=",", skiprows=1).T
+        inside = (t > 0.1) & (t < 0.5)
+        assert np.all(u[~inside] == 0.0) and np.all(u[inside] != 0.0)
+
+    def test_sweep_rows_unflagged(self, tmp_path):
+        cfg = write(tmp_path, BASE + "i_min = 0.1\nlambdas = 2,20,200,2000\n")
+        out = str(tmp_path / "out")
+        assert main(["sweep", "--config", cfg, "--out", out]) == 0
+        report = json.load(open(artifact(out, "sweep-report-")))
+        assert report["flagged"] is False
+        assert all(r["c_lambda"] <= report["c_tilde"] < 0 for r in report["rows"])
+
+
 class TestSelftest:
     def test_default_grid_passes(self, tmp_path):
         cfg = write(tmp_path, BASE)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_circulant
 from scipy.optimize import minimize_scalar
 
 from frachs import (
@@ -405,13 +406,26 @@ class TestOperator:
         assert form == pytest.approx(prob.form(v.values, u.values), rel=1e-12)
         assert form == pytest.approx(prob.dt * np.sum(u.values * prob.apply(v.values)), rel=1e-10)
 
-    def test_precondition_inverts_surrogate(self, operator_case):
-        # surrogate D^(1/2) (c + |w|^(2a)) D^(1/2) with D^(-1/2) = prob.scaling
+    def test_precondition_sums_block_inverses(self, operator_case):
+        # P x = (c + |w|^(2a))^(-1) x + R (1 + |w|^(2a))^(-1) R x, R the samples where
+        # diag L = 0; each block is solved as the circulant whose first column is
+        # riesz_composition of a unit impulse, plus the shift
         prob, u, _ = operator_case
-        c = _mean_wall_shift(prob)
-        half = u.with_values(u.values / prob.scaling)
-        surrogate = (riesz_composition(half, prob.order).values + c * half.values) / prob.scaling
-        assert _rel_err(prob.precondition(surrogate), u.values) <= 1e-12
+        impulse = np.zeros((prob.n_samples, 1))
+        impulse[0] = 1.0
+        column = riesz_composition(SampledSignal(T_MIN, DT, impulse), prob.order).values[:, 0]
+
+        def block_inverse(shift, x):
+            return solve_circulant(column + shift * impulse[:, 0], x)
+
+        diag = np.diagonal(prob.potential.matrix_at(prob.times), axis1=1, axis2=2)
+        wall_free = diag == 0.0
+        assert np.array_equal(prob.wall_free, wall_free)
+        assert 0 < np.count_nonzero(wall_free) < wall_free.size
+        x = u.values
+        core = block_inverse(1.0, np.where(wall_free, x, 0.0))
+        ref = block_inverse(_mean_wall_shift(prob), x) + np.where(wall_free, core, 0.0)
+        assert _rel_err(prob.precondition(x), ref) <= 1e-12
 
     def test_shift_is_the_mean_wall_over_free_samples(self, operator_case):
         # c = max(1, mean lam diag L) over every (N, n) entry: far above 1 where the
@@ -426,7 +440,7 @@ class TestOperator:
 
     @pytest.mark.parametrize("factor", [1.0, 1000.0])
     def test_precondition_symmetric_positive(self, operator_case, factor):
-        # in the L2(dt) inner product, also at a weight where the wall dominates D
+        # in the L2(dt) inner product, also at a weight where the wall dominates the Hessian
         prob, u, v = operator_case
         prob = prob.with_lam(factor * prob.lam)
         x, y = u.values, v.values
@@ -435,24 +449,12 @@ class TestOperator:
         assert prob.dt * np.sum(x * prob.precondition(x)) > 0.0
         assert prob.dt * np.sum(y * prob.precondition(y)) > 0.0
 
-    def test_scaling_follows_lam(self, operator_case):
-        # D^(-1/2) = (1 + lam diag(L) / s)^(-1/2), s = |w|^(2a) at half the Nyquist frequency
-        prob, _, _ = operator_case
-        s = (np.pi / (2.0 * prob.dt)) ** (2.0 * prob.order.alpha)
-        assert s == pytest.approx(np.median(prob.kinetic), rel=1e-12)
-        for lam in (prob.lam, 100.0 * prob.lam):
-            other = prob.with_lam(lam)
-            diag = np.diagonal(other.potential.matrix_at(other.times), axis1=1, axis2=2)
-            assert other.scaling.shape == (prob.n_samples, prob.n_components)
-            assert _rel_err(other.scaling, 1.0 / np.sqrt(1.0 + lam * diag / s)) <= 1e-14
-        core = (prob.times > 0.0) & (prob.times < 0.5)
-        assert np.all(prob.scaling[core] == 1.0)
-
     def test_with_lam_shares_arrays(self, prob):
         other = prob.with_lam(3.0 * prob.lam)
         assert other.lam == 3.0 * prob.lam
         assert other.matrix_entries is prob.matrix_entries
         assert other.kinetic is prob.kinetic
+        assert other.core_precond is prob.core_precond
         with pytest.raises(ValueError, match="positive"):
             prob.with_lam(0.0)
 
@@ -484,6 +486,16 @@ class TestRestricted:
     def test_precond_is_the_unshifted_kinetic_inverse(self, prob):
         # on the core L = 0, so the shift is 1
         assert np.array_equal(prob.restricted((0.0, 0.5)).precond, 1.0 / (1.0 + prob.kinetic))
+
+    def test_precondition_is_twice_the_core_block(self, operator_case):
+        # on the core R = free and c = 1: both blocks are the projected core block,
+        # and doubling is exact in floating point
+        prob, u, _ = operator_case
+        restricted = prob.restricted((0.0, 0.5))
+        assert np.array_equal(restricted.wall_free, restricted.free)
+        x = restricted.project(u.values)
+        block = np.fft.irfft(restricted.core_precond * np.fft.rfft(x, axis=0), prob.n_samples, axis=0)
+        assert np.array_equal(restricted.precondition(x), 2.0 * restricted.project(block))
 
     def test_interval_without_samples_raises(self, prob):
         # dt = 1/128 puts no sample strictly inside (0.001, 0.002)

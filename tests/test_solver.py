@@ -254,14 +254,21 @@ class TestSolveBvp:
             residual = directional_derivative(res.u, phi, prob)
             assert abs(residual) <= 10 * cfg.grad_tol * l2_norm(phi)
 
-    def test_core_not_anchored_at_zero_rejected(self, prob, cfg):
-        shifted = vanishing_well_potential(core=(0.1, 0.5))
-        bad = Problem(
+    def test_core_away_from_zero(self, prob, cfg):
+        # the core may sit anywhere inside the well: (0.1, 0.5) solves like (0, 0.5)
+        core = (0.1, 0.5)
+        shifted = Problem(
             prob.order, prob.n_samples, prob.t_min, prob.dt,
-            shifted, prob.nonlinearity, prob.lam, prob.constants,
+            vanishing_well_potential(core=core), power_nonlinearity(core=core),
+            prob.lam, prob.constants,
         )
-        with pytest.raises(ValueError, match=r"\(0, T\)"):
-            solve_bvp(bad, cfg)
+        res = solve_bvp(shifted, cfg)
+        u0, s = negative_energy_witness(shifted)
+        assert res.converged
+        assert res.energy <= evaluate_energy(u0.with_values(s * u0.values), shifted) < 0
+        inside = (prob.times > core[0]) & (prob.times < core[1])
+        assert np.all(res.u.values[~inside] == 0.0)
+        assert np.all(res.u.values[inside] != 0.0)
 
     def test_ordering_against_full_minimizer(self, prob, cfg):
         full = minimize(prob, cfg)
@@ -487,10 +494,10 @@ def ladders(cfg):
 
 
 class TestLadderBudget:
-    """Deterministic Hessian-action budgets: the shifted kinetic block keeps CG short."""
+    """Deterministic Hessian-action budgets: the two-block preconditioner keeps CG short."""
 
     @pytest.mark.parametrize("name, budget", [
-        ("default", 400), ("alpha-0.97", 500), ("rotated", 600),
+        ("default", 160), ("alpha-0.97", 250), ("rotated", 190), ("rotated-1rad", 230),
     ])
     def test_hessian_actions_within_budget(self, ladders, name, budget):
         report, actions = ladders[name]
