@@ -12,17 +12,19 @@ Exit codes: 0 success, 1 hypothesis/selftest failure (including solve, bvp
 or sweep on a problem without a negative-energy witness, which writes no
 artifacts), 2 config error (including a grid too coarse to resolve the core,
 a domain too short to cover the well or the sublevel set, an unreadable
-config and an output path that is not a directory), 3 solver
-non-convergence, 4 flagged sweep row; exit 3 and every flagged row name the
-stop reason on stderr.  Artifacts are stamped with the config hash;
-identical config + seed reproduces byte-identical CSV/JSON payloads
-(timestamps live only in the manifest).  Only ``check`` samples the growth
-hypotheses W1-W2; the other reports leave them to its report of the same hash.
+config, an output path that is not a directory and an artifact that cannot
+be written), 3 solver non-convergence, 4 flagged sweep row; exit 3 and every
+flagged row name the stop reason on stderr.  Artifacts are stamped with the
+config hash; identical config + seed reproduces byte-identical CSV/JSON
+payloads (timestamps live only in the manifest).  Only ``check`` samples the
+growth hypotheses W1-W2; the other reports leave them to its report of the
+same hash.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import datetime
 import json
@@ -106,8 +108,22 @@ def _json_default(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+class ArtifactError(Exception):
+    """An artifact could not be written; the message names its path and the OS reason."""
+
+
+@contextlib.contextmanager
+def _open_artifact(path: str):
+    """``path`` opened for writing UTF-8 text; any ``OSError`` becomes an :class:`ArtifactError`."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise ArtifactError(f"cannot write {path!r} ({exc.strerror or exc})") from None
+
+
 def _write_json(path: str, payload: dict):
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_artifact(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=2, default=_json_default)
         fh.write("\n")
 
@@ -137,7 +153,7 @@ def _write_solution_csv(path: str, u):
     cols = ["t"] + [f"u_{i + 1}" for i in range(u.n_components)]
     row_template = ",".join(["%.17g"] * len(cols)) + "\n"
     times = u.times
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_artifact(path) as fh:
         fh.write(",".join(cols) + "\n")
         for start in range(0, u.n_samples, CSV_BLOCK_ROWS):
             rows = slice(start, start + CSV_BLOCK_ROWS)
@@ -303,7 +319,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     csv_path = os.path.join(out_dir, f"sweep-{h}.csv")
     cols = ["lambda", "c_lambda", "c_tilde", "tail_mass", "weighted_mass",
             "dist_alpha", "norm_lambda"]
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_artifact(csv_path) as fh:
         fh.write(",".join(cols) + "\n")
         for row in report.rows:
             cells = [row.lam, row.c_lambda, report.c_tilde, row.tail_mass,
@@ -489,6 +505,9 @@ def main(argv=None) -> int:
     except WitnessError as exc:
         print(f"hypothesis failure: W2-witness ({exc})", file=sys.stderr)
         return EXIT_HYPOTHESIS
+    except ArtifactError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

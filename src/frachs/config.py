@@ -9,15 +9,26 @@ in the canonical serialization, which is always sectioned by ``_SECTION_OF``
 (sections and keys sorted) wherever the key was written; its SHA-256 prefix
 is the config hash stamped into every artifact.  Parsing a canonical
 serialization reproduces it byte for byte.
+
+The SHA-256 is the interpreter's built-in one: it gives the digest of
+``hashlib.sha256`` without mapping OpenSSL's ``libcrypto`` into every solve,
+bvp and sweep process.
 """
 
 from __future__ import annotations
 
 import configparser
-import hashlib
 import io
 import math
 from dataclasses import dataclass, fields
+
+try:  # as CPython's random.py does: hashlib is heavy to load
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # an interpreter built without either
+        from hashlib import sha256
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "parse_config_text"]
 
@@ -81,7 +92,7 @@ class ExperimentConfig:
         return out.getvalue()
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()[:16]
+        return sha256(self.canonical_text().encode("utf-8")).hexdigest()[:16]
 
 
 _SECTION_OF = {

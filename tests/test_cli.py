@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,9 +11,10 @@ import pytest
 
 from frachs import SampledSignal, cli
 from frachs.cli import _write_solution_csv, main
-from frachs.config import ConfigError, parse_config_text
+from frachs.config import ConfigError, parse_config, parse_config_text
 
 BASE = "[scenario]\npreset = default\n"
+CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
 
 def write(tmp_path, text, name="cfg.ini"):
@@ -92,6 +95,19 @@ class TestConfigParsing:
         b = parse_config_text(BASE + "alpha = 0.8\n")
         assert a.config_hash() != b.config_hash()
 
+    @pytest.mark.parametrize(
+        "text", [BASE, "[scenario]\npreset = rotated\n", BASE + "lambdas = 2,20,200,2000\n"]
+    )
+    def test_hash_is_the_hashlib_digest(self, text):
+        cfg = parse_config_text(text)
+        expected = hashlib.sha256(cfg.canonical_text().encode("utf-8")).hexdigest()[:16]
+        assert cfg.config_hash() == expected
+
+    def test_benchmark_config_hashes_are_pinned(self):
+        # every artifact name of the benchmark's runs carries these
+        assert parse_config(str(CONFIGS / "default.ini")).config_hash() == "1e6c1f489e46c1bb"
+        assert parse_config(str(CONFIGS / "rotated.ini")).config_hash() == "4e8d02ab67caad08"
+
     def test_key_in_any_section_hashes_the_same(self):
         in_scenario = parse_config_text(BASE + "max_iters = 7\n")
         in_solver = parse_config_text(BASE + "[solver]\nmax_iters = 7\n")
@@ -144,6 +160,22 @@ class TestExitCodes:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize(
+        "command,name",
+        [("check", "manifest-{}.json"), ("solve", "solve-solution-{}.csv"),
+         ("bvp", "bvp-report-{}.json"), ("sweep", "sweep-{}.csv")],
+        ids=["check-manifest", "solve-csv", "bvp-report", "sweep-csv"],
+    )
+    def test_unwritable_artifact_is_config_error(self, tmp_path, capsys, command, name):
+        # a directory where the artifact goes makes open() fail with IsADirectoryError
+        text = BASE + "grid_n = 1024\nlambdas = 2,20,200\n"
+        cfg, out = write(tmp_path, text), tmp_path / "o"
+        blocked = out / name.format(parse_config_text(text).config_hash())
+        blocked.mkdir(parents=True)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: cannot write {str(blocked)!r} (Is a directory)\n"
 
     def test_missing_required_field(self, tmp_path):
         cfg = write(tmp_path, "[scenario]\nalpha = 0.75\n")
@@ -257,17 +289,38 @@ class TestExitCodes:
 
 
 class TestImport:
-    def test_cli_import_loads_no_scipy(self):
+    @staticmethod
+    def run_fresh(code, *args):
+        """``code`` in a fresh interpreter that imports this frachs; asserts it exits 0."""
         import frachs
 
         src = os.path.dirname(os.path.dirname(os.path.abspath(frachs.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
-        code = (
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_cli_import_loads_no_scipy(self):
+        self.run_fresh(
             "import frachs.cli, sys; "
             "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
         )
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+
+    def test_solve_bvp_sweep_load_no_openssl(self, tmp_path):
+        # hashlib maps libcrypto; the config hash takes the built-in SHA-256 instead
+        cfg, out = write(tmp_path, BASE), str(tmp_path / "o")
+        code = (
+            "import sys\n"
+            "from frachs.cli import main\n"
+            "cfg, out = sys.argv[1:]\n"
+            "for argv in (['solve'], ['bvp'], ['sweep', '--lambdas', '2,20,200,2000']):\n"
+            "    common = ['--config', cfg, '--out', out, '--grid-n', '1024']\n"
+            "    assert main([argv[0], *common, *argv[1:]]) == 0, argv\n"
+            "loaded = {'_hashlib', 'hashlib'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n"
+        )
+        self.run_fresh(code, cfg, out)
 
 
 class TestCheck:
