@@ -6,6 +6,8 @@ inequalities on a random ensemble: the sup-norm bound, the L2 bound with
 factor 1/theta0, and the L^r bounds at several exponents.
 """
 
+import random
+
 import numpy as np
 
 from frachs import (
@@ -49,7 +51,7 @@ print(f"admissibility product C^2 m = {const.admissibility_product:.5f} "
 print(f"theta0 = {const.theta0:.5f},  weight threshold = {const.lambda_threshold:.5f}")
 
 # --- ensemble check of the inequalities at the threshold weight
-rng = np.random.default_rng(7)
+rng = random.Random(7)
 lam = const.lambda_threshold
 worst = {}
 for _ in range(300):

@@ -28,7 +28,9 @@ import contextlib
 import dataclasses
 import datetime
 import json
+import math
 import os
+import random
 import sys
 
 import numpy as np
@@ -170,6 +172,9 @@ def cmd_check(cfg: ExperimentConfig, out_dir: str) -> int:
     """W1-W2, L1-L3 and L1 admissibility on the configured grid, as one JSON report.
 
     The growth checks run first, so a grid too coarse for the core keeps their message.
+    The ``resolution`` section is a diagnostic, not a check: whether ``dt`` resolves
+    the distance ``sqrt(wall_height * wall_steepness)`` over which the wall rises
+    from 0 on the core to ``wall_height``.
     """
     pot, nl = build_potential(cfg), build_nonlinearity(cfg)
     t_min, dt = midpoint_grid(cfg.grid_n, cfg.domain)
@@ -193,12 +198,14 @@ def cmd_check(cfg: ExperimentConfig, out_dir: str) -> int:
             "theta0": constants.theta0,
             "lambda_threshold": constants.lambda_threshold,
         }
+    wall_width = math.sqrt(cfg.wall_height * cfg.wall_steepness)
     h = cfg.config_hash()
     report = {
         "config_hash": h,
         "potential": _check_section(pot_report),
         "growth": _check_section(growth),
         "admissibility": admissibility,
+        "resolution": {"dt": dt, "wall_width": wall_width, "resolved": dt <= wall_width},
         "passed": not failed,
     }
     _write_manifest(out_dir, cfg, "check")
@@ -364,7 +371,7 @@ def cmd_ops_selftest(cfg: ExperimentConfig) -> int:
     n, domain = cfg.grid_n, cfg.domain
     t_min, dt = midpoint_grid(n, domain)
     a = FracOrder(cfg.alpha)
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     results = []
 
     def record(name, err, tol):

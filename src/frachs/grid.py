@@ -10,6 +10,8 @@ hold to rounding error.  Frequencies are angular, ``w_k = 2 pi k / (N dt)``.
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +24,7 @@ __all__ = [
     "reflect",
     "l2_norm",
     "pointwise_dot",
+    "standard_normal",
     "random_band_limited",
 ]
 
@@ -169,23 +172,43 @@ def l2_norm(u: SampledSignal) -> float:
     return float(np.sqrt(u.dt * np.sum(u.values**2)))
 
 
+def standard_normal(rng: random.Random, count: int) -> np.ndarray:
+    """``count`` N(0, 1) samples, shape (count,), by Box-Muller on ``rng.random()`` alone.
+
+    Each pair takes two uniforms: radius ``sqrt(-2 log(1 - u1))`` (``1 - u1``
+    lies in (0, 1], so the log is finite) and angle ``2 pi u2``.  ``random()``
+    is the one stream of :class:`random.Random` that CPython keeps the same
+    across versions (``gauss`` is not), and the stdlib generator spares the
+    process ``numpy.random``, whose import maps OpenSSL.
+    """
+    out = []
+    for _ in range((count + 1) // 2):
+        r = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+        theta = 2.0 * math.pi * rng.random()
+        out += (r * math.cos(theta), r * math.sin(theta))
+    return np.array(out[:count], dtype=float)
+
+
 def random_band_limited(
-    rng: np.random.Generator,
+    rng: random.Random,
     n_samples: int,
     t_min: float,
     dt: float,
     n_components: int = 1,
     band_fraction: float = 0.25,
 ) -> SampledSignal:
-    """Random real signal with spectral content below ``band_fraction`` of Nyquist, unit peak."""
+    """Random real signal with spectral content below ``band_fraction`` of Nyquist, unit peak.
+
+    The in-band coefficients are complex normals from :func:`standard_normal`:
+    all real parts, then all imaginary parts.
+    """
     freqs = 2.0 * np.pi * np.fft.fftfreq(n_samples, d=dt)
     w_max = band_fraction * np.pi / dt
     raw = np.zeros((n_samples, n_components), dtype=complex)
     band = np.abs(freqs) <= w_max
     n_band = int(np.sum(band))
-    raw[band] = rng.standard_normal((n_band, n_components)) + 1j * rng.standard_normal(
-        (n_band, n_components)
-    )
+    re, im = standard_normal(rng, 2 * n_band * n_components).reshape(2, n_band, n_components)
+    raw[band] = re + 1j * im
     values = np.fft.ifft(raw, axis=0).real
     peak = np.max(np.abs(values))
     if peak > 0:

@@ -15,12 +15,13 @@ at u = 0 for line-search robustness.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .grid import pointwise_dot
+from .grid import pointwise_dot, standard_normal
 from .spaces import CheckReport, CheckResult, ResolutionError
 
 __all__ = [
@@ -162,9 +163,10 @@ def verify_growth(
 ) -> CheckReport:
     """Sample the growth hypotheses on a (t, u) mesh; failures are data.
 
-    W1: |grad W(t, u)| <= xi(t) |u|^(p-1) over the grid times 4 random
-    directions and 24 amplitudes |u| up to 2.  W2: |W(t, u)| >= eta |u|^nu
-    for t in the closed core and |u| <= delta.  Also cross-checks the declared
+    W1: |grad W(t, u)| <= xi(t) |u|^(p-1) over the grid times 4 random unit
+    directions (normalized :func:`~frachs.grid.standard_normal` draws from
+    ``random.Random(seed)``) and 24 amplitudes |u| up to 2.  W2: |W(t, u)| >=
+    eta |u|^nu for t in the closed core and |u| <= delta.  Also cross-checks the declared
     gradient against centered differences of the density away from u = 0.
     Each (direction, amplitude) sample evaluates the gradient once, on a
     broadcast row, and W1 and the difference check share it.  A closed core
@@ -177,8 +179,7 @@ def verify_growth(
             f"the closed core {core} holds no grid sample: the grid does not resolve the core"
         )
     shape = (len(times), n_components)
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((4, n_components))
+    dirs = standard_normal(random.Random(seed), 4 * n_components).reshape(4, n_components)
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     amps = np.linspace(0.0, 2.0, 25)[1:]
     xi_vals = nl.xi_at(times)

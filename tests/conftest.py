@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -27,4 +29,11 @@ def cfg():
 
 @pytest.fixture(scope="session")
 def rng():
+    """The stdlib generator that ``random_band_limited`` draws from."""
+    return random.Random(20240811)
+
+
+@pytest.fixture(scope="session")
+def np_rng():
+    """numpy's generator, for the tests' own array draws."""
     return np.random.default_rng(20240811)

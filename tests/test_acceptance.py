@@ -236,7 +236,7 @@ def test_criterion_8_concentration(prob, ladder_report):
     )
 
 
-def test_criterion_9_bvp_weak_residual(prob, cfg, bvp_result, rng):
+def test_criterion_9_bvp_weak_residual(prob, cfg, bvp_result, np_rng):
     t0 = time.perf_counter()
     u_tilde = bvp_result.u
     lo, hi = prob.potential.core
@@ -244,7 +244,7 @@ def test_criterion_9_bvp_weak_residual(prob, cfg, bvp_result, rng):
     worst = 0.0
     for _ in range(20):
         vals = np.zeros((N_DEFAULT, prob.n_components))
-        vals[interior, 0] = rng.standard_normal(int(interior.sum()))
+        vals[interior, 0] = np_rng.standard_normal(int(interior.sum()))
         phi = SampledSignal(T_MIN, DT, vals)
         residual = directional_derivative(u_tilde, phi, prob)
         worst = max(worst, abs(residual) / l2_norm(phi))

@@ -307,23 +307,40 @@ class TestImport:
             "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
         )
 
-    def test_solve_bvp_sweep_load_no_openssl(self, tmp_path):
-        # hashlib maps libcrypto; the config hash takes the built-in SHA-256 instead
+    def test_no_command_loads_openssl(self, tmp_path):
+        # hashlib maps libcrypto, and numpy.random imports it through secrets and hmac:
+        # the config hash takes the built-in SHA-256 and the draws random.Random
         cfg, out = write(tmp_path, BASE), str(tmp_path / "o")
         code = (
             "import sys\n"
             "from frachs.cli import main\n"
             "cfg, out = sys.argv[1:]\n"
-            "for argv in (['solve'], ['bvp'], ['sweep', '--lambdas', '2,20,200,2000']):\n"
+            "for argv in (['check'], ['solve'], ['bvp'], ['sweep', '--lambdas', '2,20,200,2000'],\n"
+            "             ['ops-selftest']):\n"
             "    common = ['--config', cfg, '--out', out, '--grid-n', '1024']\n"
             "    assert main([argv[0], *common, *argv[1:]]) == 0, argv\n"
-            "loaded = {'_hashlib', 'hashlib'} & set(sys.modules)\n"
+            "loaded = {'numpy.random', 'secrets', '_hashlib', 'hashlib'} & set(sys.modules)\n"
             "assert not loaded, loaded\n"
         )
         self.run_fresh(code, cfg, out)
 
 
 class TestCheck:
+    @pytest.mark.parametrize("grid_n, resolved", [(4096, False), (16384, True)])
+    @pytest.mark.parametrize("preset", ["default", "rotated"])
+    def test_resolution_diagnostic(self, tmp_path, preset, grid_n, resolved):
+        # the wall rises to wall_height within sqrt(30 * 5e-7) = 3.87e-3 of the core;
+        # dt = 32 / N is 7.8e-3 at N = 4096 and 1.95e-3 at N = 16384
+        out = str(tmp_path / "out")
+        argv = ["check", "--config", str(CONFIGS / f"{preset}.ini"), "--out", out,
+                "--grid-n", str(grid_n)]
+        assert main(argv) == 0  # a diagnostic, not a failure
+        report = json.load(open(artifact(out, "check-")))
+        assert report["resolution"] == {
+            "dt": 32.0 / grid_n, "wall_width": np.sqrt(30.0 * 5e-7), "resolved": resolved,
+        }
+        assert report["passed"] is True
+
     def test_default_passes(self, tmp_path):
         cfg = write(tmp_path, BASE + "grid_n = 2048\n")
         out = str(tmp_path / "out")

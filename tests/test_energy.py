@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_circulant
@@ -25,6 +27,7 @@ from frachs import (
     rotated_well_potential,
     signal_from_function,
     smooth_bump,
+    standard_normal,
     vanishing_well_potential,
     verify_growth,
     zero_nonlinearity,
@@ -40,8 +43,7 @@ TIMES = T_MIN + DT * np.arange(N_DEFAULT)
 def _reference_growth_report(nl, times, core, n_components, seed):
     """``verify_growth`` as separate W1, W2 and difference loops, each evaluating
     its own gradients on ``(N, n)`` copies: the reference the one-pass check must match."""
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((4, n_components))
+    dirs = standard_normal(random.Random(seed), 4 * n_components).reshape(4, n_components)
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     amps = np.linspace(0.0, 2.0, 25)[1:]
     xi_vals = nl.xi_at(times)
@@ -171,6 +173,38 @@ class TestGrowthChecks:
         # W2 samples the 12 amplitudes <= delta = 1 on the core
         assert calls == {"gradient": 4 * 24, "full": 4 * 22 * 2 * n, "core": 4 * 12}
 
+    @staticmethod
+    def sampled_directions(n, seed):
+        """The directions ``verify_growth`` samples, and the W1 rows ``s * d`` it evaluates."""
+        base, rows = power_nonlinearity(), []
+
+        def gradient(t, u):
+            rows.append(u[0].copy())
+            return base.gradient(t, u)
+
+        recorder = Nonlinearity(
+            density=base.density, gradient=gradient,
+            p=base.p, xi=base.xi, eta=base.eta, delta=base.delta, nu=base.nu,
+        )
+        verify_growth(recorder, TIMES, (0.0, 0.5), n_components=n, seed=seed)
+        amps = np.linspace(0.0, 2.0, 25)[1:]
+        rows = np.array(rows).reshape(4, len(amps), n)
+        return rows[:, -1] / amps[-1], rows
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_directions_have_unit_norm(self, n):
+        dirs, rows = self.sampled_directions(n, seed=0)
+        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=1e-15, atol=0.0)
+        amps = np.linspace(0.0, 2.0, 25)[1:]
+        # every amplitude scales the same direction
+        assert np.array_equal(rows, amps[None, :, None] * dirs[:, None, :])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_same_seed_gives_equal_directions(self, n):
+        a, b = (self.sampled_directions(n, seed=3)[1] for _ in range(2))
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, self.sampled_directions(n, seed=4)[1])
+
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("name", ["power", "power-regularized", "zero", "lying"])
@@ -203,11 +237,11 @@ class TestGrowthChecks:
 
 class TestPowerFamily:
     @pytest.mark.parametrize("n", [1, 2])
-    def test_unregularized_matches_closed_form_bits(self, rng, n):
+    def test_unregularized_matches_closed_form_bits(self, np_rng, n):
         # eps = 0: xi |u|^p / p and xi |u|^(p-2) u in the same operation order, and
         # exact zeros on the rows where u = 0, at which |u|^(p-2) is singular
         nl = power_nonlinearity()
-        u = rng.standard_normal((N_DEFAULT, n))
+        u = np_rng.standard_normal((N_DEFAULT, n))
         zero = np.zeros(N_DEFAULT, dtype=bool)
         zero[::7] = True
         u[zero] = 0.0
@@ -232,12 +266,12 @@ class TestHessianAt:
         [power_nonlinearity(), power_nonlinearity(eps=0.3), zero_nonlinearity()],
         ids=["power", "power-regularized", "zero"],
     )
-    def test_matches_centered_differences(self, nl, n, rng):
+    def test_matches_centered_differences(self, nl, n, np_rng):
         # |u| in [0.5, 1.5]: away from the power family's singular point u = 0
-        dirs = rng.standard_normal((N_DEFAULT, n))
+        dirs = np_rng.standard_normal((N_DEFAULT, n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        u = rng.uniform(0.5, 1.5, (N_DEFAULT, 1)) * dirs
-        v = rng.standard_normal((N_DEFAULT, n))
+        u = np_rng.uniform(0.5, 1.5, (N_DEFAULT, 1)) * dirs
+        v = np_rng.standard_normal((N_DEFAULT, n))
         f, g = nl.hessian_at(TIMES, u)
         assert f.shape == g.shape == (N_DEFAULT,)
         action = f[:, None] * v + (g * np.sum(u * v, axis=1))[:, None] * u
@@ -520,8 +554,8 @@ class TestColumnKernels:
     """The per-column kernels reproduce the numpy reductions and broadcasts they replace."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_pointwise_dot_matches_axis_sum(self, n, rng):
-        x, y = rng.standard_normal((2, N_DEFAULT, n))
+    def test_pointwise_dot_matches_axis_sum(self, n, np_rng):
+        x, y = np_rng.standard_normal((2, N_DEFAULT, n))
         x[:7] = -0.0  # signed-zero products: numpy's sum starts from +0
         y[:7] = np.array([-1.0, 1.0, 0.0, -0.0, 2.0, -2.0, -0.0])[:, None]
         ref = np.sum(x * y, axis=1)
@@ -530,7 +564,7 @@ class TestColumnKernels:
         assert np.array_equal(got, ref)
         assert np.array_equal(np.signbit(got), np.signbit(ref))
         # a broadcast row, as verify_growth passes it, and a square
-        d = rng.standard_normal(n)
+        d = np_rng.standard_normal(n)
         row = np.broadcast_to(0.7 * d, (N_DEFAULT, n))
         assert np.array_equal(pointwise_dot(row, y), np.sum(row * y, axis=1))
         assert np.array_equal(pointwise_dot(x, x), np.sum(x**2, axis=1))

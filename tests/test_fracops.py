@@ -214,10 +214,10 @@ class TestSeminorm:
         assert abs(sn - l2_norm(left_derivative(u, A75))) <= 1e-10 * sn
 
     @pytest.mark.parametrize("n_components", [1, 2])
-    def test_half_spectrum_sum_matches_full_spectrum(self, rng, n_components):
+    def test_half_spectrum_sum_matches_full_spectrum(self, np_rng, n_components):
         # noise plus the Nyquist tone (-1)^j: the half-spectrum holds that bin once
         nyquist = (-1.0) ** np.arange(N_DEFAULT)
-        values = rng.standard_normal((N_DEFAULT, n_components)) + nyquist[:, None]
+        values = np_rng.standard_normal((N_DEFAULT, n_components)) + nyquist[:, None]
         u = SampledSignal(T_MIN, DT, values)
         freqs = 2 * np.pi * np.fft.fftfreq(N_DEFAULT, d=DT)
         power = np.abs(np.fft.fft(values, axis=0)) ** 2

@@ -244,12 +244,12 @@ class TestSolveBvp:
         r2 = solve_bvp(prob.with_lam(100 * prob.lam), cfg)
         assert r1.energy == pytest.approx(r2.energy, rel=1e-12)
 
-    def test_weak_form_residual(self, prob, cfg, rng):
+    def test_weak_form_residual(self, prob, cfg, np_rng):
         res = solve_bvp(prob, cfg)
         mask = (prob.times > 0.0) & (prob.times < 0.5)
         for _ in range(20):
             vals = np.zeros((N_DEFAULT, 1))
-            vals[mask, 0] = rng.standard_normal(int(mask.sum()))
+            vals[mask, 0] = np_rng.standard_normal(int(mask.sum()))
             phi = SampledSignal(T_MIN, DT, vals)
             residual = directional_derivative(res.u, phi, prob)
             assert abs(residual) <= 10 * cfg.grad_tol * l2_norm(phi)
