@@ -12,12 +12,11 @@ import numpy as np
 
 from frachs import (
     FracOrder,
-    compute_embedding_constants,
     continuum_sobolev_constant,
+    default_problem,
     embedding_bounds,
     grid_sobolev_constant,
     h_alpha_norm,
-    lambda_norm,
     measure_sublevel,
     midpoint_grid,
     random_band_limited,
@@ -45,20 +44,22 @@ c_grid = grid_sobolev_constant(a, n, dt)
 print(f"sup-norm constant: whole line C_cont = {c_cont:.5f}, sharp on this grid "
       f"C_grid = {c_grid:.5f}; C_alpha = max = {max(c_cont, c_grid):.5f}")
 
-const = compute_embedding_constants(pot, a, n, t_min, dt)
+# the problem's constants come from compute_embedding_constants on its grid
+prob = default_problem(alpha=a.alpha, n_samples=n, domain=domain, potential=pot)
+const = prob.constants
 print(f"admissibility product C^2 m = {const.admissibility_product:.5f} "
       f"(margin {const.admissibility_margin:.4f})")
 print(f"theta0 = {const.theta0:.5f},  weight threshold = {const.lambda_threshold:.5f}")
 
 # --- ensemble check of the inequalities at the threshold weight
 rng = random.Random(7)
-lam = const.lambda_threshold
+at_threshold = prob.with_lam(const.lambda_threshold)
 worst = {}
 for _ in range(300):
     u = random_band_limited(rng, n, t_min, dt, band_fraction=rng.uniform(0.02, 0.6))
     ratio = u.sup_norm() / h_alpha_norm(u, a)
     worst["sup/||.||_a"] = max(worst.get("sup/||.||_a", 0.0), ratio)
-    rep = embedding_bounds(u, const, pot, lam, a)
+    rep = embedding_bounds(u, at_threshold)
     for row in rep.checks:
         key = f"{row.name} margin"
         worst[key] = min(worst.get(key, np.inf), row.worst_margin)
@@ -76,4 +77,5 @@ bump_vals = smooth_bump(times, pot.core)
 bump = SampledSignal(t_min, dt, bump_vals)
 print("\nweighted norm of a core-supported bump (independent of the weight):")
 for lam in (1.0, 10.0, 1000.0):
-    print(f"  lam = {lam:7.1f}: ||u||_lam = {lambda_norm(bump, pot, lam, a):.8f}")
+    norm = np.sqrt(prob.with_lam(lam).form(bump.values, bump.values))
+    print(f"  lam = {lam:7.1f}: ||u||_lam = {norm:.8f}")

@@ -424,6 +424,11 @@ def cmd_ops_selftest(cfg: ExperimentConfig) -> int:
         quad_d = quadrature_left_derivative(gauss, a)
         mid = np.abs(gauss.times) <= domain / 4.0
         ref = np.max(np.abs(spec_d.values[mid, 0]))
+        if ref == 0.0:
+            raise ValueError(
+                f"the derivative of exp(-t^2) is 0 on |t| <= domain/4 at dt = {dt:.3g}: "
+                "no sample resolves the Gaussian"
+            )
         err = np.max(np.abs(spec_d.values[mid, 0] - quad_d.values[mid, 0])) / ref
         # tolerance covers the half-line kernel's periodization mismatch at
         # desk-scale domains, not just the quadrature's own O(dt^2) error

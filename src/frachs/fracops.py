@@ -5,14 +5,17 @@ multiplication by ``(iw)^a`` / ``(-iw)^a`` on the principal branch
 
     (+-iw)^a = |w|^a * exp(+-i * a * pi * sgn(w) / 2),
 
-with the w = 0 mode mapped to zero.  The composition of right-after-left
-derivatives is the single real multiplier ``|w|^(2a)``, taken on the real-FFT
-half-spectrum from :func:`half_spectrum`: ``Problem`` applies it (its
-quadratic form is the L2 pairing with that operator), while
-:func:`seminorm_alpha` and the grid Sobolev constant sum it with the Parseval
-weights.  A Grunwald-Letnikov quadrature of the defining half-line
-convolution, evaluated as one zero-padded FFT convolution, is provided as an
-independent oracle for tests; it never feeds the spectral path.
+with the w = 0 mode mapped to zero.  One Fourier convention serves the whole
+package: the real-FFT half-spectrum, the ``N/2 + 1`` ``rfft`` bins ``w >= 0``,
+whose negative-frequency partners are their conjugates for real signals.
+:func:`apply_multiplier` takes every symbol on those bins.  The composition of
+right-after-left derivatives is the single real multiplier ``|w|^(2a)``, the
+table from :func:`half_spectrum`: ``Problem`` applies it (its quadratic form
+is the L2 pairing with that operator), :func:`riesz_composition` applies the
+same table, and :func:`seminorm_alpha` and the grid Sobolev constant sum it
+with the Parseval weights.  A Grunwald-Letnikov quadrature of the defining
+half-line convolution, evaluated as one zero-padded FFT convolution, is
+provided as an independent oracle for tests; it never feeds the spectral path.
 """
 
 from __future__ import annotations
@@ -36,10 +39,6 @@ __all__ = [
 _IMAG_TOL = 1e-10
 
 
-def _frequencies(u: SampledSignal) -> np.ndarray:
-    return 2.0 * np.pi * np.fft.fftfreq(u.n_samples, d=u.dt)
-
-
 def half_spectrum(n_samples: int, dt: float, a: FracOrder) -> tuple[np.ndarray, np.ndarray]:
     """``|w|^(2a)`` on the ``rfft`` bins and their Parseval weights.
 
@@ -55,44 +54,48 @@ def half_spectrum(n_samples: int, dt: float, a: FracOrder) -> tuple[np.ndarray, 
 
 
 def apply_multiplier(u: SampledSignal, multiplier: np.ndarray) -> SampledSignal:
-    """Inverse transform of ``multiplier(w_k) * u_hat(w_k)``, coerced to real.
+    """``irfft(multiplier * rfft(u), N)``, the symbol given on the ``N/2 + 1`` bins ``w >= 0``.
 
-    Raises if the imaginary residue exceeds 1e-10 relative to the output
-    scale, which signals aliasing or insufficient domain truncation.
+    The output of a complex symbol on the full spectrum is real except on the
+    self-conjugate Nyquist bin, where ``irfft`` drops the imaginary part
+    ``|Im m_nyq| |X_nyq| / N`` per sample.  Raises if that residue exceeds
+    1e-10 relative to the output scale, which signals aliasing or
+    insufficient domain truncation.
     """
-    if not np.all(np.isfinite(u.values)):
-        raise ValueError("cannot transform a signal with non-finite samples")
-    spec = np.fft.fft(u.values, axis=0)
-    out = np.fft.ifft(multiplier[:, None] * spec, axis=0)
-    scale = np.max(np.abs(out), initial=0.0)
-    residue = np.max(np.abs(out.imag), initial=0.0)
-    if scale > 0 and residue > _IMAG_TOL * scale:
+    n = u.n_samples
+    if len(multiplier) != n // 2 + 1:
+        raise ValueError(
+            f"multiplier has {len(multiplier)} entries, the rfft of {n} samples has "
+            f"{n // 2 + 1} bins"
+        )
+    spec = np.fft.rfft(u.values, axis=0)
+    out = np.fft.irfft(multiplier[:, None] * spec, n, axis=0)
+    residue = abs(np.imag(multiplier[-1])) * np.max(np.abs(spec[-1])) / n
+    scale = np.max(np.abs(out))
+    if residue > _IMAG_TOL * scale:
         raise ValueError(
             f"multiplier output has imaginary residue {residue / scale:.3e} relative; "
             "the signal is aliased or insufficiently truncated"
         )
-    return u.with_values(out.real)
+    return u.with_values(out)
 
 
-def _power_symbol(freqs: np.ndarray, order: float, sign: float) -> np.ndarray:
-    """Principal-branch (sign * i * w)^order with the w = 0 entry set to 0."""
-    symbol = np.zeros(freqs.shape, dtype=complex)
-    nonzero = freqs != 0.0
-    w = freqs[nonzero]
-    symbol[nonzero] = np.abs(w) ** order * np.exp(
-        1j * sign * order * 0.5 * np.pi * np.sign(w)
-    )
+def _power_symbol(u: SampledSignal, order: float, sign: float) -> np.ndarray:
+    """Principal-branch (sign * i * w)^order on the ``rfft`` bins, with bin 0 set to 0."""
+    freqs = 2.0 * np.pi * np.fft.rfftfreq(u.n_samples, d=u.dt)
+    symbol = np.zeros(len(freqs), dtype=complex)
+    symbol[1:] = freqs[1:] ** order * np.exp(1j * sign * order * 0.5 * np.pi)
     return symbol
 
 
 def left_derivative(u: SampledSignal, a: FracOrder) -> SampledSignal:
     """Fractional derivative acting from the left (past-looking half line)."""
-    return apply_multiplier(u, _power_symbol(_frequencies(u), a.alpha, +1.0))
+    return apply_multiplier(u, _power_symbol(u, a.alpha, +1.0))
 
 
 def right_derivative(u: SampledSignal, a: FracOrder) -> SampledSignal:
     """Fractional derivative acting from the right (future-looking half line)."""
-    return apply_multiplier(u, _power_symbol(_frequencies(u), a.alpha, -1.0))
+    return apply_multiplier(u, _power_symbol(u, a.alpha, -1.0))
 
 
 def left_integral(u: SampledSignal, a: FracOrder) -> SampledSignal:
@@ -109,13 +112,12 @@ def left_integral(u: SampledSignal, a: FracOrder) -> SampledSignal:
             f"obstructs the singular multiplier (|c0| = {mean_coeff:.3e}, "
             f"||u|| = {norm:.3e})"
         )
-    return apply_multiplier(u, _power_symbol(_frequencies(u), -a.alpha, +1.0))
+    return apply_multiplier(u, _power_symbol(u, -a.alpha, +1.0))
 
 
 def riesz_composition(u: SampledSignal, a: FracOrder) -> SampledSignal:
-    """Right-after-left derivative composition, the single multiplier |w|^(2a)."""
-    freqs = _frequencies(u)
-    return apply_multiplier(u, (np.abs(freqs) ** a.doubled).astype(complex))
+    """Right-after-left derivative composition, the single multiplier |w|^(2a) of ``Problem``."""
+    return apply_multiplier(u, half_spectrum(u.n_samples, u.dt, a)[0])
 
 
 def grunwald_weights(alpha: float, count: int) -> np.ndarray:

@@ -199,17 +199,16 @@ def random_band_limited(
 ) -> SampledSignal:
     """Random real signal with spectral content below ``band_fraction`` of Nyquist, unit peak.
 
-    The in-band coefficients are complex normals from :func:`standard_normal`:
-    all real parts, then all imaginary parts.
+    The coefficients on the in-band ``rfft`` bins are complex normals from
+    :func:`standard_normal`: all real parts, then all imaginary parts
+    (``irfft`` drops the imaginary parts of the DC and Nyquist bins).
     """
-    freqs = 2.0 * np.pi * np.fft.fftfreq(n_samples, d=dt)
-    w_max = band_fraction * np.pi / dt
-    raw = np.zeros((n_samples, n_components), dtype=complex)
-    band = np.abs(freqs) <= w_max
-    n_band = int(np.sum(band))
+    freqs = 2.0 * np.pi * np.fft.rfftfreq(n_samples, d=dt)
+    n_band = int(np.count_nonzero(freqs <= band_fraction * np.pi / dt))
     re, im = standard_normal(rng, 2 * n_band * n_components).reshape(2, n_band, n_components)
-    raw[band] = re + 1j * im
-    values = np.fft.ifft(raw, axis=0).real
+    raw = np.zeros((len(freqs), n_components), dtype=complex)
+    raw[:n_band] = re + 1j * im
+    values = np.fft.irfft(raw, n_samples, axis=0)
     peak = np.max(np.abs(values))
     if peak > 0:
         values = values / peak

@@ -19,12 +19,15 @@ inequalities) returns one :class:`CheckReport`: its ordered
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .fracops import half_spectrum, seminorm_alpha
 from .grid import FracOrder, SampledSignal, l2_norm
+
+if TYPE_CHECKING:  # energy imports this module
+    from .energy import Problem
 
 __all__ = [
     "PotentialMatrix",
@@ -367,25 +370,22 @@ def h_alpha_norm(u: SampledSignal, a: FracOrder) -> float:
     return float(np.sqrt(l2_norm(u) ** 2 + seminorm_alpha(u, a) ** 2))
 
 
-def embedding_bounds(
-    u: SampledSignal,
-    constants: EmbeddingConstants,
-    potential: PotentialMatrix,
-    lam: float,
-    a: FracOrder,
-) -> CheckReport:
-    """Evaluate both sides of the L^2 and L^r embedding inequalities.
+def embedding_bounds(u: SampledSignal, prob: Problem) -> CheckReport:
+    """Evaluate both sides of the L^2 and L^r embedding inequalities at ``prob.lam``.
 
-    For lam >= lambda_threshold the weighted norm dominates
-    ``theta0 ||u||_L2^2`` and, for r = 3, 4 and 6,
-    ``theta0^(r/2) m^((r-2)/2) ||u||_Lr^r``; margins are rhs - lhs >= 0.
+    The weighted norm is measured with :meth:`~frachs.energy.Problem.form`.
+    For lam >= lambda_threshold it dominates ``theta0 ||u||_L2^2`` and, for
+    r = 3, 4 and 6, ``theta0^(r/2) m^((r-2)/2) ||u||_Lr^r``; margins are
+    rhs - lhs >= 0.
     """
+    prob.check_signal(u)
+    constants, lam = prob.constants, prob.lam
     if lam < constants.lambda_threshold:
         raise ValueError(
             f"embedding bounds hold only for lam >= {constants.lambda_threshold:.6g}, "
             f"got {lam:.6g}"
         )
-    norm_lam = lambda_norm(u, potential, lam, a)
+    norm_lam = float(np.sqrt(prob.form(u.values, u.values)))
     mag = u.magnitude()
     l2_sq = u.dt * float(np.sum(mag**2))
     theta0, m = constants.theta0, constants.sublevel_measure

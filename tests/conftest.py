@@ -16,6 +16,30 @@ def zero_signal(prob):
     return SampledSignal(prob.t_min, prob.dt, np.zeros((prob.n_samples, prob.n_components)))
 
 
+def power_symbol(order, sign=1.0):
+    """Principal-branch ``(sign * i w)^order`` on any frequencies, 0 at w = 0."""
+
+    def symbol(w):
+        out = np.zeros(len(w), dtype=complex)
+        nonzero = w != 0.0
+        out[nonzero] = np.abs(w[nonzero]) ** order * np.exp(
+            1j * sign * order * 0.5 * np.pi * np.sign(w[nonzero])
+        )
+        return out
+
+    return symbol
+
+
+def full_spectrum_apply(u, symbol):
+    """``Re(ifft(symbol(w) * fft(u)))`` over the full ``fftfreq`` spectrum, shape (N, n).
+
+    The complex-transform reference for the operators, which run on the
+    real-FFT half-spectrum.
+    """
+    w = 2.0 * np.pi * np.fft.fftfreq(u.n_samples, d=u.dt)
+    return np.fft.ifft(symbol(w)[:, None] * np.fft.fft(u.values, axis=0), axis=0).real
+
+
 @pytest.fixture(scope="session")
 def prob():
     """Default scenario at lam = 10x the embedding threshold."""

@@ -145,11 +145,12 @@ def test_criterion_4_embedding_inequalities(prob, rng):
     thr = prob.constants.lambda_threshold
     violations = 0
     for lam in (thr, 10 * thr):
+        at_lam = prob.with_lam(lam)
         for _ in range(200):
             u = random_band_limited(
                 rng, N_DEFAULT, T_MIN, DT, band_fraction=rng.uniform(0.02, 0.5)
             )
-            rep = embedding_bounds(u, prob.constants, prob.potential, lam, prob.order)
+            rep = embedding_bounds(u, at_lam)
             if not rep.passed:
                 violations += 1
     elapsed = time.perf_counter() - t0

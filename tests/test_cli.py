@@ -562,3 +562,25 @@ class TestSelftest:
     def test_coarse_grid_fails(self, tmp_path):
         cfg = write(tmp_path, BASE)
         assert main(["ops-selftest", "--config", cfg, "--grid-n", "8"]) == 1
+
+    def test_unresolved_gaussian_is_an_oracle_error(self, tmp_path, capsys):
+        # at domain 1e6 (dt = 244) every sample of exp(-t^2) is 0, so the oracle's
+        # relative error would be 0/0
+        cfg = write(tmp_path, BASE)
+        assert main(["ops-selftest", "--config", cfg, "--domain", "1e6"]) == 1
+        out = capsys.readouterr().out
+        assert "quadrature-oracle: ERROR (" in out
+        assert "nan" not in out and "selftest: FAIL" in out
+
+
+def test_no_command_uses_the_complex_transform(tmp_path, monkeypatch):
+    # every spectral operator runs on the real-FFT half-spectrum
+    def refuse(*args, **kwargs):
+        raise AssertionError("the complex full-spectrum transform was called")
+
+    for name in ("fft", "ifft", "fftfreq"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    common = ["--config", str(CONFIGS / "default.ini"), "--out", str(tmp_path / "o")]
+    for argv in (["check"], ["solve"], ["bvp"], ["sweep", "--lambdas", "2,20,200"],
+                 ["ops-selftest"]):
+        assert main([argv[0], *common, *argv[1:]]) == 0, argv

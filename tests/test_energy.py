@@ -35,7 +35,7 @@ from frachs import (
 from frachs.nonlinearity import Nonlinearity
 from frachs.spaces import CheckReport, CheckResult
 
-from conftest import DT, N_DEFAULT, T_MIN, zero_signal
+from conftest import DT, N_DEFAULT, T_MIN, full_spectrum_apply, zero_signal
 
 TIMES = T_MIN + DT * np.arange(N_DEFAULT)
 
@@ -429,10 +429,18 @@ class TestOperator:
         assert prob.form(u.values, u.values) == pytest.approx(ref, rel=1e-12)
 
     def test_apply_matches_riesz_composition(self, operator_case):
+        # the Riesz composition |w|^(2a) over the full complex spectrum, plus lam L u
         prob, u, _ = operator_case
         weighted = np.einsum("nij,nj->ni", prob.potential.matrix_at(u.times), u.values)
-        ref = riesz_composition(u, prob.order).values + prob.lam * weighted
+        kinetic = full_spectrum_apply(u, lambda w: np.abs(w) ** prob.order.doubled)
+        ref = kinetic + prob.lam * weighted
         assert _rel_err(prob.apply(u.values), ref) <= 1e-12
+
+    def test_kinetic_block_is_riesz_composition(self, operator_case):
+        # riesz_composition applies the very table the operator's kinetic block holds
+        prob, u, _ = operator_case
+        kinetic = np.fft.irfft(prob.kinetic * np.fft.rfft(u.values, axis=0), prob.n_samples, axis=0)
+        assert np.array_equal(riesz_composition(u, prob.order).values, kinetic)
 
     def test_apply_represents_form(self, operator_case):
         prob, u, v = operator_case

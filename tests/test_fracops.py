@@ -1,9 +1,12 @@
+import random
+
 import numpy as np
 import pytest
 
 from frachs import (
     FracOrder,
     SampledSignal,
+    apply_multiplier,
     grunwald_weights,
     l2_norm,
     left_derivative,
@@ -18,7 +21,7 @@ from frachs import (
     signal_from_function,
 )
 
-from conftest import DT, N_DEFAULT, T_MIN
+from conftest import DT, N_DEFAULT, T_MIN, full_spectrum_apply, power_symbol
 
 A75 = FracOrder(0.75)
 M_TONE = 37
@@ -76,6 +79,56 @@ class TestDerivatives:
         u = SampledSignal(T_MIN, DT, vals)
         with pytest.raises(ValueError, match="imaginary residue"):
             left_derivative(u, A75)
+
+
+class TestFullSpectrumReference:
+    """Each operator against ``Re(ifft(symbol(w) * fft(u)))`` on the full spectrum."""
+
+    @pytest.mark.parametrize("n_components", [1, 2])
+    @pytest.mark.parametrize(
+        "op, symbol",
+        [
+            (left_derivative, power_symbol(0.75, +1.0)),
+            (right_derivative, power_symbol(0.75, -1.0)),
+            (left_integral, power_symbol(-0.75, +1.0)),
+            (riesz_composition, lambda w: np.abs(w) ** 1.5),
+        ],
+        ids=["left", "right", "integral", "riesz"],
+    )
+    def test_matches_full_spectrum(self, op, symbol, n_components):
+        u = random_band_limited(random.Random(11), N_DEFAULT, T_MIN, DT, n_components)
+        u = u.with_values(u.values - np.mean(u.values, axis=0))  # zero mean, as left_integral needs
+        ref = full_spectrum_apply(u, symbol)
+        out = op(u, A75).values
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestAliasingCheck:
+    """``eps (-1)^j`` on a zero-mean band-limited signal: the derivatives' symbols leave
+    an imaginary residue ``|Im m_nyq| |X_nyq| / N`` of about 4 eps relative, checked at 1e-10."""
+
+    @staticmethod
+    def with_nyquist(eps):
+        u = random_band_limited(random.Random(3), N_DEFAULT, T_MIN, DT)
+        nyquist = eps * (-1.0) ** np.arange(N_DEFAULT)
+        return u.with_values(u.values[:, 0] - np.mean(u.values) + nyquist)
+
+    @pytest.mark.parametrize("op", [left_derivative, right_derivative])
+    def test_threshold(self, op):
+        op(self.with_nyquist(1e-11), A75)
+        with pytest.raises(ValueError, match="imaginary residue"):
+            op(self.with_nyquist(3e-11), A75)
+
+    def test_riesz_accepts_any_nyquist_content(self):
+        nyquist = SampledSignal(T_MIN, DT, (-1.0) ** np.arange(N_DEFAULT))
+        out = riesz_composition(nyquist, A75)
+        expect = (np.pi / DT) ** 1.5 * nyquist.values
+        assert np.max(np.abs(out.values - expect)) <= 1e-13 * np.max(np.abs(expect))
+        riesz_composition(self.with_nyquist(1.0), A75)
+
+    def test_wrong_multiplier_length_raises(self):
+        with pytest.raises(ValueError, match="4096 entries.*2049 bins"):
+            apply_multiplier(tone(), np.ones(N_DEFAULT))
 
 
 class TestIntegral:

@@ -316,35 +316,35 @@ class TestWeightedNorms:
 
 class TestEmbeddingBounds:
     def test_zero_signal_zero_margins(self, prob):
-        report = embedding_bounds(
-            zero_signal(prob), prob.constants, prob.potential,
-            prob.constants.lambda_threshold, A75,
-        )
+        report = embedding_bounds(zero_signal(prob), prob.with_lam(prob.constants.lambda_threshold))
         assert report.passed
         assert all(r.worst_margin == 0.0 for r in report.checks)
 
     def test_random_ensemble_no_violations(self, prob, rng):
         thr = prob.constants.lambda_threshold
         for lam in (thr, 10 * thr):
+            at_lam = prob.with_lam(lam)
             for _ in range(50):
                 u = random_band_limited(
                     rng, N_DEFAULT, T_MIN, DT, band_fraction=rng.uniform(0.02, 0.5)
                 )
-                report = embedding_bounds(u, prob.constants, prob.potential, lam, A75)
+                report = embedding_bounds(u, at_lam)
                 assert report.passed, [(r.name, r.worst_margin) for r in report.checks]
 
     def test_margins_nondecreasing_in_weight(self, prob, rng):
         u = random_band_limited(rng, N_DEFAULT, T_MIN, DT)
         thr = prob.constants.lambda_threshold
-        r1 = embedding_bounds(u, prob.constants, prob.potential, thr, A75)
-        r2 = embedding_bounds(u, prob.constants, prob.potential, 10 * thr, A75)
+        r1 = embedding_bounds(u, prob.with_lam(thr))
+        r2 = embedding_bounds(u, prob.with_lam(10 * thr))
         for a, b in zip(r1.checks, r2.checks):
             assert b.worst_margin >= a.worst_margin
+
+    def test_signal_off_the_problem_grid_rejected(self, prob):
+        u = SampledSignal(T_MIN, 2 * DT, np.zeros(N_DEFAULT))
+        with pytest.raises(ValueError, match="grid"):
+            embedding_bounds(u, prob)
 
     def test_below_threshold_rejected(self, prob, rng):
         u = random_band_limited(rng, N_DEFAULT, T_MIN, DT)
         with pytest.raises(ValueError, match="lam"):
-            embedding_bounds(
-                u, prob.constants, prob.potential,
-                0.5 * prob.constants.lambda_threshold, A75,
-            )
+            embedding_bounds(u, prob.with_lam(0.5 * prob.constants.lambda_threshold))
