@@ -50,6 +50,24 @@ class WitnessError(RuntimeError):
     """No scaling of the core bump has negative energy (W2 violated numerically)."""
 
 
+class _Scratch:
+    """The intermediates of the ``Problem._*_into`` kernels on one ``(N, n)`` grid.
+
+    A kernel writes its result into the ``out`` array it is given and every
+    intermediate into these arrays, so repeated calls allocate nothing.  The
+    owner of a ``_Scratch`` (one descent, or one call of a public kernel) is
+    its only user: ``Problem`` holds none and stays immutable.
+    """
+
+    def __init__(self, n_samples: int, n_components: int):
+        shape = (n_samples, n_components)
+        self.spectrum = np.empty((n_samples // 2 + 1, n_components), dtype=complex)
+        self.term = np.empty(shape)  # the core block, the curvature, the energy's pairing
+        self.column = np.empty(n_samples)
+        self.product = np.empty(n_samples)
+        self.fixed = np.empty(shape, dtype=bool)  # the complement of a mask
+
+
 @dataclass(frozen=True)
 class Problem:
     """Discretized problem instance: order, grid, weights and nonlinearity.
@@ -75,9 +93,15 @@ class Problem:
     coefficient arrays are kept at the full ``(., n)`` shape
     (``matrix_entries[i, j]`` is the contiguous curve ``L_ij(t)``): on
     C-ordered ``(N, n)`` arrays, short-axis reductions and column broadcasts
-    cost several times the same arithmetic.  Results are finished in place on
-    freshly allocated arrays, since each ``(N, n)`` temporary costs a new
-    allocation in the solver's inner loop.
+    cost several times the same arithmetic.
+    Allocation rule: each kernel has a private in-place form (``_apply_into``,
+    ``_precondition_into``, ``_grad_into``, ``_hessian_into``, ``_energy``)
+    that writes its result into a given ``out`` array and every intermediate
+    into a :class:`_Scratch`.  The solver allocates those arrays once per
+    descent (``solver._Work``), so a CG iteration allocates no ``(N, n)``
+    array; the public methods pass a fresh output and scratch per call, so
+    they return fresh arrays.  ``Problem`` holds only read-only arrays: it
+    stays immutable and safe to share between threads.
     """
 
     order: FracOrder
@@ -193,18 +217,25 @@ class Problem:
         """Bilinear form of ``||.||_lam^2``: the L2(dt) pairing of ``x`` with :meth:`apply` of ``y``."""
         return float(self.dt * np.sum(x * self.apply(y)))
 
+    def _scratch(self) -> "_Scratch":
+        return _Scratch(self.n_samples, self.n_components)
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The operator of ``||.||_lam^2``: ``|w|^(2a) x + lam L x``."""
-        principal = np.fft.irfft(self.kinetic * np.fft.rfft(x, axis=0), self.n_samples, axis=0)
-        weighted = np.empty_like(x)
+        return self._apply_into(x, np.empty_like(x), self._scratch())
+
+    def _apply_into(self, x: np.ndarray, out: np.ndarray, work: "_Scratch") -> np.ndarray:
+        spectrum = np.fft.rfft(x, axis=0, out=work.spectrum)
+        np.multiply(self.kinetic, spectrum, out=spectrum)
+        np.fft.irfft(spectrum, self.n_samples, axis=0, out=out)
+        column, product = work.column, work.product
         for i, row in enumerate(self.matrix_entries):
-            column = row[0] * x[:, 0]
+            np.multiply(row[0], x[:, 0], out=column)
             for j in range(1, len(row)):
-                column += row[j] * x[:, j]
-            weighted[:, i] = column
-        weighted *= self.lam
-        weighted += principal
-        return weighted
+                column += np.multiply(row[j], x[:, j], out=product)
+            column *= self.lam
+            out[:, i] += column
+        return out
 
     def precondition(self, x: np.ndarray) -> np.ndarray:
         """``(c + |w|^(2a))^(-1) x + R (1 + |w|^(2a))^(-1) R x``, projected, ``R`` = ``wall_free``.
@@ -212,11 +243,21 @@ class Problem:
         Two-region additive Schwarz (Smith, Bjorstad and Gropp, *Domain Decomposition*,
         1996): an SPD plus a PSD term, so symmetric positive definite in L2(dt).
         """
-        out = np.fft.irfft(self.precond * np.fft.rfft(x, axis=0), self.n_samples, axis=0)
-        core = np.where(self.wall_free, x, 0.0)
-        core = np.fft.irfft(self.core_precond * np.fft.rfft(core, axis=0), self.n_samples, axis=0)
-        out += np.where(self.wall_free, core, 0.0)
-        return self.project(out)
+        return self._precondition_into(x, np.empty_like(x), self._scratch())
+
+    def _precondition_into(self, x: np.ndarray, out: np.ndarray, work: "_Scratch") -> np.ndarray:
+        spectrum = np.fft.rfft(x, axis=0, out=work.spectrum)
+        np.multiply(self.precond, spectrum, out=spectrum)
+        np.fft.irfft(spectrum, self.n_samples, axis=0, out=out)
+        core = work.term
+        core.fill(0.0)
+        np.copyto(core, x, where=self.wall_free)
+        spectrum = np.fft.rfft(core, axis=0, out=work.spectrum)
+        np.multiply(self.core_precond, spectrum, out=spectrum)
+        np.fft.irfft(spectrum, self.n_samples, axis=0, out=core)
+        np.copyto(core, 0.0, where=np.logical_not(self.wall_free, out=work.fixed))
+        out += core
+        return self._project_into(out, work)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """``x`` with every sample outside ``free`` set to 0 (``x`` itself on the whole line)."""
@@ -224,33 +265,50 @@ class Problem:
             return x
         return np.where(self.free, x, 0.0)
 
+    def _project_into(self, x: np.ndarray, work: "_Scratch") -> np.ndarray:
+        if self.free is not None:
+            np.copyto(x, 0.0, where=np.logical_not(self.free, out=work.fixed))
+        return x
+
     def energy(self, vals: np.ndarray) -> float:
         """``I`` at raw samples, or ``+inf`` where it is not finite, so no such step is accepted."""
+        return self._energy(vals, self._scratch())
+
+    def _energy(self, vals: np.ndarray, work: "_Scratch") -> float:
         w = self.nonlinearity.density(self.times, vals)
-        f = 0.5 * self.form(vals, vals) - float(self.dt * np.sum(w))
+        paired = self._apply_into(vals, work.term, work)
+        paired *= vals
+        f = 0.5 * float(self.dt * np.sum(paired)) - float(self.dt * np.sum(w))
         return f if np.isfinite(f) else np.inf
 
     def grad(self, vals: np.ndarray) -> np.ndarray:
         """The projected L2 representer of the first variation at raw samples."""
+        return self._grad_into(vals, np.empty_like(vals), self._scratch())
+
+    def _grad_into(self, vals: np.ndarray, out: np.ndarray, work: "_Scratch") -> np.ndarray:
         grad_w = self.nonlinearity.gradient(self.times, vals)
-        out = self.apply(vals)
+        self._apply_into(vals, out, work)
         out -= grad_w
-        return self.project(out)
+        return self._project_into(out, work)
 
     def hessian(self, vals: np.ndarray):
         """The projected Hessian action at ``vals``, with the coefficients of ``W''`` formed once."""
+        action = self._hessian_into(vals)
+        return lambda v: action(v, np.empty_like(v), self._scratch())
+
+    def _hessian_into(self, vals: np.ndarray):
         f, g = self.nonlinearity.hessian_at(self.times, vals)
         f = np.repeat(f[:, None], vals.shape[1], axis=1)
         gu = g[:, None] * vals
 
-        def action(v: np.ndarray) -> np.ndarray:
+        def action(v: np.ndarray, out: np.ndarray, work: "_Scratch") -> np.ndarray:
             uv = pointwise_dot(vals, v)
-            curvature = f * v
+            curvature = np.multiply(f, v, out=work.term)
             for i in range(v.shape[1]):
-                curvature[:, i] += uv * gu[:, i]
-            out = self.apply(v)
+                curvature[:, i] += np.multiply(uv, gu[:, i], out=work.column)
+            self._apply_into(v, out, work)
             out -= curvature
-            return self.project(out)
+            return self._project_into(out, work)
 
         return action
 

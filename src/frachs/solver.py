@@ -12,7 +12,8 @@ along that one direction; when the line search rejects it, the descent stops
 preconditioned steepest-descent direction ``precondition(-g)``).  The pointwise
 coefficients of ``W''(u)`` (``Nonlinearity.hessian_at``) are formed once per
 Newton step, so a CG iteration costs one ``Problem.apply`` and a few array
-products.  CG is preconditioned by ``Problem.precondition``, the two-region
+products, all written into work arrays allocated once per descent
+(:class:`_Work`).  CG is preconditioned by ``Problem.precondition``, the two-region
 additive Schwarz inverse built from the operator's own blocks: the kinetic
 block ``c + |w|^(2a)`` on the whole line, its shift ``c = Problem.shift``
 lifting it to the mean wall level over the samples the descent may move,
@@ -94,12 +95,31 @@ class SolveResult:
     stop_reason: str
 
 
-def _inner(prob: Problem, x: np.ndarray, y: np.ndarray) -> float:
-    return float(prob.dt * np.sum(x * y))
+class _Work:
+    """The arrays one descent writes, allocated once per descent.
+
+    ``vals`` and ``cand`` hold the iterate and the line search's candidate
+    (they swap on every accepted step), ``g`` the gradient, ``d``, ``r``,
+    ``z``, ``p`` and ``hp`` the CG vectors, and ``kernels`` the
+    intermediates of the ``Problem`` kernels.  Outside the line search
+    ``cand`` is free, and it holds the products of the inner products and
+    the CG updates.
+    """
+
+    def __init__(self, prob: Problem, start_vals: np.ndarray):
+        self.vals = prob.project(np.array(start_vals, dtype=float))
+        self.cand, self.g, self.d, self.r, self.z, self.p, self.hp = (
+            np.empty_like(self.vals) for _ in range(7)
+        )
+        self.kernels = prob._scratch()
 
 
-def _norm(prob: Problem, x: np.ndarray) -> float:
-    return float(np.sqrt(prob.dt * np.sum(x**2)))
+def _inner(prob: Problem, x: np.ndarray, y: np.ndarray, tmp: np.ndarray) -> float:
+    return float(prob.dt * np.sum(np.multiply(x, y, out=tmp)))
+
+
+def _norm(prob: Problem, x: np.ndarray, tmp: np.ndarray) -> float:
+    return float(np.sqrt(prob.dt * np.sum(np.square(x, out=tmp))))
 
 
 def _check_floor(energy: float, floor: float):
@@ -110,53 +130,58 @@ def _check_floor(energy: float, floor: float):
         )
 
 
-def _backtrack(prob, vals, f, g, d):
-    """Armijo backtracking from unit step; returns (new_vals, new_f) or None.
+def _backtrack(prob, vals, f, g, d, cand, kernels):
+    """Armijo backtracking from unit step, written into ``cand``; returns its energy or None.
 
     A step is accepted only if it strictly lowers the energy: once the slope
     is below the rounding of ``f`` the Armijo test alone reads ``f_new <= f``
     and would accept a step that leaves the energy unchanged.
     """
-    slope = _inner(prob, g, d)
+    slope = _inner(prob, g, d, cand)
     if slope >= 0.0:
         return None
     tau = 1.0
     while tau > 1e-20:
-        cand = vals + tau * d
-        f_new = prob.energy(cand)
+        np.multiply(tau, d, out=cand)
+        cand += vals
+        f_new = prob._energy(cand, kernels)
         if f_new < f and f_new <= f + ARMIJO * tau * slope:
-            return cand, f_new
+            return f_new
         tau *= SHRINK
     return None
 
 
-def _truncated_cg(prob, hess, g, rel_tol):
+def _truncated_cg(prob, hess, g, rel_tol, work):
     """Approximately solve ``hess(d) = -g``, exiting on negative curvature.
 
-    A nonpositive ``(r, z)`` means the preconditioner lost definiteness at
-    rounding level; the current ``d`` is returned before it is divided by.
+    Returns ``work.d``, or ``work.z`` (the preconditioned steepest-descent
+    direction) at negative curvature on the first iteration.  A nonpositive
+    ``(r, z)`` means the preconditioner lost definiteness at rounding level;
+    the current ``d`` is returned before it is divided by.
     """
-    d = np.zeros_like(g)
-    r = -g
-    z = prob.precondition(r)
-    p = z
-    rz = _inner(prob, r, z)
-    r0 = _norm(prob, r)
+    d, r, z, p, hp, tmp, kernels = work.d, work.r, work.z, work.p, work.hp, work.cand, work.kernels
+    d.fill(0.0)
+    np.negative(g, out=r)
+    prob._precondition_into(r, z, kernels)
+    np.copyto(p, z)
+    rz = _inner(prob, r, z, tmp)
+    r0 = _norm(prob, r, tmp)
     for i in range(MAX_CG):
         if rz <= 0.0:
             return d
-        hp = hess(p)
-        php = _inner(prob, p, hp)
-        if php <= 1e-16 * _inner(prob, p, p):
+        hess(p, hp, kernels)
+        php = _inner(prob, p, hp, tmp)
+        if php <= 1e-16 * _inner(prob, p, p, tmp):
             return (z if i == 0 else d)
         a = rz / php
-        d += a * p
-        r -= a * hp
-        if _norm(prob, r) <= rel_tol * r0:
+        d += np.multiply(a, p, out=tmp)
+        r -= np.multiply(a, hp, out=tmp)
+        if _norm(prob, r, tmp) <= rel_tol * r0:
             return d
-        z = prob.precondition(r)
-        rz_new = _inner(prob, r, z)
-        p = z + (rz_new / rz) * p
+        prob._precondition_into(r, z, kernels)
+        rz_new = _inner(prob, r, z, tmp)
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     return d
 
@@ -165,35 +190,38 @@ def _descend(prob, cfg, start_vals) -> SolveResult:
     """Truncated Newton-CG from ``start_vals``; stops when the line search rejects the direction.
 
     On a :meth:`~frachs.energy.Problem.restricted` problem every iterate
-    stays zero outside ``prob.free``.
+    stays zero outside ``prob.free``.  Every array the loop writes is in one
+    :class:`_Work`.
     """
     floor = lower_bound_minimum(prob)[1]
-    vals = prob.project(np.array(start_vals, dtype=float))
-    f = prob.energy(vals)
-    g = prob.grad(vals)
+    work = _Work(prob, start_vals)
+    f = prob._energy(work.vals, work.kernels)
+    g = prob._grad_into(work.vals, work.g, work.kernels)
     _check_floor(f, floor)
-    g_norm = _norm(prob, g)
+    g_norm = _norm(prob, g, work.cand)
     history = [(f, g_norm)]
     steps = 0
     stop_reason = "max_iters"
     while steps < cfg.max_iters and g_norm > cfg.grad_tol:
-        d = _truncated_cg(prob, prob.hessian(vals), g, min(0.5, g_norm))
-        step = _backtrack(prob, vals, f, g, d)
-        if step is None:
+        d = _truncated_cg(prob, prob._hessian_into(work.vals), g, min(0.5, g_norm), work)
+        f_new = _backtrack(prob, work.vals, f, g, d, work.cand, work.kernels)
+        if f_new is None:
             stop_reason = "no_descent"  # the Newton direction lowers the energy by no step
             break
-        vals, f = step
-        g = prob.grad(vals)
+        f = f_new
+        work.vals, work.cand = work.cand, work.vals
+        prob._grad_into(work.vals, g, work.kernels)
         _check_floor(f, floor)
-        g_norm = _norm(prob, g)
+        g_norm = _norm(prob, g, work.cand)
         steps += 1
         history.append((f, g_norm))
     converged = g_norm <= cfg.grad_tol
+    applied = prob._apply_into(g, work.cand, work.kernels)
     return SolveResult(
-        u=SampledSignal(prob.t_min, prob.dt, vals),
+        u=SampledSignal(prob.t_min, prob.dt, work.vals),
         energy=f,
         grad_norm=g_norm,
-        grad_norm_weighted=float(np.sqrt(prob.form(g, g))),
+        grad_norm_weighted=float(np.sqrt(_inner(prob, g, applied, applied))),  # form(g, g)
         iterations=steps,
         converged=converged,
         history=tuple(history),

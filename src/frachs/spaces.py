@@ -173,15 +173,34 @@ class CheckReport:
         return [c.name for c in self.checks if not c.passed]
 
 
+def _smallest_eigenvalue(L: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each symmetric matrix in the ``(N, n, n)`` stack ``L``.
+
+    Read from the lower triangle, as ``np.linalg.eigvalsh`` reads it, and in
+    closed form for n <= 2: the entry itself for n = 1, and
+    ``(a + d)/2 - hypot((a - d)/2, b)`` for ``[[a, b], [b, d]]``, whose absolute
+    error is a few ulps of the largest entry.  Only n >= 3 calls LAPACK, so
+    the presets, which have one or two components, never map it.
+    """
+    n = L.shape[-1]
+    if n == 1:
+        return L[:, 0, 0]
+    if n == 2:
+        a, b, d = L[:, 0, 0], L[:, 1, 0], L[:, 1, 1]
+        return 0.5 * (a + d) - np.hypot(0.5 * (a - d), b)
+    return np.linalg.eigvalsh(L)[:, 0]
+
+
 def verify_potential(potential: PotentialMatrix, times: np.ndarray) -> CheckReport:
     """Check the structural hypotheses of the potential at grid resolution.
 
     Verifies matrix symmetry and the envelope bound (L1), the envelope's zero
     set (L2) and the vanishing of the matrix on the closed core (L3).  The
-    envelope bound is exact: the smallest eigenvalue of ``L(t)`` is
-    ``min (L(t)x, x)`` over unit ``x``.  Failures are reported as data, not
-    raised; a grid that does not cover the well with a margin of one well
-    width on each side raises :class:`ResolutionError`.
+    envelope bound is exact: the smallest eigenvalue of ``L(t)``
+    (:func:`_smallest_eigenvalue`) is ``min (L(t)x, x)`` over unit ``x``.
+    Failures are reported as data, not raised; a grid that does not cover
+    the well with a margin of one well width on each side raises
+    :class:`ResolutionError`.
     """
     times = np.asarray(times, dtype=float)
     a, b = potential.well
@@ -207,7 +226,7 @@ def verify_potential(potential: PotentialMatrix, times: np.ndarray) -> CheckRepo
         )
     )
 
-    gaps = np.linalg.eigvalsh(L)[:, 0] - l_env
+    gaps = _smallest_eigenvalue(L) - l_env
     j = int(np.argmin(gaps))
     margin_env = float(gaps[j])
     checks.append(

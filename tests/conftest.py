@@ -40,6 +40,17 @@ def full_spectrum_apply(u, symbol):
     return np.fft.ifft(symbol(w)[:, None] * np.fft.fft(u.values, axis=0), axis=0).real
 
 
+def discrete_extremal(a, n, t_min, dt):
+    """Grid signal attaining the sharp sup-norm ratio: coefficients proportional
+    to 1/(1 + |w|^(2a)), peaked on a sample point; returns (signal, ratio)."""
+    freqs = 2 * np.pi * np.fft.fftfreq(n, d=dt)
+    profile = 1.0 / (1.0 + np.abs(freqs) ** a.doubled)
+    t_peak = t_min + dt * (n // 2)
+    coeffs = profile * np.exp(-1j * freqs * (t_min - t_peak))
+    u = SampledSignal(t_min, dt, np.fft.ifft(coeffs).real)
+    return u, np.sqrt(np.sum(profile) / (n * dt))
+
+
 @pytest.fixture(scope="session")
 def prob():
     """Default scenario at lam = 10x the embedding threshold."""

@@ -66,6 +66,23 @@ class TestSolutionCsv:
         assert path.read_bytes() == expected.encode("utf-8")
 
 
+class TestNoLapack:
+    @pytest.mark.parametrize("preset", ["default", "rotated"])
+    def test_commands_run_without_lapack(self, tmp_path, monkeypatch, preset):
+        # the presets have one or two components: their eigenvalues are closed forms
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK eigensolver called on the command path")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        config = str(CONFIGS / f"{preset}.ini")
+        for cmd, extra in (("check", []), ("solve", []), ("bvp", []),
+                           ("sweep", ["--lambdas", "2,20,200"])):
+            argv = [cmd, "--config", config, "--grid-n", "1024", *extra,
+                    "--out", str(tmp_path / cmd)]
+            assert main(argv) == 0, cmd
+
+
 class TestConfigParsing:
     def test_round_trips_canonically(self):
         cfg = parse_config_text(BASE)

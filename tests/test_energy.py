@@ -9,6 +9,7 @@ from frachs import (
     PotentialMatrix,
     ResolutionError,
     SampledSignal,
+    SolverConfig,
     WitnessError,
     default_problem,
     directional_derivative,
@@ -19,6 +20,7 @@ from frachs import (
     lower_bound,
     lower_bound_minimum,
     midpoint_grid,
+    minimize,
     negative_energy_witness,
     pointwise_dot,
     power_nonlinearity,
@@ -27,9 +29,11 @@ from frachs import (
     rotated_well_potential,
     signal_from_function,
     smooth_bump,
+    solve_bvp,
     standard_normal,
     vanishing_well_potential,
     verify_growth,
+    verify_potential,
     zero_nonlinearity,
 )
 from frachs.nonlinearity import Nonlinearity
@@ -558,6 +562,19 @@ def _symmetric_3x3_potential() -> PotentialMatrix:
     return PotentialMatrix(3, matrix, base.envelope, base.threshold, base.well, base.core)
 
 
+class TestEnvelopeEigenvalue:
+    def test_3x3_potential_reports_the_lapack_margin(self):
+        # n >= 3 has no closed form here: the L1-envelope check is eigvalsh's, bit for bit
+        pot = _symmetric_3x3_potential()
+        (got,) = [c for c in verify_potential(pot, TIMES).checks if c.name == "L1-envelope"]
+        gaps = np.linalg.eigvalsh(pot.matrix_at(TIMES))[:, 0] - pot.envelope_at(TIMES)
+        j = int(np.argmin(gaps))
+        assert got == CheckResult(
+            "L1-envelope", bool(gaps[j] >= -1e-12), float(gaps[j]), float(TIMES[j]), got.detail
+        )
+        assert got.passed
+
+
 class TestColumnKernels:
     """The per-column kernels reproduce the numpy reductions and broadcasts they replace."""
 
@@ -605,6 +622,94 @@ class TestColumnKernels:
         uv = np.sum(vals * v.values, axis=1, keepdims=True)
         ref = prob.apply(v.values) - (f[:, None] * v.values + uv * (g[:, None] * vals))
         assert np.array_equal(prob.hessian(vals)(v.values), ref)
+
+
+def _allocating_precondition(prob, x):
+    """:meth:`Problem.precondition` with every block on freshly allocated arrays:
+    the reference the in-place kernel must match bit for bit."""
+    out = np.fft.irfft(prob.precond * np.fft.rfft(x, axis=0), prob.n_samples, axis=0)
+    core = np.where(prob.wall_free, x, 0.0)
+    core = np.fft.irfft(prob.core_precond * np.fft.rfft(core, axis=0), prob.n_samples, axis=0)
+    out += np.where(prob.wall_free, core, 0.0)
+    return prob.project(out)
+
+
+class TestWorkArrays:
+    """The kernels write into scratch arrays; no call sees another's data."""
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_precondition_matches_allocating_formula(self, operator_case, restricted):
+        prob, u, v = operator_case
+        if restricted:
+            prob = prob.restricted(prob.potential.core)
+        ref = _allocating_precondition(prob, u.values)
+        assert np.array_equal(prob.precondition(u.values), ref)
+        # a scratch and an output used for another input first
+        work, out = prob._scratch(), np.empty_like(u.values)
+        prob._precondition_into(v.values, out, work)
+        assert np.array_equal(prob._precondition_into(u.values, out, work), ref)
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_energy_and_grad_match_allocating_formulas(self, operator_case, restricted):
+        prob, u, _ = operator_case
+        if restricted:
+            prob = prob.restricted(prob.potential.core)
+        vals = 0.1 * prob.project(u.values)
+        density = prob.nonlinearity.density(prob.times, vals)
+        assert prob.energy(vals) == 0.5 * prob.form(vals, vals) - float(prob.dt * np.sum(density))
+        ref = prob.project(prob.apply(vals) - prob.nonlinearity.gradient(prob.times, vals))
+        assert np.array_equal(prob.grad(vals), ref)
+
+    def test_results_are_fresh_and_stay_put(self, operator_case):
+        prob, u, v = operator_case
+        x, vals = u.values, 0.1 * v.values
+        problems = (prob, prob.with_lam(7.0 * prob.lam), prob.restricted(prob.potential.core))
+        results, copies = [], []
+        for _ in range(2):
+            for p in problems:
+                for out in (p.apply(x), p.precondition(x), p.grad(vals), p.hessian(vals)(x)):
+                    results.append(out)
+                    copies.append(out.copy())
+        for i, out in enumerate(results):
+            assert not np.shares_memory(out, x) and not np.shares_memory(out, vals)
+            assert not any(np.shares_memory(out, other) for other in results[i + 1:])
+            assert np.array_equal(out, copies[i])
+        # the second round repeats the first
+        half = len(results) // 2
+        assert all(np.array_equal(a, b) for a, b in zip(results[:half], results[half:]))
+
+
+class TestHessianClosedForm:
+    """For W = xi |u|^p / p, W''(u) u = (p - 1) grad W(u), so the Hessian action at
+    ``u`` on ``u`` itself is ``(2 - p) A u + (p - 1) grad(u)``, projected."""
+
+    @staticmethod
+    def _assert_closed_form(prob, u):
+        p = prob.nonlinearity.p
+        ref = (2.0 - p) * prob.project(prob.apply(u)) + (p - 1.0) * prob.grad(u)
+        assert _rel_err(prob.hessian(u)(u), ref) <= 1e-13
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_at_random_signals(self, operator_case, restricted, rng):
+        prob, _, _ = operator_case
+        if restricted:
+            prob = prob.restricted(prob.potential.core)
+        for band in (0.05, 0.3, 1.0):
+            u = random_band_limited(
+                rng, N_DEFAULT, T_MIN, DT, prob.n_components, band_fraction=band
+            )
+            for scale in (1e-3, 0.1, 10.0):
+                self._assert_closed_form(prob, prob.project(scale * u.values))
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_at_the_minimizer(self, operator_case, restricted):
+        prob, _, _ = operator_case
+        if restricted:
+            u = solve_bvp(prob, SolverConfig()).u.values
+            prob = prob.restricted(prob.potential.core)
+        else:
+            u = minimize(prob, SolverConfig()).u.values
+        self._assert_closed_form(prob, u)
 
 
 class TestLowerBound:

@@ -28,7 +28,7 @@ from frachs import (
 )
 from frachs import solver
 from frachs.nonlinearity import Nonlinearity
-from frachs.solver import _backtrack, _truncated_cg
+from frachs.solver import _Work, _backtrack, _truncated_cg
 
 from conftest import DT, N_DEFAULT, T_MIN
 
@@ -77,6 +77,19 @@ class TestMinimize:
         assert r1.energy == r2.energy
         assert r1.history == r2.history
 
+    @pytest.mark.parametrize("preset", ["default", "rotated"])
+    def test_runs_share_no_state(self, prob, cfg, preset):
+        # a descent on another problem between two runs leaves the second run's bits alone
+        if preset == "rotated":
+            prob = default_problem(potential=rotated_well_potential())
+        first = minimize(prob, cfg)
+        solve_bvp(prob.with_lam(3.0 * prob.lam), cfg)
+        second = minimize(prob, cfg)
+        assert np.array_equal(first.u.values, second.u.values)
+        assert first.history == second.history
+        assert first.energy == second.energy
+        assert first.grad_norm_weighted == second.grad_norm_weighted
+
     def test_critical_point_residual(self, prob, cfg, rng):
         res = minimize(prob, cfg)
         for _ in range(20):
@@ -121,7 +134,8 @@ class TestLineSearch:
         u0, s = negative_energy_witness(prob)
         vals = s * u0.values
         g = prob.grad(vals)
-        assert _backtrack(prob, vals, prob.energy(vals), g, -1e-30 * g) is None
+        cand, f = np.empty_like(vals), prob.energy(vals)
+        assert _backtrack(prob, vals, f, g, -1e-30 * g, cand, prob._scratch()) is None
 
 
 class TestNewtonStep:
@@ -145,11 +159,13 @@ class TestNewtonStep:
     def test_cg_stops_on_nonpositive_rz(self, prob, monkeypatch):
         # a preconditioner that lost definiteness gives (r, z) < 0: CG returns the
         # current (zero) iterate instead of dividing by it
-        monkeypatch.setattr(Problem, "precondition", lambda self, x: -x)
+        monkeypatch.setattr(
+            Problem, "_precondition_into", lambda self, x, out, work: np.negative(x, out=out)
+        )
         u0, s = negative_energy_witness(prob)
         vals = s * u0.values
         g = prob.grad(vals)
-        d = _truncated_cg(prob, prob.hessian(vals), g, 0.5)
+        d = _truncated_cg(prob, prob._hessian_into(vals), g, 0.5, _Work(prob, vals))
         assert np.all(d == 0.0)
 
     def test_non_finite_density_reads_as_infinite_energy(self, prob):

@@ -20,12 +20,60 @@ from frachs import (
     vanishing_well_potential,
     verify_potential,
 )
-from frachs.spaces import AdmissibilityError, EmbeddingConstants, PotentialMatrix, ResolutionError
+from frachs.spaces import (
+    AdmissibilityError,
+    EmbeddingConstants,
+    PotentialMatrix,
+    ResolutionError,
+    _smallest_eigenvalue,
+)
 
-from conftest import DT, N_DEFAULT, T_MIN, zero_signal
+from conftest import DT, N_DEFAULT, T_MIN, discrete_extremal, zero_signal
 
 A75 = FracOrder(0.75)
 TIMES = T_MIN + DT * np.arange(N_DEFAULT)
+
+
+def _symmetric_2x2(a, b, d):
+    return np.stack([np.stack([a, b], axis=-1), np.stack([b, d], axis=-1)], axis=-2)
+
+
+class TestSmallestEigenvalue:
+    """The closed form for n <= 2 against LAPACK, within 4 eps of the largest entry."""
+
+    def _assert_matches_eigvalsh(self, L):
+        got = _smallest_eigenvalue(L)
+        ref = np.linalg.eigvalsh(L)[:, 0]
+        scale = np.max(np.abs(L), axis=(1, 2))
+        assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps * scale)
+
+    def test_random_batch(self, np_rng):
+        a, b, d = np_rng.standard_normal((3, 20000))
+        self._assert_matches_eigvalsh(_symmetric_2x2(a, b, d))
+
+    def test_degenerate_batch(self, np_rng):
+        # a = d and b = 0: a double eigenvalue, which the closed form returns exactly
+        a = np_rng.standard_normal(1000) * 10.0 ** np_rng.uniform(-100, 100, 1000)
+        L = _symmetric_2x2(a, np.zeros_like(a), a)
+        assert np.array_equal(_smallest_eigenvalue(L), a)
+        self._assert_matches_eigvalsh(L)
+
+    def test_badly_scaled_batch(self, np_rng):
+        # entries of one matrix up to 1e16 apart, matrices from 1e-100 to 1e100
+        a, b, d = np_rng.standard_normal((3, 20000)) * 10.0 ** np_rng.uniform(-8, 8, (3, 20000))
+        scale = 10.0 ** np_rng.uniform(-100, 100, 20000)
+        self._assert_matches_eigvalsh(_symmetric_2x2(scale * a, scale * b, scale * d))
+
+    def test_one_component_is_the_entry(self, np_rng):
+        L = np_rng.standard_normal((100, 1, 1))
+        assert np.array_equal(_smallest_eigenvalue(L), L[:, 0, 0])
+
+    def test_reads_the_lower_triangle(self, np_rng):
+        # as eigvalsh does: the entry above the diagonal is ignored
+        a, b, d, junk = np_rng.standard_normal((4, 100))
+        L = _symmetric_2x2(a, b, d)
+        L[:, 0, 1] = junk
+        self._assert_matches_eigvalsh(L)
 
 
 class TestVerifyPotential:
@@ -163,17 +211,6 @@ class TestMeasureSublevel:
             measure_sublevel(flat, TIMES, DT)
 
 
-def _discrete_extremal(a, n, t_min, dt):
-    """Grid signal attaining the sharp sup-norm ratio: coefficients proportional
-    to 1/(1 + |w|^(2a)), peaked on a sample point; returns (signal, ratio)."""
-    freqs = 2 * np.pi * np.fft.fftfreq(n, d=dt)
-    profile = 1.0 / (1.0 + np.abs(freqs) ** a.doubled)
-    t_peak = t_min + dt * (n // 2)
-    coeffs = profile * np.exp(-1j * freqs * (t_min - t_peak))
-    u = SampledSignal(t_min, dt, np.fft.ifft(coeffs).real)
-    return u, np.sqrt(np.sum(profile) / (n * dt))
-
-
 class TestSobolevConstant:
     def test_quadrature_matches_closed_form(self):
         # oracle: C^2 = (1/pi) int_0^inf dw/(1+w^(2a)), by adaptive quadrature
@@ -207,7 +244,7 @@ class TestSobolevConstant:
         assert ratio <= c
 
     def test_discrete_extremal_ratio_below_estimate(self):
-        u, extremal = _discrete_extremal(A75, N_DEFAULT, T_MIN, DT)
+        u, extremal = discrete_extremal(A75, N_DEFAULT, T_MIN, DT)
         ratio = u.sup_norm() / h_alpha_norm(u, A75)
         assert ratio == pytest.approx(extremal, rel=1e-10)
         c = sobolev_constant(A75, N_DEFAULT, DT)
@@ -221,7 +258,7 @@ class TestSobolevConstant:
         # on short domains the grid's sharp constant exceeds the whole-line one
         a = FracOrder(alpha)
         t_min, dt = midpoint_grid(n, domain)
-        u, _ = _discrete_extremal(a, n, t_min, dt)
+        u, _ = discrete_extremal(a, n, t_min, dt)
         ratio = u.sup_norm() / h_alpha_norm(u, a)
         c = sobolev_constant(a, n, dt)
         c_grid = grid_sobolev_constant(a, n, dt)
