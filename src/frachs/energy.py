@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,17 +56,31 @@ class _Scratch:
 
     A kernel writes its result into the ``out`` array it is given and every
     intermediate into these arrays, so repeated calls allocate nothing.  The
-    owner of a ``_Scratch`` (one descent, or one call of a public kernel) is
-    its only user: ``Problem`` holds none and stays immutable.
+    per-component ``column`` and ``product`` are only used while no spectrum
+    is live, so they are views into ``spectrum``'s memory (it holds
+    ``(N + 2) n`` floats, and ``product`` is used only for ``n >= 2``).  The
+    arrays only some kernels use (``term``, ``fixed``) are allocated on first
+    use, so one call of :meth:`Problem.apply` allocates no more than it needs.
+    The owner of a ``_Scratch`` (one descent, or one call of a public kernel)
+    is its only user: ``Problem`` holds none and stays immutable.
     """
 
     def __init__(self, n_samples: int, n_components: int):
-        shape = (n_samples, n_components)
+        self.shape = (n_samples, n_components)
         self.spectrum = np.empty((n_samples // 2 + 1, n_components), dtype=complex)
-        self.term = np.empty(shape)  # the core block, the curvature, the energy's pairing
-        self.column = np.empty(n_samples)
-        self.product = np.empty(n_samples)
-        self.fixed = np.empty(shape, dtype=bool)  # the complement of a mask
+        flat = self.spectrum.reshape(-1).view(float)
+        self.column = flat[:n_samples]
+        self.product = flat[n_samples : 2 * n_samples]
+
+    @cached_property
+    def term(self) -> np.ndarray:
+        """The core block, the curvature or the energy's pairing."""
+        return np.empty(self.shape)
+
+    @cached_property
+    def fixed(self) -> np.ndarray:
+        """The complement of a mask."""
+        return np.empty(self.shape, dtype=bool)
 
 
 @dataclass(frozen=True)
