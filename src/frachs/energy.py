@@ -11,7 +11,8 @@ provides its evaluation, the directional derivative, the L2-Riesz
 gradient representer (the descent field used by the solver), the closed-form
 coercivity lower bound (its constant is ``Problem.coercivity``), and the
 construction of a small-amplitude bump with strictly negative energy (the
-start point that keeps descent away from the trivial critical point u = 0).
+start point that keeps descent away from the trivial critical point u = 0),
+laid along the soft axis of the wall next to the core.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .spaces import (
     EmbeddingConstants,
     PotentialMatrix,
     ResolutionError,
+    _smallest_eigenvector,
     compute_embedding_constants,
     vanishing_well_potential,
 )
@@ -449,6 +451,12 @@ def negative_energy_witness(prob: Problem) -> tuple[SampledSignal, float]:
 
     The bump has unit sup norm, vanishes outside the open core (so its
     weighted term is zero and the witness energy is independent of lam), and
+    points along the soft axis of the wall: the unit eigenvector of the
+    smallest eigenvalue of ``L`` summed over the first grid sample outside
+    each end of the core (:func:`~frachs.spaces._smallest_eigenvector`; ``e1``
+    where ``L`` is isotropic there, so for one component the bump itself).
+    There the tails of a minimizer first meet the wall, and a descent started
+    off that axis spends its first Newton steps turning onto it.  The scale
     s starts from the closed-form estimate
 
         s <= (2 eta int |u0|^nu dt / ||u0||_lam^2)^(1/(2-nu)),
@@ -458,8 +466,13 @@ def negative_energy_witness(prob: Problem) -> tuple[SampledSignal, float]:
     holds no grid sample raises :class:`ResolutionError`.
     """
     nl = prob.nonlinearity
-    values = np.zeros((prob.n_samples, prob.n_components))
-    values[:, 0] = smooth_bump(prob.times, prob.potential.core)
+    lo, hi = prob.potential.core
+    below = np.searchsorted(prob.times, lo, side="right") - 1  # the last t <= lo
+    above = np.searchsorted(prob.times, hi, side="left")  # the first t >= hi
+    ends = np.clip([below, above], 0, prob.n_samples - 1)
+    wall = prob.matrix_entries[:, :, ends].sum(axis=2)
+    axis = _smallest_eigenvector(wall[None])[0]
+    values = np.outer(smooth_bump(prob.times, prob.potential.core), axis) + 0.0  # no -0.0
     if not np.any(values):
         raise ResolutionError(
             f"the core {prob.potential.core} holds no grid sample (dt = {prob.dt:.6g}): "

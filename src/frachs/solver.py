@@ -37,6 +37,11 @@ negative from the first iterate on, so the trivial critical point u = 0 is
 unreachable, and every unflagged sweep row has ``c_lambda <= c_tilde <=
 I(witness) < 0``.  A problem without a witness has no such start; its
 :class:`~frachs.energy.WitnessError` propagates, and nothing is solved.
+The witness lies along the soft axis of the wall just outside the core (the
+eigenvector of the smallest eigenvalue of ``L`` there), which the tails of a
+multi-component minimizer follow, so ``minimize`` and ``solve_bvp`` start on
+it and the sweep inherits it from ``u_tilde``; for one component the axis is
+trivial and the start is the scalar bump.
 """
 
 from __future__ import annotations

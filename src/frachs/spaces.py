@@ -191,6 +191,40 @@ def _smallest_eigenvalue(L: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(L)[:, 0]
 
 
+def _smallest_eigenvector(L: np.ndarray) -> np.ndarray:
+    """Unit eigenvector of the smallest eigenvalue of each matrix in the ``(N, n, n)`` stack ``L``.
+
+    Read from the lower triangle, and in closed form for n <= 2: ``e1`` for
+    n = 1, and for ``[[a, b], [b, d]]`` with ``h = (a - d)/2`` and
+    ``m = |h| + hypot(h, b)`` the null vector ``(m, -b)`` (``h <= 0``) or
+    ``(-b, m)`` (``h > 0``) of ``L - lambda_min``, normalized.  ``m`` has no
+    cancellation and is at least half the eigenvalue gap, so the error is a
+    few ulps of the largest entry over the gap, and a diagonal matrix gets an
+    exact unit vector.  Only n >= 3 calls LAPACK (``eigh``).  The sign makes
+    the entry of largest magnitude positive (the first of equal ones); a
+    matrix whose eigenvalues agree to 4 ulps of its largest entry, where the
+    direction is rounding noise, gets ``e1``.  Returns an ``(N, n)`` array.
+    """
+    n = L.shape[-1]
+    if n == 1:
+        return np.ones((len(L), 1))
+    if n == 2:
+        a, b, d = L[:, 0, 0], L[:, 1, 0], L[:, 1, 1]
+        h = 0.5 * (a - d)
+        r = np.hypot(h, b)
+        m = np.abs(h) + r
+        vecs = np.where((h <= 0.0)[:, None], np.stack([m, -b], axis=-1), np.stack([-b, m], axis=-1))
+        spread = 2.0 * r
+    else:
+        vals, vecs = np.linalg.eigh(L)
+        vecs, spread = vecs[:, :, 0], vals[:, -1] - vals[:, 0]
+    isotropic = spread <= 4.0 * np.finfo(float).eps * np.max(np.abs(L), axis=(1, 2))
+    vecs[isotropic] = np.eye(n)[0]
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    largest = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=1)[:, None], axis=1)
+    return np.where(largest < 0.0, -vecs, vecs) + 0.0  # + 0.0: no -0.0 entry
+
+
 def verify_potential(potential: PotentialMatrix, times: np.ndarray) -> CheckReport:
     """Check the structural hypotheses of the potential at grid resolution.
 

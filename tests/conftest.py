@@ -3,7 +3,14 @@ import random
 import numpy as np
 import pytest
 
-from frachs import SampledSignal, SolverConfig, default_problem, midpoint_grid
+from frachs import (
+    PotentialMatrix,
+    SampledSignal,
+    SolverConfig,
+    default_problem,
+    midpoint_grid,
+    vanishing_well_potential,
+)
 
 # default desk-scale grid
 N_DEFAULT = 4096
@@ -49,6 +56,19 @@ def discrete_extremal(a, n, t_min, dt):
     coeffs = profile * np.exp(-1j * freqs * (t_min - t_peak))
     u = SampledSignal(t_min, dt, np.fft.ifft(coeffs).real)
     return u, np.sqrt(np.sum(profile) / (n * dt))
+
+
+def wall_on_rotated_axes(angle, stiff):
+    """The scalar wall on the soft axis at ``angle`` and ``stiff`` times it on the other."""
+    scalar = vanishing_well_potential()
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+
+    def matrix(t):
+        wall = scalar.matrix_at(t)[:, 0, 0]
+        return wall[:, None, None] * (rot @ np.diag([1.0, stiff]) @ rot.T)
+
+    return PotentialMatrix(2, matrix, scalar.envelope, scalar.threshold, scalar.well, scalar.core)
 
 
 @pytest.fixture(scope="session")

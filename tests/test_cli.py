@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -340,6 +342,49 @@ class TestImport:
             "assert not loaded, loaded\n"
         )
         self.run_fresh(code, cfg, out)
+
+
+class TestEntry:
+    """The process entries freeze the imported heap; in-process ``main`` calls never do."""
+
+    CHECK = ["check", "--config", str(CONFIGS / "default.ini"), "--grid-n", "1024"]
+
+    def test_in_process_main_does_not_freeze(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert main([*self.CHECK, "--out", str(tmp_path)]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_module_entry_freezes(self, tmp_path):
+        # runpy.run_module(..., run_name="__main__") is what python -m runs
+        code = (
+            "import gc, runpy, sys\n"
+            "assert gc.get_freeze_count() == 0\n"
+            "sys.argv = ['frachs', *sys.argv[1:]]\n"
+            "try:\n"
+            "    runpy.run_module('frachs.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "else:\n"
+            "    raise AssertionError('the __main__ block did not exit')\n"
+            "assert gc.get_freeze_count() > 0\n"
+        )
+        TestImport.run_fresh(code, *self.CHECK, "--out", str(tmp_path))
+
+    def test_console_script_freezes(self, tmp_path):
+        # the target the [project.scripts] entry names, called as the generated script calls it
+        text = (CONFIGS.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        match = re.search(r'^\[project\.scripts\]\nfrachs = "([\w.]+):(\w+)"$', text, re.M)
+        assert match, "no frachs entry under [project.scripts]"
+        module, function = match.groups()
+        code = (
+            "import gc, importlib, sys\n"
+            "assert gc.get_freeze_count() == 0\n"
+            f"entry = getattr(importlib.import_module({module!r}), {function!r})\n"
+            "sys.argv = ['frachs', *sys.argv[1:]]\n"
+            "assert entry() == 0\n"
+            "assert gc.get_freeze_count() > 0\n"
+        )
+        TestImport.run_fresh(code, *self.CHECK, "--out", str(tmp_path))
 
 
 class TestCheck:

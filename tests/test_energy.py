@@ -39,7 +39,7 @@ from frachs import (
 from frachs.nonlinearity import Nonlinearity
 from frachs.spaces import CheckReport, CheckResult
 
-from conftest import DT, N_DEFAULT, T_MIN, full_spectrum_apply, zero_signal
+from conftest import DT, N_DEFAULT, T_MIN, full_spectrum_apply, wall_on_rotated_axes, zero_signal
 
 TIMES = T_MIN + DT * np.arange(N_DEFAULT)
 
@@ -792,6 +792,45 @@ class TestWitness:
             u0, s = negative_energy_witness(p)
             energies.append(evaluate_energy(u0.with_values(s * u0.values), p))
         assert energies[0] == energies[1] == energies[2]
+
+    def test_one_component_is_the_bump(self, prob):
+        # for n = 1 the soft axis is e1 and the witness is the bump itself, bit for bit
+        u0, s = negative_energy_witness(prob)
+        assert np.array_equal(u0.values, smooth_bump(prob.times, prob.potential.core)[:, None])
+        assert s == pytest.approx(0.0042672022784861945, rel=1e-12)  # the e1 witness' scale
+
+    @staticmethod
+    def _axis(potential):
+        """The witness of ``potential`` at N = 1024 is the bump along one unit axis: that axis."""
+        prob = default_problem(n_samples=1024, potential=potential)
+        u0, _ = negative_energy_witness(prob)
+        bump = smooth_bump(prob.times, prob.potential.core)
+        axis = u0.values[np.argmax(bump)]  # where the bump is exactly 1
+        assert np.array_equal(u0.values, np.outer(bump, axis) + 0.0)
+        assert not np.any(np.signbit(u0.values) & (u0.values == 0.0))  # no -0.0 sample
+        return axis
+
+    @pytest.mark.parametrize("potential, angle", [
+        (rotated_well_potential(), np.pi / 6), (wall_on_rotated_axes(1.0, 4.0), 1.0),
+    ], ids=["rotated", "rotated-1rad"])
+    def test_witness_lies_on_the_soft_axis(self, potential, angle):
+        axis = self._axis(potential)
+        assert axis == pytest.approx([np.cos(angle), np.sin(angle)], abs=4e-16)
+
+    def test_isotropic_wall_gives_e1(self):
+        scalar = vanishing_well_potential()
+        isotropic = PotentialMatrix(
+            2, lambda t: scalar.matrix_at(t) * np.eye(2), scalar.envelope,
+            scalar.threshold, scalar.well, scalar.core,
+        )
+        assert np.array_equal(self._axis(isotropic), [1.0, 0.0])
+
+    def test_three_components_take_the_soft_axis_of_eigh(self):
+        # L = wall(t) (m + 0.1 cos(t) I): every sum of samples has m's eigenvectors
+        m = np.array([[2.0, 0.3, -0.2], [0.3, 1.5, 0.7], [-0.2, 0.7, 3.0]])
+        ref = np.linalg.eigh(m)[1][:, 0]
+        ref *= np.sign(ref[np.argmax(np.abs(ref))])
+        assert self._axis(_symmetric_3x3_potential()) == pytest.approx(ref, abs=1e-14)
 
     def test_tiny_delta_fails(self, prob):
         from frachs import Problem
