@@ -60,7 +60,7 @@ from .grid import (
     signal_from_function,
 )
 from .nonlinearity import power_nonlinearity, verify_growth, zero_nonlinearity
-from .solver import SolverConfig, concentration_sweep, minimize, solve_bvp
+from .solver import SolverConfig, SweepRow, concentration_sweep, minimize, solve_bvp
 from .spaces import (
     AdmissibilityError,
     ResolutionError,
@@ -329,14 +329,11 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     report = concentration_sweep(prob, cfg.lambdas, solver_config(cfg))
     h = cfg.config_hash()
     csv_path = os.path.join(out_dir, f"sweep-{h}.csv")
-    cols = ["lambda", "c_lambda", "c_tilde", "tail_mass", "weighted_mass",
-            "dist_alpha", "norm_lambda"]
+    columns = SweepRow.columns("csv")
     with _open_artifact(csv_path) as fh:
-        fh.write(",".join(cols) + "\n")
+        fh.write(",".join(name for name, _ in columns) + "\n")
         for row in report.rows:
-            cells = [row.lam, row.c_lambda, report.c_tilde, row.tail_mass,
-                     row.weighted_mass, row.dist_alpha, row.norm_lambda]
-            fh.write(",".join(format(x, ".17g") for x in cells) + "\n")
+            fh.write(",".join(format(getattr(row, attr), ".17g") for _, attr in columns) + "\n")
     payload = {
         "config_hash": h,
         "command": "sweep",
@@ -346,11 +343,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
         "theta0": constants.theta0,
         "c_alpha": constants.c_alpha,
         "rows": [
-            {"lambda": r.lam, "c_lambda": r.c_lambda, "tail_mass": r.tail_mass,
-             "weighted_mass": r.weighted_mass, "dist_alpha": r.dist_alpha,
-             "norm_lambda": r.norm_lambda, "converged": r.converged,
-             "ordering_ok": r.ordering_ok, "bound_ok": r.bound_ok,
-             "flagged": r.flagged}
+            {name: getattr(r, attr) for name, attr in SweepRow.columns("json")}
             for r in report.rows
         ],
         "flagged": report.flagged,

@@ -3,8 +3,9 @@ problem, and the weight-sweep harness that exhibits concentration.
 
 The descent acts on one ``Problem`` through its raw-array ``energy``,
 ``grad``, ``hessian`` and ``precondition``; the restricted problem is the
-same functional on ``Problem.restricted(core)``, whose projection keeps every
-iterate zero outside the core.  The minimizer runs truncated Newton-CG from
+same functional on the core's window ``Problem.restricted(core)``, whose
+transforms are about twice the core's length, and its solution is
+zero-extended onto the whole line.  The minimizer runs truncated Newton-CG from
 the first iterate: conjugate gradients on the true Hessian action, stopped at
 negative curvature, then Armijo backtracking in the L2(dt) inner product
 along that one direction; when the line search rejects it, the descent stops
@@ -47,7 +48,7 @@ trivial and the start is the scalar bump.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -112,7 +113,7 @@ class _Work:
     """
 
     def __init__(self, prob: Problem, start_vals: np.ndarray):
-        self.vals = prob.project(np.array(start_vals, dtype=float))
+        self.vals = np.array(start_vals, dtype=float)
         self.cand, self.g, self.d, self.r, self.z, self.p, self.hp = (
             np.empty_like(self.vals) for _ in range(7)
         )
@@ -194,9 +195,9 @@ def _truncated_cg(prob, hess, g, rel_tol, work):
 def _descend(prob, cfg, start_vals) -> SolveResult:
     """Truncated Newton-CG from ``start_vals``; stops when the line search rejects the direction.
 
-    On a :meth:`~frachs.energy.Problem.restricted` problem every iterate
-    stays zero outside ``prob.free``.  Every array the loop writes is in one
-    :class:`_Work`.
+    On a :meth:`~frachs.energy.Problem.restricted` window the iterates live
+    on the window, and the result's ``u`` is zero-extended onto the whole
+    line.  Every array the loop writes is in one :class:`_Work`.
     """
     floor = lower_bound_minimum(prob)[1]
     work = _Work(prob, start_vals)
@@ -223,7 +224,7 @@ def _descend(prob, cfg, start_vals) -> SolveResult:
     converged = g_norm <= cfg.grad_tol
     applied = prob._apply_into(g, work.cand, work.kernels)
     return SolveResult(
-        u=SampledSignal(prob.t_min, prob.dt, work.vals),
+        u=prob.extend(work.vals),
         energy=f,
         grad_norm=g_norm,
         grad_norm_weighted=float(np.sqrt(_inner(prob, g, applied, applied))),  # form(g, g)
@@ -260,15 +261,17 @@ def minimize(prob: Problem, cfg: SolverConfig, start: SampledSignal | None = Non
 def solve_bvp(prob: Problem, cfg: SolverConfig) -> SolveResult:
     """Minimize the functional restricted to signals vanishing outside the core.
 
-    The core may sit anywhere inside the well.  Dirichlet values outside the
-    open core are pinned to exact zeros by construction (zero-extension
-    representation on the full grid): one descent runs on
-    ``prob.restricted(core)``, from the negative-energy witness, so a problem
-    with none raises :class:`~frachs.energy.WitnessError`.  On the core
+    The core may sit anywhere inside the well.  One descent runs on the
+    window problem ``prob.restricted(core)`` of the samples inside the open
+    core, from the negative-energy witness, so a problem with none raises
+    :class:`~frachs.energy.WitnessError`; its transforms have the length of
+    the window's circulant embedding, not N.  The result is zero-extended, so
+    the Dirichlet values outside the open core are exact zeros.  On the core
     ``L = 0``, so the preconditioner's two blocks coincide there.
     """
     u0, s = negative_energy_witness(prob)  # first: its ResolutionError names the core
-    return _descend(prob.restricted(prob.potential.core), cfg, s * u0.values)
+    window = prob.restricted(prob.potential.core)
+    return _descend(window, cfg, s * u0.values[window.rows])
 
 
 def uniform_bound_constant(prob: Problem) -> float:
@@ -286,22 +289,45 @@ def uniform_bound_constant(prob: Problem) -> float:
     return float(1.05 * root)
 
 
+def _column(*outputs: str, name: str | None = None, init: bool = True):
+    """A :class:`SweepRow` field that ``outputs`` ("csv", "json") carry, as ``name`` or its own."""
+    return field(init=init, metadata={"outputs": outputs, "name": name})
+
+
 @dataclass(frozen=True)
 class SweepRow:
-    lam: float
-    c_lambda: float
-    tail_mass: float
-    weighted_mass: float
-    dist_alpha: float
-    norm_lambda: float
-    converged: bool
-    ordering_ok: bool
-    bound_ok: bool
-    stop_reason: str
+    """One rung of the sweep.
 
-    @property
-    def flagged(self) -> bool:
-        return not (self.converged and self.ordering_ok and self.bound_ok)
+    Its fields are the one list the sweep's outputs are built from: in
+    order, they are the CSV columns and the JSON row keys
+    (:meth:`columns`), each written to the outputs it names.
+    """
+
+    lam: float = _column("csv", "json", name="lambda")
+    c_lambda: float = _column("csv", "json")
+    c_tilde: float = _column("csv")
+    tail_mass: float = _column("csv", "json")
+    weighted_mass: float = _column("csv", "json")
+    dist_alpha: float = _column("csv", "json")
+    norm_lambda: float = _column("csv", "json")
+    converged: bool = _column("json")
+    ordering_ok: bool = _column("json")
+    bound_ok: bool = _column("json")
+    stop_reason: str = _column()
+    flagged: bool = _column("json", init=False)
+
+    def __post_init__(self):
+        flagged = not (self.converged and self.ordering_ok and self.bound_ok)
+        object.__setattr__(self, "flagged", flagged)
+
+    @classmethod
+    def columns(cls, output: str) -> list[tuple[str, str]]:
+        """``(name, attribute)`` of each field ``output`` ("csv" or "json") carries, in order."""
+        return [
+            (f.metadata["name"] or f.name, f.name)
+            for f in fields(cls)
+            if output in f.metadata["outputs"]
+        ]
 
 
 @dataclass(frozen=True)
@@ -331,6 +357,7 @@ def _sweep_row(prob, result, u_tilde, c_tilde, bound) -> SweepRow:
     return SweepRow(
         lam=prob.lam,
         c_lambda=result.energy,
+        c_tilde=c_tilde,
         tail_mass=tail,
         weighted_mass=weighted,
         dist_alpha=h_alpha_norm(diff, prob.order),
@@ -350,9 +377,12 @@ def concentration_sweep(prob: Problem, lambdas, cfg: SolverConfig) -> SweepRepor
     weight, and strict decrease gives ``c_lambda <= c_tilde`` on that row by
     construction.  Every later weight starts from the solution before it,
     which tracks the branch towards ``u_tilde`` as ``lam`` grows; its
-    ordering is checked and flagged, not repaired.  ``c_tilde`` is at most
-    the witness energy, which is negative; without a witness the restricted
-    solve raises :class:`~frachs.energy.WitnessError` and no row is computed.
+    ordering is checked and flagged, not repaired.  ``c_tilde`` is the
+    whole-line energy of ``u_tilde``, the level the first row starts from;
+    the window descent reached it up to rounding (``bvp.energy``).  It is at
+    most the witness energy, which is negative;
+    without a witness the restricted solve raises
+    :class:`~frachs.energy.WitnessError` and no row is computed.
     """
     lambdas = [float(x) for x in lambdas]
     if len(lambdas) < 3:
@@ -364,7 +394,7 @@ def concentration_sweep(prob: Problem, lambdas, cfg: SolverConfig) -> SweepRepor
         raise ValueError(f"all weights must be >= the threshold {threshold:.6g}")
 
     bvp = solve_bvp(prob.with_lam(lambdas[0]), cfg)
-    c_tilde = bvp.energy
+    c_tilde = prob.energy(bvp.u.values)  # lam L u_tilde is exactly 0: the same bits at every weight
     bound = uniform_bound_constant(prob)
 
     start = bvp.u.values

@@ -35,6 +35,14 @@ def artifact(out_dir, prefix, suffix=".json"):
     return os.path.join(out_dir, names[0])
 
 
+def read_json(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def read_text(path):
+    return Path(path).read_text(encoding="utf-8")
+
+
 class TestSolutionCsv:
     @pytest.mark.parametrize("n_samples", [8, 1024])
     def test_matches_per_value_format(self, tmp_path, n_samples):
@@ -397,7 +405,7 @@ class TestCheck:
         argv = ["check", "--config", str(CONFIGS / f"{preset}.ini"), "--out", out,
                 "--grid-n", str(grid_n)]
         assert main(argv) == 0  # a diagnostic, not a failure
-        report = json.load(open(artifact(out, "check-")))
+        report = read_json(artifact(out, "check-"))
         assert report["resolution"] == {
             "dt": 32.0 / grid_n, "wall_width": np.sqrt(30.0 * 5e-7), "resolved": resolved,
         }
@@ -407,7 +415,7 @@ class TestCheck:
         cfg = write(tmp_path, BASE + "grid_n = 2048\n")
         out = str(tmp_path / "out")
         assert main(["check", "--config", cfg, "--out", out]) == 0
-        report = json.load(open(artifact(out, "check-")))
+        report = read_json(artifact(out, "check-"))
         assert report["passed"] is True
         assert report["admissibility"]["passed"] is True
 
@@ -418,7 +426,7 @@ class TestCheck:
         )
         out = str(tmp_path / "out")
         assert main(["check", "--config", cfg, "--out", out]) == 1
-        report = json.load(open(artifact(out, "check-")))
+        report = read_json(artifact(out, "check-"))
         assert report["admissibility"]["passed"] is False
         assert report["admissibility"]["name"] == "L1-admissibility"
 
@@ -426,7 +434,7 @@ class TestCheck:
         cfg = write(tmp_path, BASE + "nonlinearity = zero\ngrid_n = 2048\n")
         out = str(tmp_path / "out")
         assert main(["check", "--config", cfg, "--out", out]) == 1
-        report = json.load(open(artifact(out, "check-")))
+        report = read_json(artifact(out, "check-"))
         assert report["growth"]["passed"] is False
 
     def test_report_schema(self, tmp_path):
@@ -439,7 +447,7 @@ class TestCheck:
             cfg = write(tmp_path, BASE + f"nonlinearity = {nonlinearity}\ngrid_n = 2048\n")
             out = str(tmp_path / nonlinearity)
             main(["check", "--config", cfg, "--out", out])
-            report = json.load(open(artifact(out, "check-")))
+            report = read_json(artifact(out, "check-"))
             for section, expected in names.items():
                 assert set(report[section]) == {"passed", "checks"}
                 checks = report[section]["checks"]
@@ -455,18 +463,18 @@ class TestSolve:
         cfg = write(tmp_path, BASE)
         out = str(tmp_path / "out")
         assert main(["solve", "--config", cfg, "--out", out]) == 0
-        report = json.load(open(artifact(out, "solve-report-")))
+        report = read_json(artifact(out, "solve-report-"))
         assert report["converged"] is True
         assert report["energy"] < 0
         csv_path = artifact(out, "solve-solution-", ".csv")
-        header = open(csv_path).readline().strip()
+        header = read_text(csv_path).splitlines()[0]
         assert header == "t,u_1"
 
     def test_non_convergence_exits_3_with_artifacts(self, tmp_path):
         cfg = write(tmp_path, BASE + "max_iters = 2\n")
         out = str(tmp_path / "out")
         assert main(["solve", "--config", cfg, "--out", out]) == 3
-        report = json.load(open(artifact(out, "solve-report-")))
+        report = read_json(artifact(out, "solve-report-"))
         assert report["converged"] is False
         assert os.path.exists(artifact(out, "solve-solution-", ".csv"))
 
@@ -475,7 +483,7 @@ class TestSolve:
         out = str(tmp_path / "out")
         assert main(["solve", "--config", cfg, "--out", out]) == 3
         assert "stop reason max_iters" in capsys.readouterr().err
-        assert "stop_reason" not in open(artifact(out, "solve-report-")).read()
+        assert "stop_reason" not in read_text(artifact(out, "solve-report-"))
 
     def test_lambda_below_threshold_is_config_error(self, tmp_path):
         cfg = write(tmp_path, BASE)
@@ -486,7 +494,7 @@ class TestSolve:
         cfg = write(tmp_path, BASE)
         out = str(tmp_path / "out")
         assert main(["bvp", "--config", cfg, "--out", out]) == 0
-        report = json.load(open(artifact(out, "bvp-report-")))
+        report = read_json(artifact(out, "bvp-report-"))
         assert report["c_tilde"] == report["energy"] < 0
 
     @pytest.mark.parametrize("command", ["solve", "bvp"])
@@ -495,7 +503,7 @@ class TestSolve:
         cfg = write(tmp_path, BASE)
         out = str(tmp_path / "out")
         assert main([command, "--config", cfg, "--out", out]) == 0
-        report = json.load(open(artifact(out, f"{command}-report-")))
+        report = read_json(artifact(out, f"{command}-report-"))
         keys = {
             "config_hash", "command", "lambda", "lambda_threshold", "theta0", "c_alpha",
             "sublevel_measure", "energy", "grad_norm", "grad_norm_weighted", "iterations",
@@ -547,7 +555,7 @@ class TestNoWitness:
         )
         out = str(tmp_path / "out")
         assert main(["sweep", "--config", cfg, "--out", out]) == 0
-        report = json.load(open(artifact(out, "sweep-report-")))
+        report = read_json(artifact(out, "sweep-report-"))
         assert report["flagged"] is False
         assert all(r["c_lambda"] <= report["c_tilde"] < 0 for r in report["rows"])
 
@@ -557,10 +565,10 @@ class TestSweepCommand:
         cfg = write(tmp_path, BASE + "lambdas = 2,20,200\n")
         out = str(tmp_path / "out")
         assert main(["sweep", "--config", cfg, "--out", out]) == 0
-        rows = open(artifact(out, "sweep-", ".csv")).read().strip().splitlines()
+        rows = read_text(artifact(out, "sweep-", ".csv")).strip().splitlines()
         assert rows[0] == "lambda,c_lambda,c_tilde,tail_mass,weighted_mass,dist_alpha,norm_lambda"
         assert len(rows) == 4
-        report = json.load(open(artifact(out, "sweep-report-")))
+        report = read_json(artifact(out, "sweep-report-"))
         assert report["flagged"] is False
 
     def test_ladder_below_threshold_rejected(self, tmp_path):
@@ -575,7 +583,7 @@ class TestSweepCommand:
         )
         out = str(tmp_path / "out")
         assert main(["sweep", "--config", cfg, "--out", out]) == 4
-        rows = open(artifact(out, "sweep-", ".csv")).read().strip().splitlines()
+        rows = read_text(artifact(out, "sweep-", ".csv")).strip().splitlines()
         assert len(rows) == 4
 
 
@@ -586,7 +594,7 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "[FLAGGED] stop reason max_iters" in err
         for path in (artifact(out, "sweep-", ".csv"), artifact(out, "sweep-report-")):
-            assert "stop_reason" not in open(path).read()
+            assert "stop_reason" not in read_text(path)
 
 
 class TestCoreAwayFromZero:
@@ -596,7 +604,7 @@ class TestCoreAwayFromZero:
         cfg = write(tmp_path, BASE + "i_min = 0.1\n")
         out = str(tmp_path / "out")
         assert main(["bvp", "--config", cfg, "--out", out]) == 0
-        report = json.load(open(artifact(out, "bvp-report-")))
+        report = read_json(artifact(out, "bvp-report-"))
         assert report["converged"] is True
         assert report["c_tilde"] == report["energy"] < 0
         t, u = np.loadtxt(artifact(out, "bvp-solution-", ".csv"), delimiter=",", skiprows=1).T
@@ -607,7 +615,7 @@ class TestCoreAwayFromZero:
         cfg = write(tmp_path, BASE + "i_min = 0.1\nlambdas = 2,20,200,2000\n")
         out = str(tmp_path / "out")
         assert main(["sweep", "--config", cfg, "--out", out]) == 0
-        report = json.load(open(artifact(out, "sweep-report-")))
+        report = read_json(artifact(out, "sweep-report-"))
         assert report["flagged"] is False
         assert all(r["c_lambda"] <= report["c_tilde"] < 0 for r in report["rows"])
 

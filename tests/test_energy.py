@@ -7,6 +7,7 @@ from scipy.optimize import minimize_scalar
 
 from frachs import (
     PotentialMatrix,
+    Problem,
     ResolutionError,
     SampledSignal,
     SolverConfig,
@@ -506,47 +507,193 @@ class TestOperator:
 
 
 class TestRestricted:
-    """``Problem.restricted``: the same functional on the signals vanishing outside the core."""
+    """``Problem.restricted``: the same functional on the signals vanishing outside the core,
+    as a problem on the window of samples inside it."""
 
     def test_derivatives_vanish_outside_the_open_core(self, prob, rng):
         restricted = prob.restricted((0.0, 0.5))
         outside = (prob.times <= 0.0) | (prob.times >= 0.5)
+        assert np.array_equal(restricted.times, prob.times[~outside])
         u, v = (random_band_limited(rng, N_DEFAULT, T_MIN, DT).values for _ in range(2))
-        vals = 0.1 * u
-        for out in (restricted.grad(vals), restricted.hessian(vals)(v), restricted.precondition(v)):
-            assert np.all(out[outside] == 0.0)
-            assert np.any(out[~outside] != 0.0)
+        vals = 0.1 * np.where(outside[:, None], 0.0, u)
+        window, v_window = vals[restricted.rows], v[restricted.rows]
+        for out in (
+            restricted.grad(window), restricted.hessian(window)(v_window),
+            restricted.precondition(v_window),
+        ):
+            extended = restricted.extend(out).values
+            assert np.all(extended[outside] == 0.0)
+            assert np.any(extended[~outside] != 0.0)
         # the same functional: on the core the restriction changes nothing
-        assert restricted.energy(vals) == prob.energy(vals)
-        assert np.array_equal(restricted.grad(vals)[~outside], prob.grad(vals)[~outside])
+        assert restricted.energy(window) == pytest.approx(prob.energy(vals), rel=1e-13, abs=0)
+        assert _rel_err(restricted.grad(window), prob.grad(vals)[~outside]) <= 1e-13
 
     def test_with_lam_keeps_free_and_leaves_the_parent(self, prob):
+        # the weight is the only change: the window and its weight-free arrays are shared
         restricted = prob.restricted((0.0, 0.5))
         other = restricted.with_lam(100.0 * prob.lam)
-        assert other.free is restricted.free
-        assert not restricted.free.flags.writeable
-        assert prob.free is None
+        assert other.rows == restricted.rows and other.line is restricted.line is prob
+        for name in ("times", "matrix_entries", "kinetic", "core_precond"):
+            assert getattr(other, name) is getattr(restricted, name)
+            assert not getattr(other, name).flags.writeable
+        assert prob.line is None and prob.rows is None
         assert other.shift() == 1.0
         assert np.array_equal(prob.precond, 1.0 / (prob.shift() + prob.kinetic))
 
     def test_precond_is_the_unshifted_kinetic_inverse(self, prob):
-        # on the core L = 0, so the shift is 1
-        assert np.array_equal(prob.restricted((0.0, 0.5)).precond, 1.0 / (1.0 + prob.kinetic))
+        # on the core L = 0, so the shift is 1 and the shifted block is the core block
+        restricted = prob.restricted((0.0, 0.5))
+        assert restricted.shift() == 1.0
+        assert np.array_equal(restricted.precond, restricted.core_precond)
+        assert np.array_equal(
+            restricted.precond, restricted._window_symbol(1.0 / (1.0 + prob.kinetic))
+        )
 
     def test_precondition_is_twice_the_core_block(self, operator_case):
-        # on the core R = free and c = 1: both blocks are the projected core block,
+        # on the core R = every sample and c = 1: both blocks are the core block,
         # and doubling is exact in floating point
         prob, u, _ = operator_case
         restricted = prob.restricted((0.0, 0.5))
-        assert np.array_equal(restricted.wall_free, restricted.free)
-        x = restricted.project(u.values)
-        block = np.fft.irfft(restricted.core_precond * np.fft.rfft(x, axis=0), prob.n_samples, axis=0)
-        assert np.array_equal(restricted.precondition(x), 2.0 * restricted.project(block))
+        assert np.all(restricted.wall_free)
+        x = u.values[restricted.rows]
+        m, n_fft = restricted.n_samples, restricted.n_fft
+        spectrum = restricted.core_precond * np.fft.rfft(x, n_fft, axis=0)
+        block = np.fft.irfft(spectrum, n_fft, axis=0)[:m]
+        assert np.array_equal(restricted.precondition(x), 2.0 * block)
 
     def test_interval_without_samples_raises(self, prob):
         # dt = 1/128 puts no sample strictly inside (0.001, 0.002)
         with pytest.raises(ResolutionError, match="holds no grid sample"):
             prob.restricted((0.001, 0.002))
+
+
+@pytest.fixture(
+    scope="module",
+    params=["default", "rotated", "off-origin", "one-sample", "wider-than-half"],
+)
+def window_case(request, prob):
+    """A whole-line problem, the interval of its window and the expected
+    ``(m, n_fft)``: the smallest power of two >= 2m - 1, or N."""
+    interval, expected = (0.0, 0.5), (64, 128)
+    if request.param == "rotated":
+        prob = default_problem(potential=rotated_well_potential(), n_samples=8192)
+        expected = (128, 256)
+    elif request.param == "off-origin":
+        interval, expected = (0.1, 0.5), (51, 128)
+        prob = default_problem(
+            potential=vanishing_well_potential(core=interval),
+            nonlinearity=power_nonlinearity(core=interval),
+        )
+    elif request.param == "one-sample":
+        interval, expected = (0.0, DT), (1, 1)
+    elif request.param == "wider-than-half":
+        # 2m - 1 >= N, and the window reaches into the wall
+        interval, expected = (-10.0, 10.0), (2560, N_DEFAULT)
+    return prob, interval, expected
+
+
+class TestWindow:
+    """The window problem's kernels are the whole line's restricted to the window:
+    the whole-line kernel on the zero-extended input, sliced to the window."""
+
+    @staticmethod
+    def _signals(prob, window, count, seed):
+        """``count`` random signals that vanish outside the window, whole-line and window-sized."""
+        rng = random.Random(seed)
+        inside = np.zeros((prob.n_samples, 1), dtype=bool)
+        inside[window.rows] = True
+        out = []
+        for _ in range(count):
+            u = random_band_limited(
+                rng, prob.n_samples, prob.t_min, prob.dt, prob.n_components, band_fraction=0.3
+            ).values
+            u = np.where(inside, u, 0.0)
+            out.append((u, u[window.rows]))
+        return out
+
+    def test_window_and_embedding_length(self, window_case):
+        prob, interval, expected = window_case
+        window = prob.restricted(interval)
+        assert (window.n_samples, window.n_fft) == expected
+        inside = np.flatnonzero((prob.times > interval[0]) & (prob.times < interval[1]))
+        assert (window.rows.start, window.rows.stop) == (inside[0], inside[-1] + 1)
+        assert window.kinetic.shape == (window.n_fft // 2 + 1, prob.n_components)
+        assert window.coercivity == prob.coercivity  # the floor stays the whole line's
+
+    def test_kernels_match_the_whole_line(self, window_case):
+        prob, interval, _ = window_case
+        window = prob.restricted(interval)
+        (x, xw), (v, vw) = self._signals(prob, window, 2, seed=7)
+        vals, vals_w = 0.1 * x, 0.1 * xw
+        rows = window.rows
+        assert _rel_err(window.apply(xw), prob.apply(x)[rows]) <= 1e-13
+        assert _rel_err(window.grad(vals_w), prob.grad(vals)[rows]) <= 1e-13
+        assert _rel_err(window.hessian(vals_w)(vw), prob.hessian(vals)(v)[rows]) <= 1e-13
+        assert window.energy(vals_w) == pytest.approx(prob.energy(vals), rel=1e-13, abs=0)
+        ref = _whole_line_restricted_precondition(prob, window, x)[rows]
+        assert _rel_err(window.precondition(xw), ref) <= 1e-13
+
+    def test_back_to_back_preconditions(self, window_case):
+        # one scratch for both calls: the second transform must see zero padding,
+        # whatever the first left in the work arrays
+        prob, interval, _ = window_case
+        window = prob.restricted(interval)
+        (x, xw), (y, yw) = self._signals(prob, window, 2, seed=11)
+        work, out = window._scratch(), np.empty_like(xw)
+        for full, part in ((x, xw), (y, yw), (x, xw)):
+            ref = _whole_line_restricted_precondition(prob, window, full)[window.rows]
+            assert _rel_err(window._precondition_into(part, out, work), ref) <= 1e-13
+
+    def test_minimizer_energy_matches_the_whole_line(self):
+        # a smooth minimizer's form is about 700 times below the kinetic kernel's
+        # largest entry times ||u||^2 at N = 8192, and the window's symbol carries that
+        # entry's rounding: 3.0e-13 measured, against 1e-12 allowed for c_tilde
+        prob = default_problem(n_samples=8192)
+        res = solve_bvp(prob, SolverConfig())
+        assert res.energy == pytest.approx(prob.energy(res.u.values), rel=1e-12, abs=0)
+
+    def test_outside_energy_is_one_constant(self, prob):
+        # W(t, 0) != 0: the samples outside the window add their integral to every energy
+        nl = prob.nonlinearity
+        lifted = Nonlinearity(
+            density=lambda t, u: nl.density(t, u) + nl.xi(t), gradient=nl.gradient,
+            hessian_at=nl.hessian_at, p=nl.p, xi=nl.xi, eta=nl.eta, delta=nl.delta, nu=nl.nu,
+        )
+        line = Problem(
+            prob.order, prob.n_samples, prob.t_min, prob.dt,
+            prob.potential, lifted, prob.lam, prob.constants,
+        )
+        window = line.restricted((0.0, 0.5))
+        outside = np.ones(prob.n_samples, dtype=bool)
+        outside[window.rows] = False
+        ref = prob.dt * np.sum(nl.xi(prob.times[outside]))
+        assert window.outside == pytest.approx(ref, rel=1e-13, abs=0)
+        ((x, xw),) = self._signals(line, window, 1, seed=3)
+        assert window.energy(0.1 * xw) == pytest.approx(line.energy(0.1 * x), rel=1e-13, abs=0)
+
+    def test_extend_writes_exact_zeros(self, prob):
+        window = prob.restricted((0.0, 0.5))
+        vals = np.full((window.n_samples, 1), -2.5)
+        u = window.extend(vals)
+        assert (u.t_min, u.dt, u.n_samples) == (prob.t_min, prob.dt, prob.n_samples)
+        assert np.array_equal(u.values[window.rows], vals)
+        assert np.count_nonzero(u.values) == window.n_samples
+        assert not np.any(np.signbit(u.values[u.values == 0.0]))
+
+    def test_a_window_is_not_restricted_again(self, prob):
+        with pytest.raises(ValueError, match="whole-line"):
+            prob.restricted((0.0, 0.5)).restricted((0.1, 0.2))
+
+
+def _whole_line_restricted_precondition(prob, window, x):
+    """``(c + |w|^(2a))^(-1) x + R (1 + |w|^(2a))^(-1) R x`` on the whole line, ``c``
+    the window's shift and ``x`` zero outside the window: the window block applied
+    with the whole line's transforms."""
+    spectrum = np.fft.rfft(x, axis=0) / (window.shift() + prob.kinetic)
+    out = np.fft.irfft(spectrum, prob.n_samples, axis=0)
+    core = np.where(prob.wall_free, x, 0.0)
+    core = np.fft.irfft(prob.core_precond * np.fft.rfft(core, axis=0), prob.n_samples, axis=0)
+    return out + np.where(prob.wall_free, core, 0.0)
 
 
 def _symmetric_3x3_potential() -> PotentialMatrix:
@@ -627,11 +774,22 @@ class TestColumnKernels:
 def _allocating_precondition(prob, x):
     """:meth:`Problem.precondition` with every block on freshly allocated arrays:
     the reference the in-place kernel must match bit for bit."""
-    out = np.fft.irfft(prob.precond * np.fft.rfft(x, axis=0), prob.n_samples, axis=0)
-    core = np.where(prob.wall_free, x, 0.0)
-    core = np.fft.irfft(prob.core_precond * np.fft.rfft(core, axis=0), prob.n_samples, axis=0)
-    out += np.where(prob.wall_free, core, 0.0)
-    return prob.project(out)
+
+    def block(symbol, y):
+        spectrum = symbol * np.fft.rfft(y, prob.n_fft, axis=0)
+        return np.fft.irfft(spectrum, prob.n_fft, axis=0)[: prob.n_samples]
+
+    out = block(prob.precond, x)
+    out += np.where(prob.wall_free, block(prob.core_precond, np.where(prob.wall_free, x, 0.0)), 0.0)
+    return out
+
+
+def _on_core(prob, restricted, values):
+    """``prob`` or its window on the core, and ``values`` on that problem's grid."""
+    if not restricted:
+        return prob, values
+    window = prob.restricted(prob.potential.core)
+    return window, values[window.rows]
 
 
 class TestWorkArrays:
@@ -640,34 +798,38 @@ class TestWorkArrays:
     @pytest.mark.parametrize("restricted", [False, True])
     def test_precondition_matches_allocating_formula(self, operator_case, restricted):
         prob, u, v = operator_case
-        if restricted:
-            prob = prob.restricted(prob.potential.core)
-        ref = _allocating_precondition(prob, u.values)
-        assert np.array_equal(prob.precondition(u.values), ref)
+        prob, x = _on_core(prob, restricted, u.values)
+        y = v.values[: prob.n_samples]
+        ref = _allocating_precondition(prob, x)
+        assert np.array_equal(prob.precondition(x), ref)
         # a scratch and an output used for another input first
-        work, out = prob._scratch(), np.empty_like(u.values)
-        prob._precondition_into(v.values, out, work)
-        assert np.array_equal(prob._precondition_into(u.values, out, work), ref)
+        work, out = prob._scratch(), np.empty_like(x)
+        prob._precondition_into(y, out, work)
+        assert np.array_equal(prob._precondition_into(x, out, work), ref)
 
     @pytest.mark.parametrize("restricted", [False, True])
     def test_energy_and_grad_match_allocating_formulas(self, operator_case, restricted):
         prob, u, _ = operator_case
-        if restricted:
-            prob = prob.restricted(prob.potential.core)
-        vals = 0.1 * prob.project(u.values)
+        prob, vals = _on_core(prob, restricted, 0.1 * u.values)
         density = prob.nonlinearity.density(prob.times, vals)
-        assert prob.energy(vals) == 0.5 * prob.form(vals, vals) - float(prob.dt * np.sum(density))
-        ref = prob.project(prob.apply(vals) - prob.nonlinearity.gradient(prob.times, vals))
+        assert prob.energy(vals) == (
+            0.5 * prob.form(vals, vals) - float(prob.dt * np.sum(density)) - prob.outside
+        )
+        ref = prob.apply(vals) - prob.nonlinearity.gradient(prob.times, vals)
         assert np.array_equal(prob.grad(vals), ref)
 
     def test_results_are_fresh_and_stay_put(self, operator_case):
         prob, u, v = operator_case
         x, vals = u.values, 0.1 * v.values
-        problems = (prob, prob.with_lam(7.0 * prob.lam), prob.restricted(prob.potential.core))
+        window = prob.restricted(prob.potential.core)
+        cases = (
+            (prob, x, vals), (prob.with_lam(7.0 * prob.lam), x, vals),
+            (window, x[window.rows], vals[window.rows]),
+        )
         results, copies = [], []
         for _ in range(2):
-            for p in problems:
-                for out in (p.apply(x), p.precondition(x), p.grad(vals), p.hessian(vals)(x)):
+            for p, x_p, vals_p in cases:
+                for out in (p.apply(x_p), p.precondition(x_p), p.grad(vals_p), p.hessian(vals_p)(x_p)):
                     results.append(out)
                     copies.append(out.copy())
         for i, out in enumerate(results):
@@ -681,35 +843,34 @@ class TestWorkArrays:
 
 class TestHessianClosedForm:
     """For W = xi |u|^p / p, W''(u) u = (p - 1) grad W(u), so the Hessian action at
-    ``u`` on ``u`` itself is ``(2 - p) A u + (p - 1) grad(u)``, projected."""
+    ``u`` on ``u`` itself is ``(2 - p) A u + (p - 1) grad(u)``, on the whole line and on
+    the core's window alike."""
 
     @staticmethod
     def _assert_closed_form(prob, u):
         p = prob.nonlinearity.p
-        ref = (2.0 - p) * prob.project(prob.apply(u)) + (p - 1.0) * prob.grad(u)
+        ref = (2.0 - p) * prob.apply(u) + (p - 1.0) * prob.grad(u)
         assert _rel_err(prob.hessian(u)(u), ref) <= 1e-13
 
     @pytest.mark.parametrize("restricted", [False, True])
     def test_at_random_signals(self, operator_case, restricted, rng):
         prob, _, _ = operator_case
-        if restricted:
-            prob = prob.restricted(prob.potential.core)
         for band in (0.05, 0.3, 1.0):
             u = random_band_limited(
                 rng, N_DEFAULT, T_MIN, DT, prob.n_components, band_fraction=band
             )
+            problem, values = _on_core(prob, restricted, u.values)
             for scale in (1e-3, 0.1, 10.0):
-                self._assert_closed_form(prob, prob.project(scale * u.values))
+                self._assert_closed_form(problem, scale * values)
 
     @pytest.mark.parametrize("restricted", [False, True])
     def test_at_the_minimizer(self, operator_case, restricted):
         prob, _, _ = operator_case
         if restricted:
             u = solve_bvp(prob, SolverConfig()).u.values
-            prob = prob.restricted(prob.potential.core)
         else:
             u = minimize(prob, SolverConfig()).u.values
-        self._assert_closed_form(prob, u)
+        self._assert_closed_form(*_on_core(prob, restricted, u))
 
 
 class TestLowerBound:

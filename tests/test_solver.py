@@ -206,7 +206,7 @@ class TestNewtonStep:
 class TestShiftedPreconditioner:
     def test_descent_shift_follows_its_free_samples(self, prob, cfg, monkeypatch):
         # the full-grid descent shifts the kinetic block to the wall level; the
-        # restricted one moves only core samples, where L = 0, so its shift is 1
+        # restricted one moves only the core's window, where L = 0, so its shift is 1
         descended = []
         monkeypatch.setattr(solver, "_descend", lambda p, *args: descended.append(p))
         minimize(prob, cfg)
@@ -214,7 +214,8 @@ class TestShiftedPreconditioner:
         full, restricted = descended
         assert full.precond is prob.precond
         assert prob.shift() > 100.0
-        assert np.array_equal(restricted.precond, 1.0 / (1.0 + prob.kinetic))
+        assert restricted.line is prob and restricted.shift() == 1.0
+        assert np.array_equal(restricted.precond, restricted.core_precond)
 
 
 class TestStopReason:
@@ -480,9 +481,15 @@ class TestReportedEnergy:
     """``SolveResult.energy`` is the energy of the descent's last accepted iterate."""
 
     def test_minimize_and_bvp(self, prob, cfg):
-        for res in (minimize(prob, cfg), solve_bvp(prob, cfg)):
+        full, restricted = minimize(prob, cfg), solve_bvp(prob, cfg)
+        for res in (full, restricted):
             assert res.energy == res.history[-1][0]
-            assert res.energy == evaluate_energy(res.u, prob)
+        assert full.energy == evaluate_energy(full.u, prob)
+        # the bvp descends on the core's window: its energy there, bit for bit, and
+        # the whole line's energy of the zero-extended solution up to rounding
+        window = prob.restricted(prob.potential.core)
+        assert restricted.energy == window.energy(restricted.u.values[window.rows])
+        assert restricted.energy == pytest.approx(evaluate_energy(restricted.u, prob), rel=1e-13, abs=0)
 
     def test_every_sweep_descent(self, traced_sweep):
         report, _, descents = traced_sweep
