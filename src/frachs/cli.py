@@ -11,14 +11,15 @@ ops-selftest validate the spectral operators on the configured grid
 Exit codes: 0 success, 1 hypothesis/selftest failure (including solve, bvp
 or sweep on a problem without a negative-energy witness, which writes no
 artifacts), 2 config error (including a grid too coarse to resolve the core,
-a domain too short to cover the well or the sublevel set, an unreadable
-config, an output path that is not a directory and an artifact that cannot
-be written), 3 solver non-convergence, 4 flagged sweep row; exit 3 and every
-flagged row name the stop reason on stderr.  Artifacts are stamped with the
-config hash; identical config + seed reproduces byte-identical CSV/JSON
-payloads (timestamps live only in the manifest).  Only ``check`` samples the
-growth hypotheses W1-W2; the other reports leave them to its report of the
-same hash.
+a domain too short to cover the well or the sublevel set, a weight below the
+threshold, a sweep ladder without at least 3 ascending weights, nonlinearity
+constants the power family rejects, an unreadable config, an output path that
+is not a directory and an artifact that cannot be written), 3 solver
+non-convergence, 4 flagged sweep row; exit 3 and every flagged row name the
+stop reason on stderr.  Artifacts are stamped with the config hash; identical
+config + seed reproduces byte-identical CSV/JSON payloads (timestamps live
+only in the manifest).  Only ``check`` samples the growth hypotheses W1-W2;
+the other reports leave them to its report of the same hash.
 
 ``python -m frachs.cli`` and the ``frachs`` console script both enter through
 :func:`run`, which freezes the heap built by the imports before it runs the
@@ -64,6 +65,7 @@ from .solver import SolverConfig, SweepRow, concentration_sweep, minimize, solve
 from .spaces import (
     AdmissibilityError,
     ResolutionError,
+    WeightError,
     compute_embedding_constants,
     rotated_well_potential,
     vanishing_well_potential,
@@ -92,27 +94,21 @@ def build_potential(cfg: ExperimentConfig):
 
 
 def build_nonlinearity(cfg: ExperimentConfig):
-    if cfg.nonlinearity == "zero":
-        return zero_nonlinearity(p=cfg.p, delta=cfg.delta)
-    eps = cfg.eps if cfg.nonlinearity == "power-regularized" else 0.0
-    return power_nonlinearity(
-        p=cfg.p, nu=cfg.nu, xi_scale=cfg.xi_scale, xi_width=cfg.xi_width,
-        delta=cfg.delta, core=(cfg.i_min, cfg.i_max), eps=eps,
-    )
+    """The configured nonlinearity; constants its family rejects raise :class:`ConfigError`."""
+    try:
+        if cfg.nonlinearity == "zero":
+            return zero_nonlinearity(p=cfg.p, delta=cfg.delta)
+        eps = cfg.eps if cfg.nonlinearity == "power-regularized" else 0.0
+        return power_nonlinearity(
+            p=cfg.p, nu=cfg.nu, xi_scale=cfg.xi_scale, xi_width=cfg.xi_width,
+            delta=cfg.delta, core=(cfg.i_min, cfg.i_max), eps=eps,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"nonlinearity {cfg.nonlinearity!r}: {exc}") from None
 
 
 def solver_config(cfg: ExperimentConfig) -> SolverConfig:
     return SolverConfig(max_iters=cfg.max_iters, grad_tol=cfg.grad_tol)
-
-
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 class ArtifactError(Exception):
@@ -131,7 +127,7 @@ def _open_artifact(path: str):
 
 def _write_json(path: str, payload: dict):
     with _open_artifact(path) as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=_json_default)
+        json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
@@ -253,13 +249,6 @@ def _solve_common(cfg: ExperimentConfig, out_dir: str, restricted: bool) -> int:
         return status
     constants = prob.constants
     lam = cfg.lam if cfg.lam > 0 else prob.lam
-    if lam < constants.lambda_threshold:
-        print(
-            f"config error: lambda = {lam:.6g} is below the threshold "
-            f"{constants.lambda_threshold:.6g}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
     prob = prob.with_lam(lam)
     scfg = solver_config(cfg)
     result = solve_bvp(prob, scfg) if restricted else minimize(prob, scfg)
@@ -311,21 +300,10 @@ def cmd_bvp(cfg, out_dir) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
-    if len(cfg.lambdas) < 3:
-        print("config error: a sweep needs at least 3 ascending weights in 'lambdas'",
-              file=sys.stderr)
-        return EXIT_CONFIG
     status, prob = _gated_problem(cfg)
     if status != EXIT_OK:
         return status
     constants = prob.constants
-    if cfg.lambdas[0] < constants.lambda_threshold:
-        print(
-            f"config error: all weights must be >= the threshold "
-            f"{constants.lambda_threshold:.6g}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
     report = concentration_sweep(prob, cfg.lambdas, solver_config(cfg))
     h = cfg.config_hash()
     csv_path = os.path.join(out_dir, f"sweep-{h}.csv")
@@ -450,6 +428,17 @@ def cmd_ops_selftest(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+# Each flag replaces one config field; its value is parsed as the field's would be.
+_OVERRIDE_FLAGS = (
+    ("--out", "out_dir", "output directory (overrides [output])"),
+    ("--seed", "seed", None),
+    ("--lambda", "lam", None),
+    ("--lambdas", "lambdas", "comma-separated ascending list"),
+    ("--grid-n", "grid_n", None),
+    ("--domain", "domain", None),
+)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="frachs",
@@ -460,31 +449,12 @@ def main(argv=None) -> int:
     for name in ("check", "solve", "bvp", "sweep", "ops-selftest"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the INI config")
-        p.add_argument("--out", default=None, help="output directory (overrides [output])")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--lambda", dest="lam", type=float, default=None)
-        p.add_argument("--lambdas", type=str, default=None, help="comma-separated ascending list")
-        p.add_argument("--grid-n", type=int, default=None)
-        p.add_argument("--domain", type=float, default=None)
+        for flag, field, help_text in _OVERRIDE_FLAGS:
+            p.add_argument(flag, dest=field, help=help_text)
     args = parser.parse_args(argv)
-
-    overrides: dict[str, object] = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.lam is not None:
-        overrides["lam"] = args.lam
-    if args.lambdas is not None:
-        try:
-            overrides["lambdas"] = tuple(float(x) for x in args.lambdas.split(","))
-        except ValueError:
-            print(f"config error: cannot parse --lambdas {args.lambdas!r}", file=sys.stderr)
-            return EXIT_CONFIG
-    if args.grid_n is not None:
-        overrides["grid_n"] = args.grid_n
-    if args.domain is not None:
-        overrides["domain"] = args.domain
-    if args.out is not None:
-        overrides["out_dir"] = args.out
+    overrides = {
+        field: raw for _, field, _ in _OVERRIDE_FLAGS if (raw := getattr(args, field)) is not None
+    }
 
     try:
         cfg = parse_config(args.config, overrides)
@@ -515,7 +485,7 @@ def main(argv=None) -> int:
     except WitnessError as exc:
         print(f"hypothesis failure: W2-witness ({exc})", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except ArtifactError as exc:
+    except (ConfigError, WeightError, ArtifactError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

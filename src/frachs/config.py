@@ -82,8 +82,7 @@ class ExperimentConfig:
             section = _SECTION_OF[f.name]
             if section == "output":
                 continue
-            key = "lambda" if f.name == "lam" else f.name
-            sections[section][key] = _render(getattr(self, f.name))
+            sections[section][_key(f.name)] = _render(getattr(self, f.name))
         out = io.StringIO()
         for section in sorted(sections):
             out.write(f"[{section}]\n")
@@ -116,8 +115,12 @@ def _render(value) -> str:
     return str(value)
 
 
+def _key(name: str) -> str:
+    """The key a field is written as: ``lambda`` for ``lam``, its own name for the rest."""
+    return "lambda" if name == "lam" else name
+
+
 def _parse_value(name: str, raw: str):
-    raw = raw.strip()
     kind = ExperimentConfig.__dataclass_fields__[name].type
     try:
         if name == "lambdas":
@@ -130,7 +133,7 @@ def _parse_value(name: str, raw: str):
             return float(raw)
         return raw
     except ValueError as exc:
-        raise ConfigError(f"field '{name}': cannot parse {raw!r} ({exc})") from exc
+        raise ConfigError(f"field '{_key(name)}': cannot parse {raw!r} ({exc})") from exc
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -180,7 +183,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if f.type == "float" and not math.isfinite(value):
-            fail(f"field '{'lambda' if f.name == 'lam' else f.name}': must be finite, got {value}")
+            fail(f"field '{_key(f.name)}': must be finite, got {value}")
     if not all(math.isfinite(x) for x in cfg.lambdas):
         fail("field 'lambdas': all weights must be finite")
     return cfg
@@ -189,8 +192,9 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
 def parse_config_text(text: str, overrides: dict[str, object] | None = None) -> ExperimentConfig:
     """Parse INI text into a validated config; ``preset`` is required.
 
-    ``overrides`` maps field names to already-typed values (CLI flags) and is
-    applied before validation.
+    ``overrides`` maps field names to raw strings (CLI flags), each parsed as
+    the same key's value in the file would be; they replace the file's values
+    before validation.
     """
     # No header can name the empty section, so ``[DEFAULT]`` is an ordinary
     # (and therefore unknown) section instead of keys copied into every other.
@@ -199,13 +203,13 @@ def parse_config_text(text: str, overrides: dict[str, object] | None = None) -> 
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
-    known = {"lambda" if name == "lam" else name for name in _SECTION_OF}
+    name_of_key = {_key(name): name for name in _SECTION_OF}
     values, section_of_key = {}, {}
     for section in parser.sections():
         if section not in _SECTION_OF.values():
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
-            if key not in known:
+            if key not in name_of_key:
                 raise ConfigError(f"unknown field '{key}' in section [{section}]")
             if key in section_of_key:
                 raise ConfigError(
@@ -213,12 +217,11 @@ def parse_config_text(text: str, overrides: dict[str, object] | None = None) -> 
                     f"[{section_of_key[key]}] and [{section}]"
                 )
             section_of_key[key] = section
-            name = "lam" if key == "lambda" else key
-            values[name] = _parse_value(name, raw)
+            values[name_of_key[key]] = _parse_value(name_of_key[key], raw)
     if "preset" not in section_of_key:
         raise ConfigError("missing required field 'preset' (in any section)")
-    if overrides:
-        values.update(overrides)
+    for name, raw in (overrides or {}).items():
+        values[name] = _parse_value(name, raw)
     return _validate(ExperimentConfig(**values))
 
 

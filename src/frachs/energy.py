@@ -470,11 +470,7 @@ def gradient(u: SampledSignal, prob: Problem) -> SampledSignal:
 
 def lower_bound(u: SampledSignal, prob: Problem) -> float:
     """Coercivity bound: I(u) >= r^2/2 - A r^p with r = ||u||_lam, A = ``prob.coercivity``."""
-    if prob.lam < prob.constants.lambda_threshold:
-        raise ValueError(
-            f"the bound needs lam >= {prob.constants.lambda_threshold:.6g}, "
-            f"got {prob.lam:.6g}"
-        )
+    prob.constants.require(prob.lam, "the coercivity bound")
     prob.check_signal(u)
     r = np.sqrt(prob.form(u.values, u.values))
     return float(0.5 * r**2 - prob.coercivity * r**prob.nonlinearity.p)

@@ -100,6 +100,8 @@ def power_nonlinearity(
         raise ValueError(f"the power family satisfies the lower bound only for nu >= p, got nu={nu} < p={p}")
     if nu > p and delta > 1.0:
         raise ValueError("for nu > p the lower bound needs delta <= 1")
+    if not np.isfinite(eps * eps):
+        raise ValueError(f"eps^2 must be finite, got eps={eps}")
 
     def xi(t):
         return xi_scale * np.exp(-(t**2) / xi_width)

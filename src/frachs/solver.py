@@ -54,7 +54,7 @@ import numpy as np
 
 from .energy import Problem, lower_bound_minimum, negative_energy_witness
 from .grid import SampledSignal, pointwise_dot
-from .spaces import h_alpha_norm
+from .spaces import WeightError, h_alpha_norm
 
 __all__ = [
     "SolverConfig",
@@ -240,15 +240,12 @@ def minimize(prob: Problem, cfg: SolverConfig, start: SampledSignal | None = Non
 
     Without a given start, a problem with no witness raises
     :class:`~frachs.energy.WitnessError`.  Requires the weight to be at or
-    above the embedding threshold so the coercivity floor applies.  The
+    above the embedding threshold so the coercivity floor applies
+    (:class:`~frachs.spaces.WeightError` otherwise).  The
     returned history is strictly decreasing in energy; ``converged`` means
     the L2 gradient norm reached ``grad_tol``.
     """
-    if prob.lam < prob.constants.lambda_threshold:
-        raise ValueError(
-            f"minimize requires lam >= {prob.constants.lambda_threshold:.6g}, "
-            f"got {prob.lam:.6g}"
-        )
+    prob.constants.require(prob.lam, "minimize")
     if start is None:
         u0, s = negative_energy_witness(prob)
         start_vals = s * u0.values
@@ -267,8 +264,10 @@ def solve_bvp(prob: Problem, cfg: SolverConfig) -> SolveResult:
     :class:`~frachs.energy.WitnessError`; its transforms have the length of
     the window's circulant embedding, not N.  The result is zero-extended, so
     the Dirichlet values outside the open core are exact zeros.  On the core
-    ``L = 0``, so the preconditioner's two blocks coincide there.
+    ``L = 0``, so the preconditioner's two blocks coincide there.  The weight
+    must be at or above the threshold, as for :func:`minimize`.
     """
+    prob.constants.require(prob.lam, "solve_bvp")
     u0, s = negative_energy_witness(prob)  # first: its ResolutionError names the core
     window = prob.restricted(prob.potential.core)
     return _descend(window, cfg, s * u0.values[window.rows])
@@ -382,16 +381,14 @@ def concentration_sweep(prob: Problem, lambdas, cfg: SolverConfig) -> SweepRepor
     the window descent reached it up to rounding (``bvp.energy``).  It is at
     most the witness energy, which is negative;
     without a witness the restricted solve raises
-    :class:`~frachs.energy.WitnessError` and no row is computed.
+    :class:`~frachs.energy.WitnessError` and no row is computed.  A ladder of
+    fewer than 3 weights, out of order or starting below the threshold raises
+    :class:`~frachs.spaces.WeightError` before any solve.
     """
     lambdas = [float(x) for x in lambdas]
-    if len(lambdas) < 3:
-        raise ValueError("the sweep needs at least 3 weights")
-    if any(b < a for a, b in zip(lambdas, lambdas[1:])):
-        raise ValueError("weights must be ascending")
-    threshold = prob.constants.lambda_threshold
-    if lambdas[0] < threshold:
-        raise ValueError(f"all weights must be >= the threshold {threshold:.6g}")
+    if len(lambdas) < 3 or any(b < a for a, b in zip(lambdas, lambdas[1:])):
+        raise WeightError(f"the sweep needs at least 3 ascending weights, got {lambdas}")
+    prob.constants.require(lambdas[0], "the sweep's lowest weight")
 
     bvp = solve_bvp(prob.with_lam(lambdas[0]), cfg)
     c_tilde = prob.energy(bvp.u.values)  # lam L u_tilde is exactly 0: the same bits at every weight

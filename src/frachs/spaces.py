@@ -36,6 +36,7 @@ __all__ = [
     "CheckReport",
     "AdmissibilityError",
     "ResolutionError",
+    "WeightError",
     "vanishing_well_potential",
     "rotated_well_potential",
     "verify_potential",
@@ -56,6 +57,10 @@ class AdmissibilityError(ValueError):
 
 class ResolutionError(Exception):
     """The grid does not resolve or cover a set the problem needs (too coarse or too short)."""
+
+
+class WeightError(ValueError):
+    """A weight, or a ladder of weights, that the embedding bounds do not cover."""
 
 
 @dataclass(frozen=True)
@@ -386,6 +391,17 @@ class EmbeddingConstants:
             )
         return cls(c_alpha, sublevel_measure, threshold, (1.0 - q) / q, 1.0 / (threshold * q))
 
+    def require(self, lam: float, what: str) -> None:
+        """Raise :class:`WeightError` unless ``lam`` is at or above ``lambda_threshold``.
+
+        Every bound that needs the weighted norm to dominate ``theta0 ||u||_L2^2``
+        states its rule here; ``what`` names the caller in the message.
+        """
+        if lam < self.lambda_threshold:
+            raise WeightError(
+                f"{what} needs lam >= the threshold {self.lambda_threshold:.6g}, got {lam:.6g}"
+            )
+
     @property
     def admissibility_product(self) -> float:
         return self.c_alpha**2 * self.sublevel_measure
@@ -432,12 +448,8 @@ def embedding_bounds(u: SampledSignal, prob: Problem) -> CheckReport:
     rhs - lhs >= 0.
     """
     prob.check_signal(u)
-    constants, lam = prob.constants, prob.lam
-    if lam < constants.lambda_threshold:
-        raise ValueError(
-            f"embedding bounds hold only for lam >= {constants.lambda_threshold:.6g}, "
-            f"got {lam:.6g}"
-        )
+    constants = prob.constants
+    constants.require(prob.lam, "the embedding bounds")
     norm_lam = float(np.sqrt(prob.form(u.values, u.values)))
     mag = u.magnitude()
     l2_sq = u.dt * float(np.sum(mag**2))

@@ -236,6 +236,19 @@ class TestExitCodes:
         cfg = write(tmp_path, BASE)
         assert main(["sweep", "--config", cfg, "--lambdas", "a,b,c"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [("--grid-n", "1024.0", "grid_n"), ("--seed", "1.5", "seed"), ("--lambda", "ten", "lambda"),
+         ("--lambdas", "2,x,200", "lambdas"), ("--domain", "long", "domain")],
+    )
+    def test_malformed_flag_names_the_field(self, tmp_path, capsys, flag, value, field):
+        # flags are parsed by the config file's own value parser, not by argparse
+        cfg, out = write(tmp_path, BASE + "lambdas = 2,20,200\n"), tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--out", str(out), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: field '{field}': cannot parse {value!r}")
+        assert err.count("\n") == 1 and not out.exists()
+
     def test_sweep_needs_three_weights(self, tmp_path):
         cfg = write(tmp_path, BASE)
         out = str(tmp_path / "out")
@@ -490,6 +503,14 @@ class TestSolve:
         out = str(tmp_path / "out")
         assert main(["solve", "--config", cfg, "--out", out, "--lambda", "0.5"]) == 2
 
+    def test_bvp_lambda_below_threshold_is_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, BASE)
+        out = tmp_path / "out"
+        assert main(["bvp", "--config", cfg, "--out", str(out), "--lambda", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "threshold" in err and err.count("\n") == 1
+        assert os.listdir(out) == []
+
     def test_bvp_reports_restricted_level(self, tmp_path):
         cfg = write(tmp_path, BASE)
         out = str(tmp_path / "out")
@@ -558,6 +579,28 @@ class TestNoWitness:
         report = read_json(artifact(out, "sweep-report-"))
         assert report["flagged"] is False
         assert all(r["c_lambda"] <= report["c_tilde"] < 0 for r in report["rows"])
+
+
+REJECTED_NONLINEARITY = {
+    "nu-above-p-delta-2": ("nu = 1.7\ndelta = 2\n", "needs delta <= 1"),
+    "xi-width-1e-4": ("xi_width = 1e-4\n", "eta and delta must be positive"),
+    "eps-1e200": ("nonlinearity = power-regularized\neps = 1e200\n", "eps^2 must be finite"),
+}
+
+
+class TestRejectedNonlinearity:
+    """Constants the power family rejects are a config error, not a traceback."""
+
+    @pytest.mark.parametrize("config", list(REJECTED_NONLINEARITY))
+    @pytest.mark.parametrize("command", ["check", "solve", "bvp"])
+    def test_exits_2_without_artifacts(self, tmp_path, capsys, command, config):
+        line, reason = REJECTED_NONLINEARITY[config]
+        cfg, out = write(tmp_path, BASE + line), tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: nonlinearity ") and reason in err
+        assert err.count("\n") == 1
+        assert os.listdir(out) == []
 
 
 class TestSweepCommand:

@@ -336,7 +336,7 @@ class TestDirectionalDerivative:
         lhs = directional_derivative(u, u, prob)
         grad_w = prob.nonlinearity.gradient(prob.times, u.values)
         rhs = prob.form(u.values, u.values) - prob.dt * np.sum(grad_w * u.values)
-        assert lhs == pytest.approx(rhs, rel=1e-10)
+        assert lhs == pytest.approx(rhs, rel=1e-10, abs=0)
 
     def test_matches_central_differences(self, prob, rng):
         h = 1e-5
@@ -431,7 +431,7 @@ class TestOperator:
     def test_form_matches_lambda_norm(self, operator_case):
         prob, u, _ = operator_case
         ref = lambda_norm(u, prob.potential, prob.lam, prob.order) ** 2
-        assert prob.form(u.values, u.values) == pytest.approx(ref, rel=1e-12)
+        assert prob.form(u.values, u.values) == pytest.approx(ref, rel=1e-12, abs=0)
 
     def test_apply_matches_riesz_composition(self, operator_case):
         # the Riesz composition |w|^(2a) over the full complex spectrum, plus lam L u
@@ -450,8 +450,10 @@ class TestOperator:
     def test_apply_represents_form(self, operator_case):
         prob, u, v = operator_case
         form = prob.form(u.values, v.values)
-        assert form == pytest.approx(prob.form(v.values, u.values), rel=1e-12)
-        assert form == pytest.approx(prob.dt * np.sum(u.values * prob.apply(v.values)), rel=1e-10)
+        assert form == pytest.approx(prob.form(v.values, u.values), rel=1e-12, abs=0)
+        assert form == pytest.approx(
+            prob.dt * np.sum(u.values * prob.apply(v.values)), rel=1e-10, abs=0
+        )
 
     def test_precondition_sums_block_inverses(self, operator_case):
         # P x = (c + |w|^(2a))^(-1) x + R (1 + |w|^(2a))^(-1) R x, R the samples where
@@ -480,7 +482,7 @@ class TestOperator:
         prob, _, _ = operator_case
         c = _mean_wall_shift(prob)
         assert c > 100.0
-        assert prob.shift() == pytest.approx(c, rel=1e-14)
+        assert prob.shift() == pytest.approx(c, rel=1e-14, abs=0)
         assert np.array_equal(prob.precond, 1.0 / (prob.shift() + prob.kinetic))
         assert prob.restricted((0.0, 0.5)).shift() == 1.0
         assert prob.with_lam(1e-6).shift() == 1.0
@@ -492,7 +494,7 @@ class TestOperator:
         prob = prob.with_lam(factor * prob.lam)
         x, y = u.values, v.values
         xpy = prob.dt * np.sum(x * prob.precondition(y))
-        assert xpy == pytest.approx(prob.dt * np.sum(prob.precondition(x) * y), rel=1e-12)
+        assert xpy == pytest.approx(prob.dt * np.sum(prob.precondition(x) * y), rel=1e-12, abs=0)
         assert prob.dt * np.sum(x * prob.precondition(x)) > 0.0
         assert prob.dt * np.sum(y * prob.precondition(y)) > 0.0
 
@@ -886,8 +888,8 @@ class TestLowerBound:
             options={"xatol": 1e-12},
         )
         r_star, value = lower_bound_minimum(prob)
-        assert r_star == pytest.approx(res.x, rel=1e-6)
-        assert value == pytest.approx(res.fun, rel=1e-10)
+        assert r_star == pytest.approx(res.x, rel=1e-6, abs=0)
+        assert value == pytest.approx(res.fun, rel=1e-10, abs=0)
         assert value < 0
 
     def test_energy_dominates_bound(self, prob, rng):
@@ -958,7 +960,7 @@ class TestWitness:
         # for n = 1 the soft axis is e1 and the witness is the bump itself, bit for bit
         u0, s = negative_energy_witness(prob)
         assert np.array_equal(u0.values, smooth_bump(prob.times, prob.potential.core)[:, None])
-        assert s == pytest.approx(0.0042672022784861945, rel=1e-12)  # the e1 witness' scale
+        assert s == pytest.approx(0.0042672022784861945, rel=1e-12, abs=0)  # the e1 witness' scale
 
     @staticmethod
     def _axis(potential):

@@ -259,7 +259,7 @@ class TestSeminorm:
         u = tone()
         mass = N_DEFAULT * DT / 2
         expect = W1**0.75 * np.sqrt(mass)
-        assert seminorm_alpha(u, A75) == pytest.approx(expect, rel=1e-12)
+        assert seminorm_alpha(u, A75) == pytest.approx(expect, rel=1e-12, abs=0)
 
     def test_matches_derivative_l2(self, rng):
         u = random_band_limited(rng, N_DEFAULT, T_MIN, DT, n_components=2)
@@ -275,4 +275,4 @@ class TestSeminorm:
         freqs = 2 * np.pi * np.fft.fftfreq(N_DEFAULT, d=DT)
         power = np.abs(np.fft.fft(values, axis=0)) ** 2
         full = np.sum(np.abs(freqs)[:, None] ** 1.5 * power) * DT / N_DEFAULT
-        assert seminorm_alpha(u, A75) == pytest.approx(np.sqrt(full), rel=1e-13)
+        assert seminorm_alpha(u, A75) == pytest.approx(np.sqrt(full), rel=1e-13, abs=0)

@@ -7,6 +7,7 @@ from frachs import (
     Problem,
     SampledSignal,
     SolverConfig,
+    WeightError,
     WitnessError,
     concentration_sweep,
     default_problem,
@@ -266,7 +267,7 @@ class TestWitnessStart:
         rotated = default_problem(potential=rotated_well_potential())
         result, actions = _counted(minimize, rotated, cfg)
         assert result.converged
-        assert result.energy == pytest.approx(minimize(prob, cfg).energy, rel=1e-13)
+        assert result.energy == pytest.approx(minimize(prob, cfg).energy, rel=1e-13, abs=0)
         assert actions <= 40
 
     def test_bvp_ends_below_the_witness(self, prob, cfg):
@@ -282,6 +283,11 @@ class TestSolveBvp:
         assert res.energy < 0
         assert res.u.sup_norm() > 0
 
+    def test_below_threshold_rejected(self, prob, cfg):
+        low = prob.with_lam(0.5 * prob.constants.lambda_threshold)
+        with pytest.raises(WeightError, match="lam.*threshold"):
+            solve_bvp(low, cfg)
+
     def test_boundary_pinned_exactly(self, prob, cfg):
         res = solve_bvp(prob, cfg)
         lo, hi = prob.potential.core
@@ -291,7 +297,7 @@ class TestSolveBvp:
     def test_energy_independent_of_weight(self, prob, cfg):
         r1 = solve_bvp(prob, cfg)
         r2 = solve_bvp(prob.with_lam(100 * prob.lam), cfg)
-        assert r1.energy == pytest.approx(r2.energy, rel=1e-12)
+        assert r1.energy == pytest.approx(r2.energy, rel=1e-12, abs=0)
 
     def test_weak_form_residual(self, prob, cfg, np_rng):
         res = solve_bvp(prob, cfg)
@@ -370,9 +376,9 @@ class TestUniformBound:
         coeff = xi_norm / (p * prob.constants.theta0 ** (p / 2))
         root = brentq(lambda r: 0.5 * r**2 - coeff * r**p, 1e-6, 1e6)
         c = uniform_bound_constant(prob)
-        assert c == pytest.approx(1.05 * root, rel=1e-10)
+        assert c == pytest.approx(1.05 * root, rel=1e-10, abs=0)
         # p = 3/2 closed form: (2 A)^2
-        assert root == pytest.approx((2 * coeff) ** 2, rel=1e-10)
+        assert root == pytest.approx((2 * coeff) ** 2, rel=1e-10, abs=0)
 
     def test_zero_weight_degenerates(self, prob):
         quad_prob = _with_nonlinearity(prob, zero_nonlinearity())
@@ -541,11 +547,11 @@ class TestLadderBudget:
         scalar, _ = ladders["default"]
         rotated, _ = ladders[name]
         assert not rotated.flagged
-        assert rotated.c_tilde == pytest.approx(scalar.c_tilde, rel=1e-13)
+        assert rotated.c_tilde == pytest.approx(scalar.c_tilde, rel=1e-13, abs=0)
         for a, b in zip(rotated.rows, scalar.rows):
-            assert a.c_lambda == pytest.approx(b.c_lambda, rel=1e-13)
-            assert a.dist_alpha == pytest.approx(b.dist_alpha, rel=1e-6)
-            assert a.tail_mass == pytest.approx(b.tail_mass, rel=1e-5)
+            assert a.c_lambda == pytest.approx(b.c_lambda, rel=1e-13, abs=0)
+            assert a.dist_alpha == pytest.approx(b.dist_alpha, rel=1e-6, abs=0)
+            assert a.tail_mass == pytest.approx(b.tail_mass, rel=1e-5, abs=0)
 
     def test_low_order_fine_ladder_unflagged(self, cfg):
         # alpha = 0.7 at N = 4096: the lam = 2 rung needs the quadratic forcing term

@@ -25,6 +25,7 @@ from frachs.spaces import (
     EmbeddingConstants,
     PotentialMatrix,
     ResolutionError,
+    WeightError,
     _smallest_eigenvalue,
     _smallest_eigenvector,
 )
@@ -299,7 +300,7 @@ class TestSobolevConstant:
             s = 2 * alpha
             integral, _ = quad(lambda w: 1.0 / (1.0 + w**s), 0.0, np.inf, limit=200)
             assert continuum_sobolev_constant(FracOrder(alpha)) == pytest.approx(
-                np.sqrt(integral / np.pi), rel=1e-8
+                np.sqrt(integral / np.pi), rel=1e-8, abs=0
             )
 
     def test_estimate_in_expected_window(self):
@@ -309,7 +310,7 @@ class TestSobolevConstant:
     def test_default_grid_value(self):
         c = sobolev_constant(A75, N_DEFAULT, DT)
         assert c == continuum_sobolev_constant(A75)
-        assert c == pytest.approx(0.8773826753016615, rel=1e-15)
+        assert c == pytest.approx(0.8773826753016615, rel=1e-15, abs=0)
 
     def test_pure_tone_ratio_below_estimate(self):
         w1 = 2 * np.pi * 37 / (N_DEFAULT * DT)
@@ -317,7 +318,7 @@ class TestSobolevConstant:
         # Parseval on the tone: ||u||_a^2 = (T/2)(1 + w1^(2a)); the grid sup
         # sits a fraction of a cell off the crest, so the ratio uses it as-is
         denom = np.sqrt(N_DEFAULT * DT / 2 * (1 + w1**1.5))
-        assert h_alpha_norm(u, A75) == pytest.approx(denom, rel=1e-12)
+        assert h_alpha_norm(u, A75) == pytest.approx(denom, rel=1e-12, abs=0)
         ratio = u.sup_norm() / denom
         c = sobolev_constant(A75, N_DEFAULT, DT)
         assert ratio <= c
@@ -325,7 +326,7 @@ class TestSobolevConstant:
     def test_discrete_extremal_ratio_below_estimate(self):
         u, extremal = discrete_extremal(A75, N_DEFAULT, T_MIN, DT)
         ratio = u.sup_norm() / h_alpha_norm(u, A75)
-        assert ratio == pytest.approx(extremal, rel=1e-10)
+        assert ratio == pytest.approx(extremal, rel=1e-10, abs=0)
         c = sobolev_constant(A75, N_DEFAULT, DT)
         assert ratio < c
 
@@ -344,7 +345,7 @@ class TestSobolevConstant:
         assert c == max(continuum_sobolev_constant(a), c_grid)
         assert ratio <= c * (1 + 1e-12)
         if c == c_grid:
-            assert ratio == pytest.approx(c, rel=1e-10)
+            assert ratio == pytest.approx(c, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("n, domain", [(64, 8.0), (4096, 32.0)])
     def test_grid_constant_matches_full_spectrum_sum(self, n, domain):
@@ -352,7 +353,7 @@ class TestSobolevConstant:
         _, dt = midpoint_grid(n, domain)
         freqs = 2 * np.pi * np.fft.fftfreq(n, d=dt)
         full = np.sum(1.0 / (1.0 + np.abs(freqs) ** 1.5)) / (n * dt)
-        assert grid_sobolev_constant(A75, n, dt) == pytest.approx(np.sqrt(full), rel=1e-13)
+        assert grid_sobolev_constant(A75, n, dt) == pytest.approx(np.sqrt(full), rel=1e-13, abs=0)
 
     def test_sup_bound_holds_on_random_ensemble(self, rng):
         c = sobolev_constant(A75, N_DEFAULT, DT)
@@ -369,6 +370,13 @@ class TestEmbeddingConstants:
         q = c.c_alpha**2 * c.sublevel_measure
         assert abs(c.theta0 - (1 - q) / q) <= 1e-15 * c.theta0
         assert abs(c.lambda_threshold - 1 / (c.threshold * q)) <= 1e-15 * c.lambda_threshold
+
+    def test_require_raises_weight_error_below_threshold(self, prob):
+        c = prob.constants
+        c.require(c.lambda_threshold, "a bound")
+        with pytest.raises(WeightError, match="a bound needs lam >= the threshold"):
+            c.require(0.5 * c.lambda_threshold, "a bound")
+        assert issubclass(WeightError, ValueError)
 
     def test_admissibility_failure_raises(self):
         with pytest.raises(AdmissibilityError, match="L1"):
@@ -392,7 +400,7 @@ class TestWeightedNorms:
         u = SampledSignal(T_MIN, DT, vals)
         semi = seminorm_alpha(u, A75)
         for lam in (1.0, 7.0, 1000.0):
-            assert lambda_norm(u, prob.potential, lam, A75) == pytest.approx(semi, rel=1e-14)
+            assert lambda_norm(u, prob.potential, lam, A75) == pytest.approx(semi, rel=1e-14, abs=0)
 
     def test_weight_difference_identity(self, prob, rng):
         # ||u||_4^2 - ||u||_1^2 = 3 int (L u, u) dt, by direct quadrature
