@@ -67,23 +67,24 @@ class _Scratch:
     holds ``(n_fft + 2) n >= 2m`` floats for ``n >= 2``, and ``product`` is
     used only for ``n >= 2``).  The arrays only some kernels use (``term``,
     ``padded``) are allocated on first use, so one call of
-    :meth:`Problem.apply` allocates no more than it needs, and the whole line
-    never allocates ``padded``.  The owner of a ``_Scratch`` (one descent, or
-    one call of a public kernel) is its only user: ``Problem`` holds none and
-    stays immutable.
+    :meth:`Problem.apply` allocates no more than it needs but the one window-sized
+    spectrum of ``free``, the whole line's scratch of ``Problem.free``; the whole
+    line never allocates ``padded``.  The owner of a ``_Scratch`` (one descent, or
+    one public kernel call) is its only user: ``Problem`` holds none and is immutable.
     """
 
-    def __init__(self, n_samples: int, n_components: int, n_fft: int):
+    def __init__(self, n_samples: int, n_components: int, n_fft: int, free: "Problem | None"):
         self.shape = (n_samples, n_components)
         self.n_fft = n_fft
         self.spectrum = np.empty((n_fft // 2 + 1, n_components), dtype=complex)
         flat = self.spectrum.reshape(-1).view(float)
         self.column = flat[:n_samples]
         self.product = flat[n_samples : 2 * n_samples]
+        self.free = None if free is None else free._scratch()
 
     @cached_property
     def term(self) -> np.ndarray:
-        """The core block, the curvature or the energy's pairing."""
+        """The curvature, the energy's pairing, or a block the whole line's preconditioner adds."""
         return np.empty(self.shape)
 
     @cached_property
@@ -104,7 +105,7 @@ class Problem:
     ``dt sum(x * apply(y))``, so the energy, its gradient and every norm go
     through ``apply``, and :meth:`precondition` sums the inverses of its
     kinetic block shifted to the potential level ``c`` (:meth:`shift`) and of
-    ``1 + |w|^(2a)`` on the samples where ``diag L(t) = 0``.
+    that block on the window ``free`` of the samples where ``diag L(t) = 0``.
     :meth:`energy`, :meth:`grad` and :meth:`hessian` are the functional ``I``
     and its derivatives on the same arrays, as the solver descends them.
     The restricted (Dirichlet) problem is the same functional on the signals
@@ -142,14 +143,13 @@ class Problem:
     matrix_entries: np.ndarray = field(init=False, repr=False)
     kinetic: np.ndarray = field(init=False, repr=False)
     precond: np.ndarray = field(init=False, repr=False)
-    core_precond: np.ndarray = field(init=False, repr=False)
-    wall_free: np.ndarray = field(init=False, repr=False)
     n_fft: int = field(init=False, repr=False)
-    # a window's whole-line problem (its weight-free arrays), its rows there,
-    # and the integral of W(t, 0) over the samples outside it
+    # a window's whole-line problem (its weight-free arrays), its rows there and the
+    # integral of W(t, 0) outside them; the line's window over the hull of diag L(t) = 0
     line: Problem | None = field(default=None, init=False, repr=False)
     rows: slice | None = field(default=None, init=False, repr=False)
     outside: float = field(default=0.0, init=False, repr=False)
+    free: Problem | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         times = self.t_min + self.dt * np.arange(self.n_samples)
@@ -160,27 +160,25 @@ class Problem:
             "times": times,
             "matrix_entries": np.ascontiguousarray(matrix.transpose(1, 2, 0)),
             "kinetic": kinetic,
-            "core_precond": 1.0 / (1.0 + kinetic),
         }
         for name, value in arrays.items():
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "n_fft", self.n_samples)
         self._set_preconditioner()
+        free = np.flatnonzero(np.all(self._diagonal() == 0.0, axis=1))
+        object.__setattr__(self, "free", self._window(free) if free.size else None)
 
     def _set_preconditioner(self):
-        """Set ``precond``, the symbol of ``1 / (c + |w|^(2a))``, and ``wall_free`` (``diag L = 0``).
+        """Set ``precond``, the symbol of ``1 / (c + |w|^(2a))`` on this grid's circulant.
 
         Construction, :meth:`with_lam` and :meth:`restricted` all pass here, so
         ``lam`` is checked here.
         """
         if not 0 < self.lam < np.inf:
             raise ValueError(f"weight lam must be positive and finite, got {self.lam}")
-        wall_free = self._diagonal() == 0.0
         precond = self._window_symbol(1.0 / (self.shift() + (self.line or self).kinetic))
-        for name, value in (("precond", precond), ("wall_free", wall_free)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "precond", precond)
 
     def _window_symbol(self, symbol: np.ndarray) -> np.ndarray:
         """A symbol on the whole line's ``rfft`` bins as the symbol of this grid's circulant.
@@ -195,17 +193,18 @@ class Problem:
         real.  The kernel's rounding is of the order of its largest entry, so
         where the symbol is small (``|w|^(2a)`` at low frequencies) the window
         symbol keeps fewer digits than the whole line's: at N = 8192 the
-        energy of the core's minimizer agrees with the whole line's to 3e-13.
+        energy of the core's minimizer agrees with the whole line's to 3e-13.  It is read-only.
         """
         line = self.line or self
-        if self.n_fft == line.n_samples:
-            return symbol
-        m, n_fft = self.n_samples, self.n_fft
-        kernel = np.fft.irfft(symbol[:, 0], line.n_samples)[:m]
-        column = np.zeros(n_fft)
-        column[:m] = kernel
-        column[n_fft - m + 1 :] = kernel[:0:-1]
-        return np.repeat(np.fft.rfft(column).real[:, None], self.n_components, axis=1)
+        if self.n_fft != line.n_samples:
+            m, n_fft = self.n_samples, self.n_fft
+            kernel = np.fft.irfft(symbol[:, 0], line.n_samples)[:m]
+            column = np.zeros(n_fft)
+            column[:m] = kernel
+            column[n_fft - m + 1 :] = kernel[:0:-1]
+            symbol = np.repeat(np.fft.rfft(column).real[:, None], self.n_components, axis=1)
+        symbol.setflags(write=False)
+        return symbol
 
     def _diagonal(self) -> np.ndarray:
         return np.ascontiguousarray(np.diagonal(self.matrix_entries))
@@ -239,25 +238,26 @@ class Problem:
         return xi_norm / (p * self.constants.theta0 ** (p / 2.0))
 
     def with_lam(self, lam: float) -> "Problem":
-        """The same grid, data and window at another weight; the arrays built from ``lam`` are rebuilt."""
+        """The same grid, data and windows at another weight; the arrays built from ``lam`` are rebuilt."""
         other = copy.copy(self)
         object.__setattr__(other, "lam", lam)
         other._set_preconditioner()
+        object.__setattr__(other, "free", other.free and other.free.with_lam(lam))
         return other
 
     def restricted(self, interval: tuple[float, float]) -> "Problem":
-        """The same problem on the signals that vanish outside the open ``interval``.
+        """The same problem on the signals that vanish outside the open ``interval``, its core.
 
         It lives on the window of the ``m`` samples strictly inside
         ``interval`` (``rows`` of this grid), all free, and :meth:`extend`
         zero-extends its samples, so the Dirichlet values are exact zeros.
-        Its ``kinetic``, ``precond`` and ``core_precond`` are the symbols of
-        the window blocks on a circulant of length ``n_fft``: the smallest
-        power of two ``>= 2m - 1``, or N when that is not smaller.  Its energy
-        keeps the integral of ``W(t, 0)`` over the samples outside as the
-        constant ``outside``, and its coercivity floor is the whole line's.
-        It must be cut from the whole line; an interval that holds no sample
-        raises :class:`ResolutionError`.
+        Its ``kinetic`` and ``precond`` are the symbols of the window blocks on
+        a circulant of length ``n_fft``: the smallest power of two
+        ``>= 2m - 1``, or N when that is not smaller; it has no ``free``.  Its
+        energy keeps the integral of ``W(t, 0)`` over the samples outside as
+        the constant ``outside``, and its coercivity floor is the whole line's.
+        It must be cut from the whole line; a core that holds no sample raises
+        :class:`ResolutionError`.
         """
         if self.line is not None:
             raise ValueError("restrict the whole-line problem, not a window")
@@ -265,11 +265,15 @@ class Problem:
         inside = np.flatnonzero((self.times > lo) & (self.times < hi))
         if inside.size == 0:
             raise ResolutionError(
-                f"the interval {interval} holds no grid sample (dt = {self.dt:.6g}): "
-                "the grid does not resolve it"
+                f"the core {interval} holds no grid sample (dt = {self.dt:.6g}): "
+                "the grid does not resolve the core"
             )
-        m = inside.size
-        rows = slice(int(inside[0]), int(inside[0]) + m)
+        return self._window(inside)
+
+    def _window(self, inside: np.ndarray) -> "Problem":
+        """The window of the rows ``inside[0] .. inside[-1]`` (:meth:`restricted`, and ``free``)."""
+        rows = slice(int(inside[0]), int(inside[-1]) + 1)
+        m = rows.stop - rows.start
         zeros = np.zeros((self.n_samples - m, self.n_components))
         outside = self.nonlinearity.density(np.delete(self.times, rows), zeros)
         window = copy.copy(self)
@@ -282,12 +286,10 @@ class Problem:
             ("line", self),
             ("rows", rows),
             ("outside", float(self.dt * np.sum(outside))),
+            ("free", None),
         ):
             object.__setattr__(window, name, value)
-        for name in ("kinetic", "core_precond"):
-            symbol = window._window_symbol(getattr(self, name))
-            symbol.setflags(write=False)
-            object.__setattr__(window, name, symbol)
+        object.__setattr__(window, "kinetic", window._window_symbol(self.kinetic))
         window._set_preconditioner()
         return window
 
@@ -304,7 +306,7 @@ class Problem:
         return float(self.dt * np.sum(x * self.apply(y)))
 
     def _scratch(self) -> "_Scratch":
-        return _Scratch(self.n_samples, self.n_components, self.n_fft)
+        return _Scratch(self.n_samples, self.n_components, self.n_fft, self.free)
 
     def _convolve_into(self, symbol, x, out, work: "_Scratch") -> np.ndarray:
         """The circulant of ``symbol`` on ``x``: on a window, the first rows of its
@@ -333,21 +335,20 @@ class Problem:
         return out
 
     def precondition(self, x: np.ndarray) -> np.ndarray:
-        """``(c + |w|^(2a))^(-1) x + R (1 + |w|^(2a))^(-1) R x``, ``R`` = ``wall_free``.
+        """``(c + |w|^(2a))^(-1) x + R (1 + |w|^(2a))^(-1) R x``, ``R`` the rows of ``free``.
 
         Two-region additive Schwarz (Smith, Bjorstad and Gropp, *Domain Decomposition*,
         1996): an SPD plus a PSD term, so symmetric positive definite in L2(dt).
-        On a window both inverses are their window blocks.
+        The second term is ``free``'s own block; a window has only the first.
         """
         return self._precondition_into(x, np.empty_like(x), self._scratch())
 
     def _precondition_into(self, x: np.ndarray, out: np.ndarray, work: "_Scratch") -> np.ndarray:
         self._convolve_into(self.precond, x, out, work)
-        core = work.term
-        core.fill(0.0)
-        np.copyto(core, x, where=self.wall_free)
-        self._convolve_into(self.core_precond, core, core, work)
-        return np.add(out, core, out=out, where=self.wall_free)
+        if self.free is not None:
+            rows = self.free.rows
+            out[rows] += self.free._precondition_into(x[rows], work.free.term, work.free)
+        return out
 
     def energy(self, vals: np.ndarray) -> float:
         """``I`` at raw samples, or ``+inf`` where it is not finite, so no such step is accepted."""
@@ -514,8 +515,9 @@ def negative_energy_witness(prob: Problem) -> tuple[SampledSignal, float]:
     each end of the core (:func:`~frachs.spaces._smallest_eigenvector`; ``e1``
     where ``L`` is isotropic there, so for one component the bump itself).
     There the tails of a minimizer first meet the wall, and a descent started
-    off that axis spends its first Newton steps turning onto it.  The scale
-    s starts from the closed-form estimate
+    off that axis spends its first Newton steps turning onto it.  ``prob`` is
+    the whole line or the core's window, and s is searched on its samples
+    (the bump is returned on the whole line) from the closed-form estimate
 
         s <= (2 eta int |u0|^nu dt / ||u0||_lam^2)^(1/(2-nu)),
 
@@ -523,12 +525,12 @@ def negative_energy_witness(prob: Problem) -> tuple[SampledSignal, float]:
     signals that the W2 lower bound does not hold numerically; a core that
     holds no grid sample raises :class:`ResolutionError`.
     """
-    nl = prob.nonlinearity
+    nl, line = prob.nonlinearity, prob.line or prob
     lo, hi = prob.potential.core
-    below = np.searchsorted(prob.times, lo, side="right") - 1  # the last t <= lo
-    above = np.searchsorted(prob.times, hi, side="left")  # the first t >= hi
-    ends = np.clip([below, above], 0, prob.n_samples - 1)
-    wall = prob.matrix_entries[:, :, ends].sum(axis=2)
+    below = np.searchsorted(line.times, lo, side="right") - 1  # the last t <= lo
+    above = np.searchsorted(line.times, hi, side="left")  # the first t >= hi
+    ends = np.clip([below, above], 0, line.n_samples - 1)
+    wall = line.matrix_entries[:, :, ends].sum(axis=2)
     axis = _smallest_eigenvector(wall[None])[0]
     values = np.outer(smooth_bump(prob.times, prob.potential.core), axis) + 0.0  # no -0.0
     if not np.any(values):
@@ -536,15 +538,13 @@ def negative_energy_witness(prob: Problem) -> tuple[SampledSignal, float]:
             f"the core {prob.potential.core} holds no grid sample (dt = {prob.dt:.6g}): "
             "the grid does not resolve the core"
         )
-    u0 = SampledSignal(prob.t_min, prob.dt, values)
-    norm_sq = prob.form(u0.values, u0.values)
-    mass_nu = float(prob.dt * np.sum(u0.magnitude() ** nl.nu))
+    norm_sq = prob.form(values, values)
+    mass_nu = float(prob.dt * np.sum(np.sqrt(pointwise_dot(values, values)) ** nl.nu))
     s_est = (2.0 * nl.eta * mass_nu / norm_sq) ** (1.0 / (2.0 - nl.nu))
     s = min(0.5 * nl.delta, 0.5 * s_est)
     while s >= 1e-8:
-        scaled = u0.with_values(s * u0.values)
-        if evaluate_energy(scaled, prob) < 0.0:
-            return u0, float(s)
+        if prob.energy(s * values) < 0.0:
+            return prob.extend(values), float(s)
         s *= 0.5
     raise WitnessError(
         "no scale below delta makes the bump energy negative "

@@ -18,9 +18,9 @@ products, all written into work arrays allocated once per descent
 additive Schwarz inverse built from the operator's own blocks: the kinetic
 block ``c + |w|^(2a)`` on the whole line, its shift ``c = Problem.shift``
 lifting it to the mean wall level over the samples the descent may move,
-where the low-frequency Hessian sits, plus the kinetic operator
-``1 + |w|^(2a)`` alone on the samples where ``L`` vanishes; both are built
-once per problem.  The Newton forcing term is
+where the low-frequency Hessian sits, plus that block on the window
+``Problem.free`` where ``L`` vanishes (``c = 1``); both are built once per
+problem, and a window has only its own.  The Newton forcing term is
 ``min(0.5, |g|)``, so the inner solves tighten quadratically near the
 minimizer.  The line search accepts only steps that strictly lower the
 energy, and every iterate is checked against the closed-form coercivity
@@ -258,18 +258,18 @@ def minimize(prob: Problem, cfg: SolverConfig, start: SampledSignal | None = Non
 def solve_bvp(prob: Problem, cfg: SolverConfig) -> SolveResult:
     """Minimize the functional restricted to signals vanishing outside the core.
 
-    The core may sit anywhere inside the well.  One descent runs on the
-    window problem ``prob.restricted(core)`` of the samples inside the open
-    core, from the negative-energy witness, so a problem with none raises
-    :class:`~frachs.energy.WitnessError`; its transforms have the length of
-    the window's circulant embedding, not N.  The result is zero-extended, so
-    the Dirichlet values outside the open core are exact zeros.  On the core
-    ``L = 0``, so the preconditioner's two blocks coincide there.  The weight
-    must be at or above the threshold, as for :func:`minimize`.
+    The core may sit anywhere inside the well.  The window problem
+    ``prob.restricted(core)`` of the samples inside the open core is built
+    once; the negative-energy witness is scaled on it (a problem with none
+    raises :class:`~frachs.energy.WitnessError`) and one descent runs on it
+    from there, with transforms of its circulant embedding's length, not N,
+    and its one unshifted kinetic block as preconditioner.  The result is
+    zero-extended, so the Dirichlet values outside the open core are exact
+    zeros.  The weight must be at or above the threshold, as for :func:`minimize`.
     """
     prob.constants.require(prob.lam, "solve_bvp")
-    u0, s = negative_energy_witness(prob)  # first: its ResolutionError names the core
     window = prob.restricted(prob.potential.core)
+    u0, s = negative_energy_witness(window)
     return _descend(window, cfg, s * u0.values[window.rows])
 
 

@@ -467,14 +467,18 @@ class TestOperator:
         def block_inverse(shift, x):
             return solve_circulant(column + shift * impulse[:, 0], x)
 
-        diag = np.diagonal(prob.potential.matrix_at(prob.times), axis1=1, axis2=2)
-        wall_free = diag == 0.0
-        assert np.array_equal(prob.wall_free, wall_free)
+        wall_free = _wall_free(prob)
         assert 0 < np.count_nonzero(wall_free) < wall_free.size
         x = u.values
         core = block_inverse(1.0, np.where(wall_free, x, 0.0))
         ref = block_inverse(_mean_wall_shift(prob), x) + np.where(wall_free, core, 0.0)
         assert _rel_err(prob.precondition(x), ref) <= 1e-12
+
+    def test_precondition_matches_the_masked_formula(self, operator_case):
+        # the line's second block on its window against the same block taken over all N
+        # samples behind masks: rounding apart, the window block is the masked one
+        prob, u, _ = operator_case
+        assert _rel_err(prob.precondition(u.values), _masked_precondition(prob, u.values)) <= 1e-13
 
     def test_shift_is_the_mean_wall_over_free_samples(self, operator_case):
         # c = max(1, mean lam diag L) over every (N, n) entry: far above 1 where the
@@ -503,9 +507,17 @@ class TestOperator:
         assert other.lam == 3.0 * prob.lam
         assert other.matrix_entries is prob.matrix_entries
         assert other.kinetic is prob.kinetic
-        assert other.core_precond is prob.core_precond
         with pytest.raises(ValueError, match="positive"):
             prob.with_lam(0.0)
+
+    def test_with_lam_reweights_the_free_window(self, prob):
+        # the block window keeps its rows and weight-free arrays and takes the new weight
+        other = prob.with_lam(3.0 * prob.lam)
+        assert other.free is not prob.free and other.free.lam == other.lam
+        assert other.free.rows == prob.free.rows and other.free.line is prob
+        assert other.free.kinetic is prob.free.kinetic
+        assert np.array_equal(other.free.precond, prob.free.precond)  # c = 1 at every weight
+        assert prob.free.lam == prob.lam
 
 
 class TestRestricted:
@@ -535,10 +547,11 @@ class TestRestricted:
         restricted = prob.restricted((0.0, 0.5))
         other = restricted.with_lam(100.0 * prob.lam)
         assert other.rows == restricted.rows and other.line is restricted.line is prob
-        for name in ("times", "matrix_entries", "kinetic", "core_precond"):
+        for name in ("times", "matrix_entries", "kinetic"):
             assert getattr(other, name) is getattr(restricted, name)
             assert not getattr(other, name).flags.writeable
         assert prob.line is None and prob.rows is None
+        assert restricted.free is None and other.free is None  # a window has no block window
         assert other.shift() == 1.0
         assert np.array_equal(prob.precond, 1.0 / (prob.shift() + prob.kinetic))
 
@@ -546,22 +559,20 @@ class TestRestricted:
         # on the core L = 0, so the shift is 1 and the shifted block is the core block
         restricted = prob.restricted((0.0, 0.5))
         assert restricted.shift() == 1.0
-        assert np.array_equal(restricted.precond, restricted.core_precond)
         assert np.array_equal(
             restricted.precond, restricted._window_symbol(1.0 / (1.0 + prob.kinetic))
         )
 
-    def test_precondition_is_twice_the_core_block(self, operator_case):
-        # on the core R = every sample and c = 1: both blocks are the core block,
-        # and doubling is exact in floating point
+    def test_precondition_is_the_one_block(self, operator_case):
+        # a window holds no block window: its preconditioner is its shifted block alone
         prob, u, _ = operator_case
         restricted = prob.restricted((0.0, 0.5))
-        assert np.all(restricted.wall_free)
+        assert restricted.free is None
         x = u.values[restricted.rows]
         m, n_fft = restricted.n_samples, restricted.n_fft
-        spectrum = restricted.core_precond * np.fft.rfft(x, n_fft, axis=0)
+        spectrum = restricted.precond * np.fft.rfft(x, n_fft, axis=0)
         block = np.fft.irfft(spectrum, n_fft, axis=0)[:m]
-        assert np.array_equal(restricted.precondition(x), 2.0 * block)
+        assert np.array_equal(restricted.precondition(x), block)
 
     def test_interval_without_samples_raises(self, prob):
         # dt = 1/128 puts no sample strictly inside (0.001, 0.002)
@@ -688,14 +699,25 @@ class TestWindow:
 
 
 def _whole_line_restricted_precondition(prob, window, x):
-    """``(c + |w|^(2a))^(-1) x + R (1 + |w|^(2a))^(-1) R x`` on the whole line, ``c``
-    the window's shift and ``x`` zero outside the window: the window block applied
-    with the whole line's transforms."""
+    """``(c + |w|^(2a))^(-1) x`` on the whole line, ``c`` the window's shift and ``x``
+    zero outside the window: the window block applied with the whole line's transforms."""
     spectrum = np.fft.rfft(x, axis=0) / (window.shift() + prob.kinetic)
-    out = np.fft.irfft(spectrum, prob.n_samples, axis=0)
-    core = np.where(prob.wall_free, x, 0.0)
-    core = np.fft.irfft(prob.core_precond * np.fft.rfft(core, axis=0), prob.n_samples, axis=0)
-    return out + np.where(prob.wall_free, core, 0.0)
+    return np.fft.irfft(spectrum, prob.n_samples, axis=0)
+
+
+def _wall_free(prob):
+    """The ``(N, n)`` mask of the entries where ``diag L(t) = 0``, from the potential itself."""
+    return np.diagonal(prob.potential.matrix_at(prob.times), axis1=1, axis2=2) == 0.0
+
+
+def _masked_precondition(prob, x):
+    """``(c + |w|^(2a))^(-1) x + R (1 + |w|^(2a))^(-1) R x`` on the whole line, ``R`` the
+    mask of :func:`_wall_free`, each block an N-point transform: the line's
+    preconditioner as it was before its second block ran on the window ``free``."""
+    out = np.fft.irfft(prob.precond * np.fft.rfft(x, axis=0), prob.n_samples, axis=0)
+    wall_free = _wall_free(prob)
+    core = np.fft.rfft(np.where(wall_free, x, 0.0), axis=0) / (1.0 + prob.kinetic)
+    return out + np.where(wall_free, np.fft.irfft(core, prob.n_samples, axis=0), 0.0)
 
 
 def _symmetric_3x3_potential() -> PotentialMatrix:
@@ -777,12 +799,13 @@ def _allocating_precondition(prob, x):
     """:meth:`Problem.precondition` with every block on freshly allocated arrays:
     the reference the in-place kernel must match bit for bit."""
 
-    def block(symbol, y):
-        spectrum = symbol * np.fft.rfft(y, prob.n_fft, axis=0)
-        return np.fft.irfft(spectrum, prob.n_fft, axis=0)[: prob.n_samples]
+    def block(p, y):
+        spectrum = p.precond * np.fft.rfft(y, p.n_fft, axis=0)
+        return np.fft.irfft(spectrum, p.n_fft, axis=0)[: p.n_samples]
 
-    out = block(prob.precond, x)
-    out += np.where(prob.wall_free, block(prob.core_precond, np.where(prob.wall_free, x, 0.0)), 0.0)
+    out = block(prob, x)
+    if prob.free is not None:
+        out[prob.free.rows] += block(prob.free, x[prob.free.rows])
     return out
 
 

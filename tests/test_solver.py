@@ -4,6 +4,7 @@ from scipy.optimize import brentq
 
 from frachs import (
     DivergenceError,
+    PotentialMatrix,
     Problem,
     SampledSignal,
     SolverConfig,
@@ -24,6 +25,7 @@ from frachs import (
     solve_bvp,
     uniform_bound_constant,
     vanishing_well_potential,
+    verify_potential,
     zero_nonlinearity,
 )
 from frachs import solver
@@ -206,17 +208,68 @@ class TestNewtonStep:
 
 class TestShiftedPreconditioner:
     def test_descent_shift_follows_its_free_samples(self, prob, cfg, monkeypatch):
-        # the full-grid descent shifts the kinetic block to the wall level; the
-        # restricted one moves only the core's window, where L = 0, so its shift is 1
+        # the full-grid descent shifts the kinetic block to the wall level and adds the
+        # unshifted block on its wall-free window; the restricted one moves only the
+        # core's window, where L = 0, so its shift is 1 and that block is all it has
         descended = []
         monkeypatch.setattr(solver, "_descend", lambda p, *args: descended.append(p))
         minimize(prob, cfg)
         solve_bvp(prob, cfg)
         full, restricted = descended
-        assert full.precond is prob.precond
+        assert full.precond is prob.precond and full.free is prob.free
         assert prob.shift() > 100.0
         assert restricted.line is prob and restricted.shift() == 1.0
-        assert np.array_equal(restricted.precond, restricted.core_precond)
+        assert restricted.free is None and full.free.rows == restricted.rows
+        assert np.array_equal(restricted.precond, full.free.precond)
+
+
+def _wall_at_the_well() -> PotentialMatrix:
+    """The default scalar potential with its wall moved out to the well: ``L``
+    vanishes on all of (-0.25, 0.75), not only on the declared core (0, 0.5)."""
+    base = vanishing_well_potential()
+    a, b = base.well
+
+    def matrix(t):
+        dist = np.maximum(0.0, np.maximum(a - t, t - b))
+        return np.minimum(30.0, dist**2 / 5e-7)[:, None, None]
+
+    return PotentialMatrix(1, matrix, base.envelope, base.threshold, base.well, base.core)
+
+
+class TestFreeWindow:
+    """The line's second preconditioner block runs on the hull of the samples where
+    every diagonal entry of ``L`` is 0, derived from the data, not from the declared core."""
+
+    @pytest.mark.parametrize("case", ["default", "rotated", "off-origin", "rotated-1rad"])
+    def test_block_window_is_the_zero_set(self, case):
+        core = (0.1, 0.5) if case == "off-origin" else (0.0, 0.5)
+        potential = {
+            "default": vanishing_well_potential(),
+            "rotated": rotated_well_potential(),
+            "off-origin": vanishing_well_potential(core=core),
+            "rotated-1rad": wall_on_rotated_axes(1.0, 4.0),
+        }[case]
+        prob = default_problem(potential=potential, nonlinearity=power_nonlinearity(core=core))
+        diag = np.diagonal(potential.matrix_at(prob.times), axis1=1, axis2=2)
+        zero = np.flatnonzero(np.all(diag == 0.0, axis=1))
+        rows = prob.free.rows
+        assert rows == prob.restricted(core).rows
+        assert np.array_equal(zero, np.arange(rows.start, rows.stop))
+        assert prob.free.shift() == 1.0
+
+    def test_wall_at_the_well_gets_the_well_window(self):
+        prob = default_problem(potential=_wall_at_the_well())
+        inside = np.flatnonzero((prob.times > -0.25) & (prob.times < 0.75))
+        assert (prob.free.rows.start, prob.free.rows.stop) == (inside[0], inside[-1] + 1)
+
+    def test_wall_at_the_well_sweeps_to_grad_tol(self, cfg):
+        # the block on the declared core alone stops the lam = 2 and 2000 rungs on no_descent
+        potential = _wall_at_the_well()
+        prob = default_problem(potential=potential)
+        assert verify_potential(potential, prob.times).passed
+        report = concentration_sweep(prob, LADDER, cfg)
+        assert [r.stop_reason for r in report.rows] == ["grad_tol"] * len(LADDER)
+        assert not report.flagged
 
 
 class TestStopReason:
