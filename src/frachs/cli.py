@@ -61,7 +61,15 @@ from .grid import (
     signal_from_function,
 )
 from .nonlinearity import power_nonlinearity, verify_growth, zero_nonlinearity
-from .solver import SolverConfig, SweepRow, concentration_sweep, minimize, solve_bvp
+from .solver import (
+    SolveResult,
+    SolverConfig,
+    SweepRow,
+    columns,
+    concentration_sweep,
+    minimize,
+    solve_bvp,
+)
 from .spaces import (
     AdmissibilityError,
     ResolutionError,
@@ -146,21 +154,20 @@ def _write_manifest(out_dir: str, cfg: ExperimentConfig, command: str):
 CSV_BLOCK_ROWS = 256  # rows formatted per block: bounded memory, few Python calls
 
 
-def _write_solution_csv(path: str, u):
-    """``t,u_1,...,u_n`` with every value as ``%.17g``, which round-trips a double.
+def _write_csv(path: str, names, arrays):
+    """A header of ``names``, then the rows of ``arrays`` side by side, every value as ``%.17g``.
 
-    Each block of rows is formatted by one ``%`` of the row template
+    ``%.17g`` round-trips a double and renders it as ``format(x, ".17g")``
+    does.  Each block of rows is formatted by one ``%`` of the row template
     repeated once per row; the whole table as Python floats at once would
     cost about a MiB at N = 8192.
     """
-    cols = ["t"] + [f"u_{i + 1}" for i in range(u.n_components)]
-    row_template = ",".join(["%.17g"] * len(cols)) + "\n"
-    times = u.times
+    row_template = ",".join(["%.17g"] * len(names)) + "\n"
     with _open_artifact(path) as fh:
-        fh.write(",".join(cols) + "\n")
-        for start in range(0, u.n_samples, CSV_BLOCK_ROWS):
+        fh.write(",".join(names) + "\n")
+        for start in range(0, len(arrays[0]), CSV_BLOCK_ROWS):
             rows = slice(start, start + CSV_BLOCK_ROWS)
-            block = np.column_stack([times[rows], u.values[rows]])
+            block = np.column_stack([a[rows] for a in arrays])
             fh.write((row_template * len(block)) % tuple(block.ravel().tolist()))
 
 
@@ -263,18 +270,15 @@ def _solve_common(cfg: ExperimentConfig, out_dir: str, restricted: bool) -> int:
         "theta0": constants.theta0,
         "c_alpha": constants.c_alpha,
         "sublevel_measure": constants.sublevel_measure,
-        "energy": result.energy,
-        "grad_norm": result.grad_norm,
-        "grad_norm_weighted": result.grad_norm_weighted,
-        "iterations": result.iterations,
-        "converged": result.converged,
+        **{name: getattr(result, attr) for name, attr in columns(SolveResult, "json")},
         "sup_norm": result.u.sup_norm(),
-        "history": [[e, g] for e, g in result.history],
     }
     if restricted:
         report["c_tilde"] = result.energy
     _write_manifest(out_dir, cfg, tag)
-    _write_solution_csv(os.path.join(out_dir, f"{tag}-solution-{h}.csv"), result.u)
+    u = result.u
+    names = ["t"] + [f"u_{i + 1}" for i in range(u.n_components)]
+    _write_csv(os.path.join(out_dir, f"{tag}-solution-{h}.csv"), names, [u.times, u.values])
     _write_json(os.path.join(out_dir, f"{tag}-report-{h}.json"), report)
     print(
         f"{tag}: lambda={lam:.6g} energy={result.energy:.6e} "
@@ -306,12 +310,9 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     constants = prob.constants
     report = concentration_sweep(prob, cfg.lambdas, solver_config(cfg))
     h = cfg.config_hash()
-    csv_path = os.path.join(out_dir, f"sweep-{h}.csv")
-    columns = SweepRow.columns("csv")
-    with _open_artifact(csv_path) as fh:
-        fh.write(",".join(name for name, _ in columns) + "\n")
-        for row in report.rows:
-            fh.write(",".join(format(getattr(row, attr), ".17g") for _, attr in columns) + "\n")
+    csv_columns = columns(SweepRow, "csv")
+    table = np.array([[getattr(r, attr) for _, attr in csv_columns] for r in report.rows])
+    _write_csv(os.path.join(out_dir, f"sweep-{h}.csv"), [name for name, _ in csv_columns], [table])
     payload = {
         "config_hash": h,
         "command": "sweep",
@@ -321,7 +322,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
         "theta0": constants.theta0,
         "c_alpha": constants.c_alpha,
         "rows": [
-            {name: getattr(r, attr) for name, attr in SweepRow.columns("json")}
+            {name: getattr(r, attr) for name, attr in columns(SweepRow, "json")}
             for r in report.rows
         ],
         "flagged": report.flagged,

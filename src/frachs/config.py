@@ -5,9 +5,10 @@ and ``[output]``.  Field names form one flat namespace: any known key may go
 in any of the three sections, but each key may appear only once in the file,
 and ``preset`` is required.  Unknown keys and any other section (``[DEFAULT]``
 included) are rejected.  Every effective parameter, default or not, appears
-in the canonical serialization, which is always sectioned by ``_SECTION_OF``
-(sections and keys sorted) wherever the key was written; its SHA-256 prefix
-is the config hash stamped into every artifact.  Parsing a canonical
+in the canonical serialization, which puts each key in its field's section
+wherever the key was written: ``[scenario]``, unless the field's metadata
+names another (sections and keys sorted).  Its SHA-256 prefix is the config
+hash stamped into every artifact.  Parsing a canonical
 serialization reproduces it byte for byte.
 
 The SHA-256 is the interpreter's built-in one: it gives the digest of
@@ -20,7 +21,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 try:  # as CPython's random.py does: hashlib is heavy to load
     from _sha2 import sha256  # Python 3.12 and later
@@ -42,7 +43,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    # [scenario]
+    # [scenario], unless the field's metadata names another section
     preset: str = "default"
     alpha: float = 0.75
     j_min: float = -0.25
@@ -64,12 +65,10 @@ class ExperimentConfig:
     lambdas: tuple[float, ...] = ()
     grid_n: int = 4096
     domain: float = 32.0
-    # [solver]
-    max_iters: int = 5000
-    grad_tol: float = 1e-8
-    seed: int = 0
-    # [output]
-    out_dir: str = "runs"
+    max_iters: int = field(default=5000, metadata={"section": "solver"})
+    grad_tol: float = field(default=1e-8, metadata={"section": "solver"})
+    seed: int = field(default=0, metadata={"section": "solver"})
+    out_dir: str = field(default="runs", metadata={"section": "output"})
 
     def canonical_text(self) -> str:
         """Every effective numerical parameter, sections and keys sorted.
@@ -94,17 +93,7 @@ class ExperimentConfig:
         return sha256(self.canonical_text().encode("utf-8")).hexdigest()[:16]
 
 
-_SECTION_OF = {
-    "preset": "scenario", "alpha": "scenario", "j_min": "scenario", "j_max": "scenario",
-    "i_min": "scenario", "i_max": "scenario", "k": "scenario",
-    "envelope_steepness": "scenario", "wall_height": "scenario",
-    "wall_steepness": "scenario", "nonlinearity": "scenario", "p": "scenario",
-    "nu": "scenario", "delta": "scenario", "xi_scale": "scenario",
-    "xi_width": "scenario", "eps": "scenario", "lam": "scenario",
-    "lambdas": "scenario", "grid_n": "scenario", "domain": "scenario",
-    "max_iters": "solver", "grad_tol": "solver", "seed": "solver",
-    "out_dir": "output",
-}
+_SECTION_OF = {f.name: f.metadata.get("section", "scenario") for f in fields(ExperimentConfig)}
 
 
 def _render(value) -> str:

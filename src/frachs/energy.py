@@ -56,6 +56,13 @@ class WitnessError(RuntimeError):
     """No scaling of the core bump has negative energy (W2 violated numerically)."""
 
 
+def _unresolved_core(core, dt: float) -> ResolutionError:
+    """The error of a grid whose spacing ``dt`` leaves no sample inside the open ``core``."""
+    return ResolutionError(
+        f"the core {core} holds no grid sample (dt = {dt:.6g}): the grid does not resolve the core"
+    )
+
+
 class _Scratch:
     """The intermediates of the ``Problem._*_into`` kernels on one ``(m, n)`` grid.
 
@@ -264,10 +271,7 @@ class Problem:
         lo, hi = interval
         inside = np.flatnonzero((self.times > lo) & (self.times < hi))
         if inside.size == 0:
-            raise ResolutionError(
-                f"the core {interval} holds no grid sample (dt = {self.dt:.6g}): "
-                "the grid does not resolve the core"
-            )
+            raise _unresolved_core(interval, self.dt)
         return self._window(inside)
 
     def _window(self, inside: np.ndarray) -> "Problem":
@@ -534,10 +538,7 @@ def negative_energy_witness(prob: Problem) -> tuple[SampledSignal, float]:
     axis = _smallest_eigenvector(wall[None])[0]
     values = np.outer(smooth_bump(prob.times, prob.potential.core), axis) + 0.0  # no -0.0
     if not np.any(values):
-        raise ResolutionError(
-            f"the core {prob.potential.core} holds no grid sample (dt = {prob.dt:.6g}): "
-            "the grid does not resolve the core"
-        )
+        raise _unresolved_core(prob.potential.core, prob.dt)
     norm_sq = prob.form(values, values)
     mass_nu = float(prob.dt * np.sum(np.sqrt(pointwise_dot(values, values)) ** nl.nu))
     s_est = (2.0 * nl.eta * mass_nu / norm_sq) ** (1.0 / (2.0 - nl.nu))

@@ -32,11 +32,11 @@ The line search (``ARMIJO``, ``SHRINK``) and the CG cap (``MAX_CG``) are fixed
 constants; ``SolverConfig`` holds only ``max_iters`` and ``grad_tol``.
 
 Descent starts from the negative-energy witness
-(:func:`~frachs.energy.negative_energy_witness`), never from 0 (the sweep
-from the restricted solution, whose energy is ``c_tilde``): the energy is
-negative from the first iterate on, so the trivial critical point u = 0 is
-unreachable, and every unflagged sweep row has ``c_lambda <= c_tilde <=
-I(witness) < 0``.  A problem without a witness has no such start; its
+(:func:`~frachs.energy.negative_energy_witness`), never from 0 or a
+caller's start (the sweep from the restricted solution, whose energy is
+``c_tilde``): the energy is negative from the first iterate on, so the
+trivial critical point u = 0 is unreachable, and every unflagged sweep row
+has ``c_lambda <= c_tilde <= I(witness) < 0``.  A problem without a witness has no such start; its
 :class:`~frachs.energy.WitnessError` propagates, and nothing is solved.
 The witness lies along the soft axis of the wall just outside the core (the
 eigenvector of the smallest eigenvalue of ``L`` there), which the tails of a
@@ -87,18 +87,39 @@ class SolverConfig:
             raise ValueError("max_iters and grad_tol must be positive")
 
 
+def _column(*outputs: str, name: str | None = None, **options):
+    """A field that ``outputs`` ("csv", "json") carry, as ``name`` or its own; see :func:`columns`."""
+    return field(metadata={"outputs": outputs, "name": name}, **options)
+
+
+def columns(cls, output: str) -> list[tuple[str, str]]:
+    """``(name, attribute)`` of each ``cls`` field that ``output`` ("csv", "json") carries, in order."""
+    return [
+        (f.metadata["name"] or f.name, f.name)
+        for f in fields(cls)
+        if output in f.metadata["outputs"]
+    ]
+
+
 @dataclass(frozen=True)
 class SolveResult:
-    u: SampledSignal
-    energy: float
-    grad_norm: float
-    grad_norm_weighted: float
-    iterations: int
-    converged: bool
-    history: tuple[tuple[float, float], ...] = field(repr=False)
+    """One descent's outcome.
+
+    Its fields are the one list the solve and bvp reports take their
+    solver keys from (:func:`columns` of ``"json"``); ``u`` goes to the
+    solution CSV, and ``stop_reason`` only to stderr.
+    """
+
+    u: SampledSignal = _column()
+    energy: float = _column("json")
+    grad_norm: float = _column("json")
+    grad_norm_weighted: float = _column("json")
+    iterations: int = _column("json")
+    converged: bool = _column("json")
+    history: tuple[tuple[float, float], ...] = _column("json", repr=False)
     # "grad_tol" (converged), "max_iters", or "no_descent" (the line search
     # found no step that strictly lowers the energy)
-    stop_reason: str
+    stop_reason: str = _column()
 
 
 class _Work:
@@ -235,24 +256,18 @@ def _descend(prob, cfg, start_vals) -> SolveResult:
     )
 
 
-def minimize(prob: Problem, cfg: SolverConfig, start: SampledSignal | None = None) -> SolveResult:
-    """Descend the energy from the negative-energy witness (or a given start).
+def minimize(prob: Problem, cfg: SolverConfig) -> SolveResult:
+    """Descend the energy from the negative-energy witness.
 
-    Without a given start, a problem with no witness raises
-    :class:`~frachs.energy.WitnessError`.  Requires the weight to be at or
-    above the embedding threshold so the coercivity floor applies
-    (:class:`~frachs.spaces.WeightError` otherwise).  The
-    returned history is strictly decreasing in energy; ``converged`` means
-    the L2 gradient norm reached ``grad_tol``.
+    A problem with no witness raises :class:`~frachs.energy.WitnessError`.
+    Requires the weight to be at or above the embedding threshold so the
+    coercivity floor applies (:class:`~frachs.spaces.WeightError`
+    otherwise).  The returned history is strictly decreasing in energy;
+    ``converged`` means the L2 gradient norm reached ``grad_tol``.
     """
     prob.constants.require(prob.lam, "minimize")
-    if start is None:
-        u0, s = negative_energy_witness(prob)
-        start_vals = s * u0.values
-    else:
-        prob.check_signal(start)
-        start_vals = start.values
-    return _descend(prob, cfg, start_vals)
+    u0, s = negative_energy_witness(prob)
+    return _descend(prob, cfg, s * u0.values)
 
 
 def solve_bvp(prob: Problem, cfg: SolverConfig) -> SolveResult:
@@ -288,18 +303,13 @@ def uniform_bound_constant(prob: Problem) -> float:
     return float(1.05 * root)
 
 
-def _column(*outputs: str, name: str | None = None, init: bool = True):
-    """A :class:`SweepRow` field that ``outputs`` ("csv", "json") carry, as ``name`` or its own."""
-    return field(init=init, metadata={"outputs": outputs, "name": name})
-
-
 @dataclass(frozen=True)
 class SweepRow:
     """One rung of the sweep.
 
     Its fields are the one list the sweep's outputs are built from: in
     order, they are the CSV columns and the JSON row keys
-    (:meth:`columns`), each written to the outputs it names.
+    (:func:`columns`), each written to the outputs it names.
     """
 
     lam: float = _column("csv", "json", name="lambda")
@@ -318,15 +328,6 @@ class SweepRow:
     def __post_init__(self):
         flagged = not (self.converged and self.ordering_ok and self.bound_ok)
         object.__setattr__(self, "flagged", flagged)
-
-    @classmethod
-    def columns(cls, output: str) -> list[tuple[str, str]]:
-        """``(name, attribute)`` of each field ``output`` ("csv" or "json") carries, in order."""
-        return [
-            (f.metadata["name"] or f.name, f.name)
-            for f in fields(cls)
-            if output in f.metadata["outputs"]
-        ]
 
 
 @dataclass(frozen=True)

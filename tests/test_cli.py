@@ -6,14 +6,14 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from frachs import SampledSignal, cli
-from frachs.cli import _write_solution_csv, main
+from frachs.cli import _write_csv, main
 from frachs.config import ConfigError, parse_config, parse_config_text
+from frachs.solver import SolveResult, SweepRow, columns
 
 BASE = "[scenario]\npreset = default\n"
 CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
@@ -54,7 +54,7 @@ class TestSolutionCsv:
         values[: len(special), 1] = special[::-1]
         u = SampledSignal(-0.1, 0.025, values)
         path = tmp_path / "solution.csv"
-        _write_solution_csv(str(path), u)
+        _write_csv(str(path), ["t", "u_1", "u_2"], [u.times, u.values])
         expected = "t,u_1,u_2\n" + "".join(
             ",".join(format(x, ".17g") for x in [t, *row]) + "\n"
             for t, row in zip(u.times, u.values)
@@ -63,15 +63,25 @@ class TestSolutionCsv:
 
     def test_matches_per_row_template(self, tmp_path):
         # 300 rows leave a ragged last block of 44; no power of two, so no SampledSignal
+        times = -0.1 + 0.025 * np.arange(300)
         values = np.random.default_rng(4).standard_normal((300, 2))
-        u = SimpleNamespace(
-            times=-0.1 + 0.025 * np.arange(300), values=values, n_samples=300, n_components=2
-        )
         path = tmp_path / "solution.csv"
-        _write_solution_csv(str(path), u)
+        _write_csv(str(path), ["t", "u_1", "u_2"], [times, values])
         template = "%.17g,%.17g,%.17g\n"
         expected = "t,u_1,u_2\n" + "".join(
-            template % (t, *row) for t, row in zip(u.times.tolist(), u.values.tolist())
+            template % (t, *row) for t, row in zip(times.tolist(), values.tolist())
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_short_table_like_the_sweeps(self, tmp_path):
+        # a sweep's table: 4 rows of 7 columns, one 2-D array, shorter than one block
+        table = np.random.default_rng(5).standard_normal((4, 7))
+        table[0, :3] = [-0.0, 5e-324, 1e300]
+        names = [f"c{i}" for i in range(7)]
+        path = tmp_path / "table.csv"
+        _write_csv(str(path), names, [table])
+        expected = ",".join(names) + "\n" + "".join(
+            ",".join(format(x, ".17g") for x in row) + "\n" for row in table.tolist()
         )
         assert path.read_bytes() == expected.encode("utf-8")
 
@@ -531,6 +541,8 @@ class TestSolve:
             "converged", "sup_norm", "history",
         }
         assert set(report) == keys | ({"c_tilde"} if command == "bvp" else set())
+        # a SolveResult field the JSON carries reaches the report with no CLI edit
+        assert {name for name, _ in columns(SolveResult, "json")} <= set(report)
 
     def test_only_check_samples_growth(self, tmp_path, monkeypatch):
         calls = []
@@ -613,6 +625,25 @@ class TestSweepCommand:
         assert len(rows) == 4
         report = read_json(artifact(out, "sweep-report-"))
         assert report["flagged"] is False
+
+    def test_csv_is_the_per_value_format_of_its_rows(self, tmp_path, monkeypatch):
+        # per-value format(x, ".17g") is the sweep CSV's definition, 3 rows inside one block
+        reports, sweep = [], cli.concentration_sweep
+
+        def recorded(*args):
+            reports.append(sweep(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "concentration_sweep", recorded)
+        cfg = write(tmp_path, BASE + "lambdas = 2,20,200\ngrid_n = 1024\n")
+        out = str(tmp_path / "out")
+        assert main(["sweep", "--config", cfg, "--out", out]) == 0
+        csv_columns = columns(SweepRow, "csv")
+        expected = ",".join(name for name, _ in csv_columns) + "\n" + "".join(
+            ",".join(format(getattr(row, attr), ".17g") for _, attr in csv_columns) + "\n"
+            for row in reports[0].rows
+        )
+        assert Path(artifact(out, "sweep-", ".csv")).read_bytes() == expected.encode("utf-8")
 
     def test_ladder_below_threshold_rejected(self, tmp_path):
         cfg = write(tmp_path, BASE + "lambdas = 0.5,2,20\n")

@@ -30,7 +30,7 @@ from frachs import (
 )
 from frachs import solver
 from frachs.nonlinearity import Nonlinearity
-from frachs.solver import _Work, _backtrack, _truncated_cg
+from frachs.solver import _Work, _backtrack, _descend, _truncated_cg
 
 from conftest import DT, N_DEFAULT, T_MIN, wall_on_rotated_axes
 
@@ -90,8 +90,7 @@ class TestMinimize:
         quad_prob = _with_nonlinearity(prob, zero_nonlinearity())
         vals = np.zeros((N_DEFAULT, 1))
         vals[:, 0] = 0.3 * smooth_bump(prob.times, (0.0, 0.5))
-        start = SampledSignal(T_MIN, DT, vals)
-        res = minimize(quad_prob, cfg, start=start)
+        res = _descend(quad_prob, cfg, vals)
         assert res.converged
         assert abs(res.energy) <= 1e-12
         assert res.u.sup_norm() <= 1e-10
@@ -284,8 +283,8 @@ class TestStopReason:
 
     def test_unreachable_tolerance_stops_on_no_descent(self, prob, cfg):
         # from a converged solution no step lowers the energy by more than its rounding
-        start = minimize(prob, cfg).u
-        res = minimize(prob, SolverConfig(grad_tol=1e-30), start=start)
+        start = minimize(prob, cfg).u.values
+        res = _descend(prob, SolverConfig(grad_tol=1e-30), start)
         assert not res.converged and res.stop_reason == "no_descent"
         assert res.iterations < SolverConfig().max_iters
 
