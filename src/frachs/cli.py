@@ -13,13 +13,16 @@ or sweep on a problem without a negative-energy witness, which writes no
 artifacts), 2 config error (including a grid too coarse to resolve the core,
 a domain too short to cover the well or the sublevel set, a weight below the
 threshold, a sweep ladder without at least 3 ascending weights, nonlinearity
-constants the power family rejects, an unreadable config, an output path that
-is not a directory and an artifact that cannot be written), 3 solver
-non-convergence, 4 flagged sweep row; exit 3 and every flagged row name the
-stop reason on stderr.  Artifacts are stamped with the config hash; identical
-config + seed reproduces byte-identical CSV/JSON payloads (timestamps live
-only in the manifest).  Only ``check`` samples the growth hypotheses W1-W2;
-the other reports leave them to its report of the same hash.
+constants the power family rejects, constants so large that a coercivity
+bound overflows a double, an unreadable config, an output path that is not a
+directory and an artifact that cannot be written), 3 solver non-convergence,
+4 flagged sweep row.  A failure is raised where it is found, and :func:`main`
+alone maps it to its code and its one stderr line; exit 3 and every flagged
+row name the stop reason on stderr instead.  Artifacts are stamped with the
+config hash; identical config + seed reproduces byte-identical CSV/JSON
+payloads (timestamps live only in the manifest).  Only ``check`` samples the
+growth hypotheses W1-W2; the other reports leave them to its report of the
+same hash.
 
 ``python -m frachs.cli`` and the ``frachs`` console script both enter through
 :func:`run`, which freezes the heap built by the imports before it runs the
@@ -72,6 +75,7 @@ from .solver import (
 )
 from .spaces import (
     AdmissibilityError,
+    BoundError,
     ResolutionError,
     WeightError,
     compute_embedding_constants,
@@ -119,18 +123,14 @@ def solver_config(cfg: ExperimentConfig) -> SolverConfig:
     return SolverConfig(max_iters=cfg.max_iters, grad_tol=cfg.grad_tol)
 
 
-class ArtifactError(Exception):
-    """An artifact could not be written; the message names its path and the OS reason."""
-
-
 @contextlib.contextmanager
 def _open_artifact(path: str):
-    """``path`` opened for writing UTF-8 text; any ``OSError`` becomes an :class:`ArtifactError`."""
+    """``path`` opened for writing UTF-8 text; an ``OSError`` becomes a :class:`ConfigError`."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
     except OSError as exc:
-        raise ArtifactError(f"cannot write {path!r} ({exc.strerror or exc})") from None
+        raise ConfigError(f"cannot write {path!r} ({exc.strerror or exc})") from None
 
 
 def _write_json(path: str, payload: dict):
@@ -225,35 +225,32 @@ def cmd_check(cfg: ExperimentConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _gated_problem(cfg: ExperimentConfig) -> tuple[int, Problem | None]:
-    """The problem of solve/bvp/sweep at 10x the threshold, or the exit status that stops them.
+class HypothesisError(Exception):
+    """The potential fails L1-L3 on the grid; the message names the failed checks."""
 
-    Alpha must admit the variational setting and the potential must pass
-    L1-L3 and L1 admissibility; a failure is reported on stderr.
+
+def _gated_problem(cfg: ExperimentConfig) -> Problem:
+    """The problem of solve/bvp/sweep at 10x the threshold.
+
+    Alpha must admit the variational setting (:class:`ConfigError`
+    otherwise), and the potential must pass L1-L3 (:class:`HypothesisError`)
+    and L1 admissibility (:class:`~frachs.spaces.AdmissibilityError`).
     """
     if not FracOrder(cfg.alpha).variational_ok:
-        print(f"config error: the solver needs alpha in (1/2, 1), got {cfg.alpha}", file=sys.stderr)
-        return EXIT_CONFIG, None
+        raise ConfigError(f"the solver needs alpha in (1/2, 1), got {cfg.alpha}")
     potential = build_potential(cfg)
     t_min, dt = midpoint_grid(cfg.grid_n, cfg.domain)
     pot_report = verify_potential(potential, t_min + dt * np.arange(cfg.grid_n))
     if not pot_report.passed:
-        print("hypothesis failure: " + ", ".join(pot_report.failed_names()), file=sys.stderr)
-        return EXIT_HYPOTHESIS, None
-    try:
-        return EXIT_OK, default_problem(
-            alpha=cfg.alpha, n_samples=cfg.grid_n, domain=cfg.domain,
-            potential=potential, nonlinearity=build_nonlinearity(cfg),
-        )
-    except AdmissibilityError as exc:
-        print(f"hypothesis failure: L1-admissibility ({exc})", file=sys.stderr)
-        return EXIT_HYPOTHESIS, None
+        raise HypothesisError(", ".join(pot_report.failed_names()))
+    return default_problem(
+        alpha=cfg.alpha, n_samples=cfg.grid_n, domain=cfg.domain,
+        potential=potential, nonlinearity=build_nonlinearity(cfg),
+    )
 
 
 def _solve_common(cfg: ExperimentConfig, out_dir: str, restricted: bool) -> int:
-    status, prob = _gated_problem(cfg)
-    if status != EXIT_OK:
-        return status
+    prob = _gated_problem(cfg)
     constants = prob.constants
     lam = cfg.lam if cfg.lam > 0 else prob.lam
     prob = prob.with_lam(lam)
@@ -304,9 +301,7 @@ def cmd_bvp(cfg, out_dir) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
-    status, prob = _gated_problem(cfg)
-    if status != EXIT_OK:
-        return status
+    prob = _gated_problem(cfg)
     constants = prob.constants
     report = concentration_sweep(prob, cfg.lambdas, solver_config(cfg))
     h = cfg.config_hash()
@@ -429,6 +424,15 @@ def cmd_ops_selftest(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+def _output_dir(path: str) -> str:
+    """``path``, created if missing; one that cannot be raises :class:`ConfigError`."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:  # e.g. --out names an existing file
+        raise ConfigError(f"cannot create the output directory {path!r} ({exc.strerror})") from None
+    return path
+
+
 # Each flag replaces one config field; its value is parsed as the field's would be.
 _OVERRIDE_FLAGS = (
     ("--out", "out_dir", "output directory (overrides [output])"),
@@ -457,38 +461,24 @@ def main(argv=None) -> int:
         field: raw for _, field, _ in _OVERRIDE_FLAGS if (raw := getattr(args, field)) is not None
     }
 
-    try:
-        cfg = parse_config(args.config, overrides)
-    except FileNotFoundError:
-        print(f"config error: no such file {args.config!r}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    if args.command == "ops-selftest":
-        return cmd_ops_selftest(cfg)
-
-    out_dir = cfg.out_dir
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:  # e.g. --out names an existing file
-        print(f"config error: cannot create the output directory {out_dir!r} ({exc.strerror})",
-              file=sys.stderr)
-        return EXIT_CONFIG
     commands = {"check": cmd_check, "solve": cmd_solve, "bvp": cmd_bvp, "sweep": cmd_sweep}
     try:
-        return commands[args.command](cfg, out_dir)
-    except ResolutionError as exc:
-        print(f"config error: {exc} (grid_n = {cfg.grid_n}, domain = {cfg.domain:g})",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        cfg = parse_config(args.config, overrides)
+        if args.command == "ops-selftest":
+            return cmd_ops_selftest(cfg)
+        return commands[args.command](cfg, _output_dir(cfg.out_dir))
+    except ResolutionError as exc:  # parse_config never raises it, so cfg is bound
+        line, code = f"config error: {exc} (grid_n = {cfg.grid_n}, domain = {cfg.domain:g})", EXIT_CONFIG
+    except (ConfigError, WeightError, BoundError) as exc:
+        line, code = f"config error: {exc}", EXIT_CONFIG
+    except HypothesisError as exc:
+        line, code = f"hypothesis failure: {exc}", EXIT_HYPOTHESIS
+    except AdmissibilityError as exc:
+        line, code = f"hypothesis failure: L1-admissibility ({exc})", EXIT_HYPOTHESIS
     except WitnessError as exc:
-        print(f"hypothesis failure: W2-witness ({exc})", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except (ConfigError, WeightError, ArtifactError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        line, code = f"hypothesis failure: W2-witness ({exc})", EXIT_HYPOTHESIS
+    print(line, file=sys.stderr)
+    return code
 
 
 def run() -> int:

@@ -215,11 +215,20 @@ def parse_config_text(text: str, overrides: dict[str, object] | None = None) -> 
 
 
 def parse_config(path: str, overrides: dict[str, object] | None = None) -> ExperimentConfig:
+    """:func:`parse_config_text` of the UTF-8 file at ``path``.
+
+    A missing file, a directory, any other path that cannot be read and text
+    that is not UTF-8 raise :class:`ConfigError`, as every rule the text breaks does.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
+    except FileNotFoundError:
+        raise ConfigError(f"no such file {path!r}") from None
     except IsADirectoryError:
         raise ConfigError(f"{path!r} is a directory, not a config file") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path!r} is not UTF-8 text ({exc})") from None
+    except OSError as exc:  # say, a path through a file, or no permission to read it
+        raise ConfigError(f"cannot read {path!r} ({exc.strerror})") from None
     return parse_config_text(text, overrides)

@@ -35,6 +35,7 @@ from .spaces import (
     ResolutionError,
     _smallest_eigenvector,
     compute_embedding_constants,
+    finite_bound,
     vanishing_well_potential,
 )
 
@@ -238,11 +239,15 @@ class Problem:
         ``I(u) >= r^2/2 - A r^p`` with ``r = ||u||_lam`` for lam at or above
         the embedding threshold (the chain runs through the L2 embedding
         bound); A itself does not depend on lam.  A window keeps the whole
-        line's: ``xi`` is normed over all N samples.
+        line's: ``xi`` is normed over all N samples.  One that is not a finite
+        double raises :class:`~frachs.spaces.BoundError`.
         """
         p = self.nonlinearity.p
-        xi_norm = self.nonlinearity.xi_dual_norm((self.line or self).times, self.dt)
-        return xi_norm / (p * self.constants.theta0 ** (p / 2.0))
+        return finite_bound(
+            "the coercivity constant A",
+            lambda: self.nonlinearity.xi_dual_norm((self.line or self).times, self.dt)
+            / (p * self.constants.theta0 ** (p / 2.0)),
+        )
 
     def with_lam(self, lam: float) -> "Problem":
         """The same grid, data and windows at another weight; the arrays built from ``lam`` are rebuilt."""
@@ -485,14 +490,15 @@ def lower_bound_minimum(prob: Problem) -> tuple[float, float]:
     """Global minimum of the scalar bound r^2/2 - A r^p over r >= 0.
 
     Returns (r_star, value) with r_star = (p A)^(1/(2-p)) and
-    value = (1/2 - 1/p) r_star^2 < 0.
+    value = (1/2 - 1/p) r_star^2 < 0.  Either one, or A, not a finite double
+    raises :class:`~frachs.spaces.BoundError`.
     """
     p = prob.nonlinearity.p
     coeff = prob.coercivity
     if coeff == 0.0:
         return 0.0, 0.0
-    r_star = (p * coeff) ** (1.0 / (2.0 - p))
-    return float(r_star), float((0.5 - 1.0 / p) * r_star**2)
+    r_star = finite_bound("r* = (p A)^(1/(2-p))", lambda: (p * coeff) ** (1.0 / (2.0 - p)))
+    return r_star, finite_bound("the coercivity floor", lambda: (0.5 - 1.0 / p) * r_star**2)
 
 
 def smooth_bump(times: np.ndarray, interval: tuple[float, float]) -> np.ndarray:
@@ -541,7 +547,10 @@ def negative_energy_witness(prob: Problem) -> tuple[SampledSignal, float]:
         raise _unresolved_core(prob.potential.core, prob.dt)
     norm_sq = prob.form(values, values)
     mass_nu = float(prob.dt * np.sum(np.sqrt(pointwise_dot(values, values)) ** nl.nu))
-    s_est = (2.0 * nl.eta * mass_nu / norm_sq) ** (1.0 / (2.0 - nl.nu))
+    try:
+        s_est = (2.0 * nl.eta * mass_nu / norm_sq) ** (1.0 / (2.0 - nl.nu))
+    except OverflowError:  # past the largest double: the halving starts at delta/2
+        s_est = np.inf
     s = min(0.5 * nl.delta, 0.5 * s_est)
     while s >= 1e-8:
         if prob.energy(s * values) < 0.0:

@@ -54,7 +54,7 @@ import numpy as np
 
 from .energy import Problem, lower_bound_minimum, negative_energy_witness
 from .grid import SampledSignal, pointwise_dot
-from .spaces import WeightError, h_alpha_norm
+from .spaces import WeightError, finite_bound, h_alpha_norm
 
 __all__ = [
     "SolverConfig",
@@ -293,14 +293,15 @@ def uniform_bound_constant(prob: Problem) -> float:
 
     The positive root of r^2/2 = A r^p (A = ``Problem.coercivity``) bounds
     ||u||_lam for every u with nonpositive energy; returned with a 1.05
-    safety factor.  Degenerates to 0 when the gradient weight vanishes.
+    safety factor.  Degenerates to 0 when the gradient weight vanishes; a
+    bound that is not a finite double raises :class:`~frachs.spaces.BoundError`.
     """
     coeff = prob.coercivity
     if coeff == 0.0:
         warnings.warn("gradient weight xi is identically zero; the bound degenerates to 0")
         return 0.0
-    root = (2.0 * coeff) ** (1.0 / (2.0 - prob.nonlinearity.p))
-    return float(1.05 * root)
+    exponent = 1.0 / (2.0 - prob.nonlinearity.p)
+    return finite_bound("the sweep's norm bound", lambda: 1.05 * (2.0 * coeff) ** exponent)
 
 
 @dataclass(frozen=True)

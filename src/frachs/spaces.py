@@ -37,6 +37,8 @@ __all__ = [
     "AdmissibilityError",
     "ResolutionError",
     "WeightError",
+    "BoundError",
+    "finite_bound",
     "vanishing_well_potential",
     "rotated_well_potential",
     "verify_potential",
@@ -61,6 +63,28 @@ class ResolutionError(Exception):
 
 class WeightError(ValueError):
     """A weight, or a ladder of weights, that the embedding bounds do not cover."""
+
+
+class BoundError(ValueError):
+    """A coercivity bound that is not a finite double: xi_scale or p is too large."""
+
+
+def finite_bound(what: str, compute: Callable[[], float]) -> float:
+    """``compute()``, the rule for every coercivity bound: it must be a finite double.
+
+    The bounds are ``A`` (``Problem.coercivity``), ``r* = (p A)^(1/(2-p))``,
+    the descent's floor and the sweep's norm bound.  A result that is not
+    finite, or a power that overflows on the way (numpy's without a warning,
+    Python's ``**`` by its ``OverflowError``), raises :class:`BoundError`.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float(compute())
+    except OverflowError:
+        value = np.inf
+    if not np.isfinite(value):
+        raise BoundError(f"{what} is {value}, not a finite double: xi_scale or p is too large")
+    return value
 
 
 @dataclass(frozen=True)

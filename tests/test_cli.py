@@ -175,11 +175,71 @@ class TestConfigParsing:
         assert in_solver.canonical_text() == in_scenario.canonical_text()
 
 
+# One case per row of main's handler, each with the exact stderr line and exit code:
+# (command and flags, config lines or None for a missing config, code, line).
+L1_L3 = ("wall_steepness = 1e300\n", 1, "hypothesis failure: L1-envelope")
+# xi^(2/(2-p)) overflows in the coercivity constant A
+BOUND = ("p = 1.95\nnu = 1.95\nxi_scale = 1e8\n", 2,
+         "config error: the coercivity constant A is inf, not a finite double: "
+         "xi_scale or p is too large")
+HANDLER_ROWS = {
+    "resolution": (["solve", "--grid-n", "16"], "", 2,
+                   "config error: no grid sample has l(t) < k, so the sublevel measure is 0: "
+                   "the grid does not resolve the core (grid_n = 16, domain = 32)"),
+    "config-alpha": (["solve"], "alpha = 0.3\n", 2,
+                     "config error: the solver needs alpha in (1/2, 1), got 0.3"),
+    "config-missing-selftest": (["ops-selftest"], None, 2, "config error: no such file {cfg!r}"),
+    "weight": (["solve", "--lambda", "0.5"], "", 2,
+               "config error: minimize needs lam >= the threshold 1.31966, got 0.5"),
+    "admissibility": (["solve"], "alpha = 0.51\n", 1,
+                      "hypothesis failure: L1-admissibility "
+                      "(L1 admissibility fails: C_alpha^2 * |{{l<k}}| = 17.418586 >= 1)"),
+    "witness": (["solve"], "nonlinearity = power-regularized\neps = 0.3\n", 1,
+                "hypothesis failure: W2-witness (no scale below delta makes the bump energy "
+                "negative (hypothesis W2 violated numerically))"),
+    **{f"l1-l3-{command}": ([command], *L1_L3) for command in ("solve", "bvp", "sweep")},
+    **{f"bound-{command}": ([command], *BOUND) for command in ("solve", "bvp", "sweep")},
+    # the witness's scale estimate overflows too; the bound still ends the run
+    "bound-1e250": (["solve"], "p = 1.95\nnu = 1.95\nxi_scale = 1e250\n", *BOUND[1:]),
+}
+
+
 class TestExitCodes:
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["check", "--config", str(tmp_path / "nope.ini")]) == 2
 
-    @pytest.mark.parametrize("case", ["out-is-a-file", "config-is-a-directory", "config-not-utf8"])
+    @pytest.mark.parametrize("row", list(HANDLER_ROWS))
+    def test_handler_row(self, tmp_path, capsys, recwarn, row):
+        argv, lines, code, line = HANDLER_ROWS[row]
+        cfg, out = str(tmp_path / "missing.ini"), tmp_path / "o"
+        if lines is not None:
+            cfg = write(tmp_path, BASE + "lambdas = 2,20,200\n" + lines)
+        flags = [] if argv[0] == "ops-selftest" else ["--out", str(out)]
+        assert main([argv[0], "--config", cfg, *flags, *argv[1:]]) == code
+        assert capsys.readouterr().err == line.format(cfg=cfg) + "\n"
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists() or os.listdir(out) == []
+
+    @pytest.mark.parametrize("command,code", [("solve", 3), ("bvp", 3), ("sweep", 4)])
+    def test_witness_estimate_overflow_is_a_solver_outcome(
+        self, tmp_path, capsys, recwarn, command, code
+    ):
+        # the witness's closed-form scale estimate overflows a double, so its search starts
+        # at delta/2; the descent then stops without converging, one stderr line per solve
+        cfg = write(tmp_path, BASE + "lambdas = 2,20,200\nnu = 1.95\nxi_scale = 1e20\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), "--grid-n", "1024"]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == (3 if command == "sweep" else 1)
+        assert all("stop reason no_descent" in line for line in err)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        for name in os.listdir(out):
+            text = read_text(out / name)
+            assert "Infinity" not in text and "NaN" not in text
+
+    @pytest.mark.parametrize(
+        "case", ["out-is-a-file", "config-is-a-directory", "config-not-utf8", "config-under-a-file"]
+    )
     def test_unusable_path_is_config_error(self, tmp_path, capsys, case):
         cfg, out = write(tmp_path, BASE), tmp_path / "o"
         if case == "out-is-a-file":
@@ -187,6 +247,8 @@ class TestExitCodes:
         elif case == "config-is-a-directory":
             cfg = str(tmp_path / "cfg.d")
             os.mkdir(cfg)
+        elif case == "config-under-a-file":
+            cfg = os.path.join(cfg, "cfg.ini")  # open() fails with NotADirectoryError
         else:
             cfg = str(tmp_path / "latin1.ini")
             with open(cfg, "wb") as fh:

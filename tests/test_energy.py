@@ -6,6 +6,7 @@ from scipy.linalg import solve_circulant
 from scipy.optimize import minimize_scalar
 
 from frachs import (
+    BoundError,
     PotentialMatrix,
     Problem,
     ResolutionError,
@@ -939,8 +940,26 @@ class TestLowerBound:
             u = u.with_values((1.5 * root / norm) * u.values)
             assert evaluate_energy(u, prob) > 0
 
+    @pytest.mark.parametrize("xi_scale", [1e8, 1e250])
+    def test_constant_that_overflows_raises(self, xi_scale):
+        # xi^(2/(2-p)) overflows for p = 1.95: no floor of -inf, and no RuntimeWarning
+        nl = power_nonlinearity(p=1.95, nu=1.95, xi_scale=xi_scale)
+        big = default_problem(n_samples=1024, nonlinearity=nl)
+        with pytest.raises(BoundError, match="the coercivity constant A is inf"):
+            lower_bound_minimum(big)
+
 
 class TestWitness:
+    def test_estimate_that_overflows_starts_at_half_delta(self):
+        # (2 eta int |u0|^nu / ||u0||^2)^(1/(2-nu)) is past the largest double for
+        # nu = 1.95, xi_scale = 1e20: the search halves from delta/2
+        nl = power_nonlinearity(nu=1.95, xi_scale=1e20)
+        big = default_problem(n_samples=1024, nonlinearity=nl)
+        u0, s = negative_energy_witness(big)
+        mantissa, _ = np.frexp(s / (0.5 * nl.delta))
+        assert s <= 0.5 * nl.delta and mantissa == 0.5  # delta/2 halved a whole number of times
+        assert evaluate_energy(u0.with_values(s * u0.values), big) < 0
+
     def test_default_witness(self, prob):
         u0, s = negative_energy_witness(prob)
         assert u0.sup_norm() == pytest.approx(1.0, abs=1e-15)

@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import brentq
 
 from frachs import (
+    BoundError,
     DivergenceError,
     PotentialMatrix,
     Problem,
@@ -436,6 +437,12 @@ class TestUniformBound:
         quad_prob = _with_nonlinearity(prob, zero_nonlinearity())
         with pytest.warns(UserWarning, match="degenerates"):
             assert uniform_bound_constant(quad_prob) == 0.0
+
+    def test_bound_that_overflows_raises(self, prob):
+        # xi^(2/(2-p)) overflows for p = 1.95, so A is inf
+        big = _with_nonlinearity(prob, power_nonlinearity(p=1.95, nu=1.95, xi_scale=1e8))
+        with pytest.raises(BoundError, match="not a finite double"):
+            uniform_bound_constant(big)
 
 
 @pytest.fixture(scope="module")

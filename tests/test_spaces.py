@@ -22,12 +22,14 @@ from frachs import (
 )
 from frachs.spaces import (
     AdmissibilityError,
+    BoundError,
     EmbeddingConstants,
     PotentialMatrix,
     ResolutionError,
     WeightError,
     _smallest_eigenvalue,
     _smallest_eigenvector,
+    finite_bound,
 )
 
 from conftest import DT, N_DEFAULT, T_MIN, discrete_extremal, zero_signal
@@ -386,6 +388,24 @@ class TestEmbeddingConstants:
         flat = vanishing_well_potential(envelope_steepness=1.0)
         with pytest.raises(AdmissibilityError):
             compute_embedding_constants(flat, A75, N_DEFAULT, T_MIN, DT)
+
+
+class TestFiniteBound:
+    def test_finite_value_passes_unchanged(self):
+        assert finite_bound("x", lambda: 3.0 ** 0.5) == 3.0 ** 0.5
+
+    @pytest.mark.parametrize(
+        "compute",
+        [lambda: 1e200 ** 2.0, lambda: np.float64(1e200) ** 2, lambda: np.sum(np.full(4, 1e308)),
+         lambda: np.float64(np.inf) - np.inf],
+        ids=["python-power", "numpy-power", "numpy-sum", "nan"],
+    )
+    def test_overflow_raises_without_a_warning(self, compute):
+        # an overflow on the way is the same failure as a non-finite result, and warns
+        # nothing (a RuntimeWarning fails the suite)
+        with pytest.raises(BoundError, match="^A is (inf|nan), not a finite double: xi_scale or p"):
+            finite_bound("A", compute)
+        assert issubclass(BoundError, ValueError)
 
 
 class TestWeightedNorms:
