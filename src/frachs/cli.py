@@ -14,9 +14,12 @@ artifacts), 2 config error (including a grid too coarse to resolve the core,
 a domain too short to cover the well or the sublevel set, a weight below the
 threshold, a sweep ladder without at least 3 ascending weights, nonlinearity
 constants the power family rejects, constants so large that a coercivity
-bound overflows a double, an unreadable config, an output path that is not a
-directory and an artifact that cannot be written), 3 solver non-convergence,
-4 flagged sweep row.  A failure is raised where it is found, and :func:`main`
+bound or the least slack of a hypothesis check is not a finite double, an
+unreadable config, an output path that is not a directory and an artifact
+that cannot be written), 3 solver non-convergence, 4 flagged sweep row.  A
+hypothesis check fails (exit 1) by the one rule of :func:`~frachs.spaces.judge`:
+some slack below ``-1e-12`` times the magnitude its sample compares.  A
+failure is raised where it is found, and :func:`main`
 alone maps it to its code and its one stderr line; exit 3 and every flagged
 row name the stop reason on stderr instead.  Artifacts are stamped with the
 config hash; identical config + seed reproduces byte-identical CSV/JSON
@@ -134,8 +137,9 @@ def _open_artifact(path: str):
 
 
 def _write_json(path: str, payload: dict):
+    """``payload`` as strict JSON: a non-finite number is a bug and raises ``ValueError``."""
     with _open_artifact(path) as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 

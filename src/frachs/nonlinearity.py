@@ -15,6 +15,7 @@ at u = 0 for line-search robustness.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass, field
 from typing import Callable
@@ -22,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import pointwise_dot, standard_normal
-from .spaces import CheckReport, CheckResult, ResolutionError
+from .spaces import CheckReport, CheckResult, ResolutionError, judge
 
 __all__ = [
     "Nonlinearity",
@@ -156,6 +157,12 @@ def zero_nonlinearity(p: float = 1.5, delta: float = 1.0) -> Nonlinearity:
     return Nonlinearity(density, gradient, p, xi, 1.0, delta, p, hessian_at)
 
 
+def _least(results: list[CheckResult]) -> CheckResult:
+    """The first result of least margin over a check's samples; it passes if every one does."""
+    worst = min(results, key=lambda c: c.worst_margin)
+    return dataclasses.replace(worst, passed=all(c.passed for c in results))
+
+
 def verify_growth(
     nl: Nonlinearity,
     times: np.ndarray,
@@ -171,8 +178,11 @@ def verify_growth(
     eta |u|^nu for t in the closed core and |u| <= delta.  Also cross-checks the declared
     gradient against centered differences of the density away from u = 0.
     Each (direction, amplitude) sample evaluates the gradient once, on a
-    broadcast row, and W1 and the difference check share it.  A closed core
-    without grid samples raises :class:`ResolutionError`.
+    broadcast row, and W1 and the difference check share it.  Each check
+    judges every sample by :func:`~frachs.spaces.judge` and reports the least
+    of their results; an overflow in the sampling raises its
+    :class:`~frachs.spaces.BoundError`.  A closed core without grid samples
+    raises :class:`ResolutionError`.
     """
     times = np.asarray(times, dtype=float)
     t_core = times[(times >= core[0]) & (times <= core[1])]
@@ -185,79 +195,45 @@ def verify_growth(
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     amps = np.linspace(0.0, 2.0, 25)[1:]
     xi_vals = nl.xi_at(times)
-    checks = []
 
     h = 1e-5
-    worst_w1, loc_w1 = np.inf, (np.nan, np.nan)
-    worst_fd, loc_fd = 0.0, np.nan
-    for d in dirs:
-        for s in amps:
-            row = s * d
-            g = nl.gradient(times, np.broadcast_to(row, shape))
-            gmag = np.sqrt(pointwise_dot(g, g))
-            slack = xi_vals * s ** (nl.p - 1.0) - gmag
-            j = int(np.argmin(slack))
-            if slack[j] < worst_w1:
-                worst_w1, loc_w1 = float(slack[j]), (float(times[j]), float(s))
-            if s < 0.25:
-                continue
-            gscale = max(float(np.max(gmag)), 1e-300)
-            fd = np.empty_like(g)
-            for c in range(n_components):
-                up, dn = row.copy(), row.copy()
-                up[c] += h
-                dn[c] -= h
-                fd[:, c] = (
-                    nl.density(times, np.broadcast_to(up, shape))
-                    - nl.density(times, np.broadcast_to(dn, shape))
-                ) / (2.0 * h)
-            diff = fd - g
-            err = np.sqrt(pointwise_dot(diff, diff))
-            den = np.maximum(gmag, 1e-4 * gscale)
-            rel = err / den
-            j = int(np.argmax(rel))
-            if rel[j] > worst_fd:
-                worst_fd, loc_fd = float(rel[j]), float(times[j])
-    checks.append(
-        CheckResult(
-            "W1-growth",
-            worst_w1 >= -1e-12,
-            worst_w1,
-            loc_w1[0],
-            f"|grad W| <= xi(t)|u|^(p-1); worst at |u| = {loc_w1[1]:.3g}",
-        )
-    )
+    w1, fd_checks = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in dirs:
+            for s in amps:
+                row = s * d
+                g = nl.gradient(times, np.broadcast_to(row, shape))
+                gmag = np.sqrt(pointwise_dot(g, g))
+                bound = xi_vals * s ** (nl.p - 1.0)
+                w1.append(judge("W1-growth", bound - gmag, lambda: gmag, times,
+                                f"|grad W| <= xi(t)|u|^(p-1); worst at |u| = {s:.3g}"))
+                if s < 0.25:
+                    continue
+                gscale = max(float(np.max(gmag)), 1e-300)
+                fd = np.empty_like(g)
+                for c in range(n_components):
+                    up, dn = row.copy(), row.copy()
+                    up[c] += h
+                    dn[c] -= h
+                    fd[:, c] = (
+                        nl.density(times, np.broadcast_to(up, shape))
+                        - nl.density(times, np.broadcast_to(dn, shape))
+                    ) / (2.0 * h)
+                diff = fd - g
+                rel = np.sqrt(pointwise_dot(diff, diff)) / np.maximum(gmag, 1e-4 * gscale)
+                fd_checks.append(judge("gradient-consistency", 1e-5 - rel, lambda: 1e-5, times,
+                                       "declared gradient vs centered differences of W away from u = 0"))
 
-    worst_w2, loc_w2 = np.inf, (np.nan, np.nan)
-    small = amps[amps <= nl.delta]
-    if small.size == 0:
-        small = np.array([nl.delta / 2.0])
-    for d in dirs:
-        for s in small:
-            u = np.broadcast_to(s * d, (len(t_core), n_components))
-            w = np.abs(nl.density(t_core, u))
-            slack = w - nl.eta * s**nl.nu
-            j = int(np.argmin(slack))
-            if slack[j] < worst_w2:
-                worst_w2, loc_w2 = float(slack[j]), (float(t_core[j]), float(s))
-    checks.append(
-        CheckResult(
-            "W2-lower-bound",
-            worst_w2 >= -1e-12,
-            worst_w2,
-            loc_w2[0],
-            f"|W| >= eta |u|^nu on the core; worst at |u| = {loc_w2[1]:.3g}",
-        )
-    )
+        w2 = []
+        small = amps[amps <= nl.delta]
+        if small.size == 0:
+            small = np.array([nl.delta / 2.0])
+        for d in dirs:
+            for s in small:
+                u = np.broadcast_to(s * d, (len(t_core), n_components))
+                w = np.abs(nl.density(t_core, u))
+                lower = nl.eta * s**nl.nu
+                w2.append(judge("W2-lower-bound", w - lower, lambda: lower, t_core,
+                                f"|W| >= eta |u|^nu on the core; worst at |u| = {s:.3g}"))
 
-    checks.append(
-        CheckResult(
-            "gradient-consistency",
-            worst_fd <= 1e-5,
-            1e-5 - worst_fd,
-            loc_fd,
-            "declared gradient vs centered differences of W away from u = 0",
-        )
-    )
-
-    return CheckReport(tuple(checks))
+    return CheckReport((_least(w1), _least(w2), _least(fd_checks)))

@@ -14,6 +14,13 @@ computed by closed formulas.
 Every hypothesis check (L1-L3 here, W1-W2 in ``nonlinearity``, the embedding
 inequalities) returns one :class:`CheckReport`: its ordered
 :class:`CheckResult` entries, with failures reported as data, not raised.
+Each check but L2-kernel is judged by one rule, :func:`judge`, from its
+per-sample slack (at least 0 where the hypothesis holds): it passes when
+every slack is at least ``-CHECK_RTOL = -1e-12`` times the magnitude of the
+quantities that sample compares, so rounding at any scale is no failure; its
+``worst_margin`` is the least slack and its ``location`` the first sample
+that reaches it.  A least slack that is not finite, an overflow in the
+sampling, raises :class:`BoundError` (exit 2 in the CLI) instead.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ __all__ = [
     "EmbeddingConstants",
     "CheckResult",
     "CheckReport",
+    "judge",
     "AdmissibilityError",
     "ResolutionError",
     "WeightError",
@@ -66,7 +74,7 @@ class WeightError(ValueError):
 
 
 class BoundError(ValueError):
-    """A coercivity bound that is not a finite double: xi_scale or p is too large."""
+    """A coercivity bound or a check's least slack that is not a finite double."""
 
 
 def finite_bound(what: str, compute: Callable[[], float]) -> float:
@@ -188,6 +196,35 @@ class CheckResult:
     detail: str = ""
 
 
+CHECK_RTOL = 1e-12  # a slack above -CHECK_RTOL x the compared magnitude is rounding
+
+
+def judge(name: str, slack, magnitude: Callable, times=None, detail: str = "") -> CheckResult:
+    """The result of the check ``name`` from its per-sample ``slack``, at least 0 where it holds.
+
+    ``worst_margin`` is the least slack and ``location`` the time in
+    ``times`` of the first sample that reaches it (none without ``times``).
+    The check passes when every slack is at least ``-CHECK_RTOL *
+    magnitude()``, the size of the quantities each sample compares (where
+    the slack is negative, so the larger side there is enough);
+    ``magnitude`` is called only when some slack is negative.  A least slack
+    that is not finite, or a NaN anywhere, raises :class:`BoundError`.  No
+    sample at all (a closed core between two grid points) passes with margin 0.
+    """
+    slack = np.atleast_1d(slack)
+    if slack.size == 0:
+        slack, times = np.zeros(1), None
+    j = int(np.argmin(slack))  # the first NaN, if there is one
+    worst = float(slack[j])
+    if not np.isfinite(worst):
+        raise BoundError(
+            f"the least slack of {name} is {worst}, not a finite double: "
+            "a constant of the config is too large"
+        )
+    passed = worst >= 0.0 or bool(np.all(slack >= -CHECK_RTOL * magnitude()))
+    return CheckResult(name, passed, worst, None if times is None else float(times[j]), detail)
+
+
 @dataclass(frozen=True)
 class CheckReport:
     """The ordered results of one family of hypothesis checks."""
@@ -261,9 +298,9 @@ def verify_potential(potential: PotentialMatrix, times: np.ndarray) -> CheckRepo
     set (L2) and the vanishing of the matrix on the closed core (L3).  The
     envelope bound is exact: the smallest eigenvalue of ``L(t)``
     (:func:`_smallest_eigenvalue`) is ``min (L(t)x, x)`` over unit ``x``.
-    Failures are reported as data, not raised; a grid that does not cover
-    the well with a margin of one well width on each side raises
-    :class:`ResolutionError`.
+    Each check but L2 is judged by :func:`judge`.  Failures are reported as
+    data, not raised; a grid that does not cover the well with a margin of
+    one well width on each side raises :class:`ResolutionError`.
     """
     times = np.asarray(times, dtype=float)
     a, b = potential.well
@@ -273,34 +310,16 @@ def verify_potential(potential: PotentialMatrix, times: np.ndarray) -> CheckRepo
             f"grid [{times[0]:.3g}, {times[-1]:.3g}] must cover the well with margin "
             f">= {margin:.3g} on each side"
         )
-    L = potential.matrix_at(times)
-    l_env = potential.envelope_at(times)
-    checks = []
-
-    sym_err = np.max(np.abs(L - np.transpose(L, (0, 2, 1))), axis=(1, 2))
-    worst = int(np.argmax(sym_err))
-    checks.append(
-        CheckResult(
-            "L1-symmetry",
-            bool(np.all(sym_err <= 1e-12)),
-            float(1e-12 - sym_err[worst]),
-            float(times[worst]),
-            "matrix must equal its transpose at every grid point",
-        )
-    )
-
-    gaps = _smallest_eigenvalue(L) - l_env
-    j = int(np.argmin(gaps))
-    margin_env = float(gaps[j])
-    checks.append(
-        CheckResult(
-            "L1-envelope",
-            margin_env >= -1e-12,
-            margin_env,
-            float(times[j]),
-            "(L(t)x, x) >= l(t)|x|^2: the smallest eigenvalue of L(t) is at least l(t)",
-        )
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        L, l_env = potential.matrix_at(times), potential.envelope_at(times)
+        sym_err = np.max(np.abs(L - np.transpose(L, (0, 2, 1))), axis=(1, 2))
+        size = np.max(np.abs(L), axis=(1, 2))
+        checks = [
+            judge("L1-symmetry", 1e-12 - sym_err, lambda: size, times,
+                  "matrix must equal its transpose at every grid point"),
+            judge("L1-envelope", _smallest_eigenvalue(L) - l_env, lambda: np.maximum(size, np.abs(l_env)),
+                  times, "(L(t)x, x) >= l(t)|x|^2: the smallest eigenvalue of L(t) is at least l(t)"),
+        ]
 
     inside = (times >= a) & (times <= b)
     outside = ~inside
@@ -318,20 +337,9 @@ def verify_potential(potential: PotentialMatrix, times: np.ndarray) -> CheckRepo
         detail, loc = "envelope must be positive outside the closed well", float(times[j])
     checks.append(CheckResult("L2-kernel", zero_on_well and pos_outside, margin_l2, loc, detail))
 
-    ia, ib = potential.core
-    on_core = (times >= ia) & (times <= ib)
-    core_max = float(np.max(np.abs(L[on_core]))) if np.any(on_core) else 0.0
-    j = int(np.argmax(np.max(np.abs(L), axis=(1, 2)) * on_core)) if np.any(on_core) else 0
-    checks.append(
-        CheckResult(
-            "L3-vanishing",
-            core_max <= 1e-14,
-            1e-14 - core_max,
-            float(times[j]),
-            "matrix must vanish entrywise on the closed core",
-        )
-    )
-
+    on_core = (times >= potential.core[0]) & (times <= potential.core[1])
+    checks.append(judge("L3-vanishing", 1e-14 - size[on_core], lambda: size[on_core], times[on_core],
+                        "matrix must vanish entrywise on the closed core"))
     return CheckReport(tuple(checks))
 
 
@@ -468,8 +476,8 @@ def embedding_bounds(u: SampledSignal, prob: Problem) -> CheckReport:
 
     The weighted norm is measured with :meth:`~frachs.energy.Problem.form`.
     For lam >= lambda_threshold it dominates ``theta0 ||u||_L2^2`` and, for
-    r = 3, 4 and 6, ``theta0^(r/2) m^((r-2)/2) ||u||_Lr^r``; margins are
-    rhs - lhs >= 0.
+    r = 3, 4 and 6, ``theta0^(r/2) m^((r-2)/2) ||u||_Lr^r``; each bound is
+    judged by :func:`judge` with slack rhs - lhs at the magnitude lhs.
     """
     prob.check_signal(u)
     constants = prob.constants
@@ -478,23 +486,11 @@ def embedding_bounds(u: SampledSignal, prob: Problem) -> CheckReport:
     mag = u.magnitude()
     l2_sq = u.dt * float(np.sum(mag**2))
     theta0, m = constants.theta0, constants.sublevel_measure
-    checks = [
-        CheckResult(
-            "L2-bound",
-            l2_sq <= norm_lam**2 / theta0 + 1e-12,
-            norm_lam**2 / theta0 - l2_sq,
-            detail="||u||_L2^2 <= ||u||_lam^2 / theta0",
-        )
-    ]
+    rhs = norm_lam**2 / theta0
+    checks = [judge("L2-bound", rhs - l2_sq, lambda: l2_sq, detail="||u||_L2^2 <= ||u||_lam^2 / theta0")]
     for r in (3, 4, 6):
         lhs = u.dt * float(np.sum(mag**r))
         rhs = norm_lam**r / (theta0 ** (r / 2.0) * m ** ((r - 2.0) / 2.0))
-        checks.append(
-            CheckResult(
-                f"L{r}-bound",
-                lhs <= rhs + 1e-12,
-                rhs - lhs,
-                detail=f"||u||_L{r}^{r} <= theta0^(-{r}/2) m^(-({r}-2)/2) ||u||_lam^{r}",
-            )
-        )
+        checks.append(judge(f"L{r}-bound", rhs - lhs, lambda: lhs,
+                            detail=f"||u||_L{r}^{r} <= theta0^(-{r}/2) m^(-({r}-2)/2) ||u||_lam^{r}"))
     return CheckReport(tuple(checks))

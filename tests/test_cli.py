@@ -13,6 +13,7 @@ import pytest
 from frachs import SampledSignal, cli
 from frachs.cli import _write_csv, main
 from frachs.config import ConfigError, parse_config, parse_config_text
+from frachs.grid import midpoint_grid
 from frachs.solver import SolveResult, SweepRow, columns
 
 BASE = "[scenario]\npreset = default\n"
@@ -201,6 +202,10 @@ HANDLER_ROWS = {
     **{f"bound-{command}": ([command], *BOUND) for command in ("solve", "bvp", "sweep")},
     # the witness's scale estimate overflows too; the bound still ends the run
     "bound-1e250": (["solve"], "p = 1.95\nnu = 1.95\nxi_scale = 1e250\n", *BOUND[1:]),
+    # check computes no coercivity bound, but its growth sampling overflows
+    "check-1e250": (["check"], "p = 1.95\nnu = 1.95\nxi_scale = 1e250\n", 2,
+                    "config error: the least slack of W1-growth is -inf, not a finite double: "
+                    "a constant of the config is too large"),
 }
 
 
@@ -621,6 +626,66 @@ class TestSolve:
             calls.clear()
             assert main([command, "--config", cfg, "--out", out]) == 0
             assert len(calls) == expected, command
+
+
+def read_strict_json(path):
+    """``path`` parsed as RFC 8259 JSON, which has no ``NaN`` or ``Infinity``."""
+
+    def reject(constant):
+        raise ValueError(f"{path} holds {constant}")
+
+    return json.loads(read_text(path), parse_constant=reject)
+
+
+STRICT_CONFIGS = {
+    "default": BASE,
+    "rotated": "[scenario]\npreset = rotated\n",
+    "zero": BASE + "nonlinearity = zero\n",
+    "witness-overflow": BASE + "nu = 1.95\nxi_scale = 1e20\n",
+    "bound-overflow": BASE + "p = 1.95\nnu = 1.95\nxi_scale = 1e250\n",
+}
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("config", list(STRICT_CONFIGS))
+    @pytest.mark.parametrize("command", ["check", "solve", "bvp", "sweep"])
+    def test_every_artifact_parses_strictly(self, tmp_path, command, config):
+        # whatever the exit code, a JSON artifact holds only finite numbers
+        cfg = write(tmp_path, STRICT_CONFIGS[config] + "lambdas = 2,20,200\n")
+        out = tmp_path / "out"
+        main([command, "--config", cfg, "--out", str(out)])
+        for name in os.listdir(out):
+            if name.endswith(".json"):
+                read_strict_json(out / name)
+
+    def test_zero_nonlinearity_locates_every_check(self, tmp_path):
+        # every relative difference is 0, so the first sample reaches the least slack
+        cfg, out = write(tmp_path, STRICT_CONFIGS["zero"]), str(tmp_path / "out")
+        assert main(["check", "--config", cfg, "--out", out]) == 1
+        report = read_strict_json(artifact(out, "check-"))
+        (fd,) = [c for c in report["growth"]["checks"] if c["name"] == "gradient-consistency"]
+        assert fd["passed"] is True and fd["worst_margin"] == 1e-5
+        assert fd["location"] == midpoint_grid(4096, 32.0)[0]
+
+
+ROUNDING = {
+    "tall-wall": "[scenario]\npreset = rotated\nwall_height = 1e5\n",
+    "xi-scale-1e4": BASE + "xi_scale = 1e4\n",
+}
+
+
+class TestRoundingIsNoFailure:
+    """Checks whose slack is rounding of large entries pass: the tolerance is relative."""
+
+    @pytest.mark.parametrize(
+        "config,command",
+        [("tall-wall", "check"), ("tall-wall", "bvp"), ("tall-wall", "solve"),
+         ("xi-scale-1e4", "check")],
+    )
+    def test_exits_0(self, tmp_path, capsys, config, command):
+        cfg, out = write(tmp_path, ROUNDING[config]), str(tmp_path / "out")
+        assert main([command, "--config", cfg, "--out", out]) == 0
+        assert capsys.readouterr().err == ""
 
 
 NO_WITNESS = {

@@ -46,50 +46,63 @@ from conftest import DT, N_DEFAULT, T_MIN, full_spectrum_apply, wall_on_rotated_
 TIMES = T_MIN + DT * np.arange(N_DEFAULT)
 
 
+def _reference_verdict(name, slacks, magnitudes, times, amps, detail):
+    """One check over all its ``(sample, t)`` slacks at once: it passes when each is at least
+    -1e-12 times its magnitude; the least slack and its first ``(sample, t)`` give the
+    margin, the location and the amplitude that ``detail`` names."""
+    slacks, magnitudes = np.array(slacks), np.array(magnitudes)
+    i, j = np.unravel_index(int(np.argmin(slacks)), slacks.shape)
+    return CheckResult(
+        name, bool(np.all(slacks >= -1e-12 * magnitudes)), float(slacks[i, j]),
+        float(times[j]), detail.format(amps[i]),
+    )
+
+
 def _reference_growth_report(nl, times, core, n_components, seed):
     """``verify_growth`` as separate W1, W2 and difference loops, each evaluating
-    its own gradients on ``(N, n)`` copies: the reference the one-pass check must match."""
+    its own gradients on ``(N, n)`` copies and judging the stacked samples at once:
+    the reference the one-pass check must match."""
     dirs = standard_normal(random.Random(seed), 4 * n_components).reshape(4, n_components)
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     amps = np.linspace(0.0, 2.0, 25)[1:]
     xi_vals = nl.xi_at(times)
     checks = []
 
-    worst_w1, loc_w1 = np.inf, (np.nan, np.nan)
+    slacks, mags, sampled = [], [], []
     for d in dirs:
         for s in amps:
             u = np.broadcast_to(s * d, (len(times), n_components))
             g = nl.gradient(times, u)
             gmag = np.sqrt(pointwise_dot(g, g))
-            slack = xi_vals * s ** (nl.p - 1.0) - gmag
-            j = int(np.argmin(slack))
-            if slack[j] < worst_w1:
-                worst_w1, loc_w1 = float(slack[j]), (float(times[j]), float(s))
-    checks.append(CheckResult(
-        "W1-growth", worst_w1 >= -1e-12, worst_w1, loc_w1[0],
-        f"|grad W| <= xi(t)|u|^(p-1); worst at |u| = {loc_w1[1]:.3g}",
+            bound = xi_vals * s ** (nl.p - 1.0)
+            slacks.append(bound - gmag)
+            mags.append(np.maximum(bound, gmag))
+            sampled.append(s)
+    checks.append(_reference_verdict(
+        "W1-growth", slacks, mags, times, sampled,
+        "|grad W| <= xi(t)|u|^(p-1); worst at |u| = {:.3g}",
     ))
 
     t_core = times[(times >= core[0]) & (times <= core[1])]
-    worst_w2, loc_w2 = np.inf, (np.nan, np.nan)
     small = amps[amps <= nl.delta]
     if small.size == 0:
         small = np.array([nl.delta / 2.0])
+    slacks, mags, sampled = [], [], []
     for d in dirs:
         for s in small:
             u = np.broadcast_to(s * d, (len(t_core), n_components))
             w = np.abs(nl.density(t_core, u))
-            slack = w - nl.eta * s**nl.nu
-            j = int(np.argmin(slack))
-            if slack[j] < worst_w2:
-                worst_w2, loc_w2 = float(slack[j]), (float(t_core[j]), float(s))
-    checks.append(CheckResult(
-        "W2-lower-bound", worst_w2 >= -1e-12, worst_w2, loc_w2[0],
-        f"|W| >= eta |u|^nu on the core; worst at |u| = {loc_w2[1]:.3g}",
+            lower = nl.eta * s**nl.nu
+            slacks.append(w - lower)
+            mags.append(np.maximum(w, lower))
+            sampled.append(s)
+    checks.append(_reference_verdict(
+        "W2-lower-bound", slacks, mags, t_core, sampled,
+        "|W| >= eta |u|^nu on the core; worst at |u| = {:.3g}",
     ))
 
     h = 1e-5
-    worst_fd, loc_fd = 0.0, np.nan
+    slacks, sampled = [], []
     for d in dirs:
         for s in amps[amps >= 0.25]:
             u = np.broadcast_to(s * d, (len(times), n_components)).copy()
@@ -105,12 +118,10 @@ def _reference_growth_report(nl, times, core, n_components, seed):
             diff = fd - g
             err = np.sqrt(pointwise_dot(diff, diff))
             den = np.maximum(gmag, 1e-4 * gscale)
-            rel = err / den
-            j = int(np.argmax(rel))
-            if rel[j] > worst_fd:
-                worst_fd, loc_fd = float(rel[j]), float(times[j])
-    checks.append(CheckResult(
-        "gradient-consistency", worst_fd <= 1e-5, 1e-5 - worst_fd, loc_fd,
+            slacks.append(1e-5 - err / den)
+            sampled.append(s)
+    checks.append(_reference_verdict(
+        "gradient-consistency", slacks, np.full_like(np.array(slacks), 1e-5), times, sampled,
         "declared gradient vs centered differences of W away from u = 0",
     ))
     return CheckReport(tuple(checks))
@@ -124,6 +135,25 @@ class TestGrowthChecks:
         w1 = next(c for c in report.checks if c.name == "W1-growth")
         # the default family meets the bound with equality
         assert abs(w1.worst_margin) <= 1e-12
+
+    def test_large_weight_passes_saturated_w1(self):
+        # the family meets W1 with equality, so at xi_scale = 1e4 the slack is rounding of
+        # a bound near 1e4, beyond 1e-12 in absolute terms but not relative to the bound
+        report = verify_growth(power_nonlinearity(xi_scale=1e4), TIMES, (0.0, 0.5))
+        assert report.passed, report.failed_names()
+        w1 = next(c for c in report.checks if c.name == "W1-growth")
+        assert w1.worst_margin < -1e-12
+
+    @pytest.mark.parametrize("xi_scale", [1.0, 1e4])
+    def test_gradient_barely_too_large_fails_w1(self, xi_scale):
+        # a gradient 1e-9 too large, relatively, is a violation at every scale
+        base = power_nonlinearity(xi_scale=xi_scale)
+        steep = Nonlinearity(
+            density=base.density,
+            gradient=lambda t, u: (1.0 + 1e-9) * base.gradient(t, u),
+            p=base.p, xi=base.xi, eta=base.eta, delta=base.delta, nu=base.nu,
+        )
+        assert "W1-growth" in verify_growth(steep, TIMES, (0.0, 0.5)).failed_names()
 
     def test_regularized_variant_passes(self):
         nl = power_nonlinearity(eps=1e-6)
@@ -234,7 +264,7 @@ class TestGrowthChecks:
         for a, b in zip(got.checks, ref.checks):
             assert (a.name, a.passed, a.detail) == (b.name, b.passed, b.detail)
             assert a.worst_margin == b.worst_margin
-            assert a.location == b.location or (np.isnan(a.location) and np.isnan(b.location))
+            assert a.location == b.location
 
     def test_nu_below_p_rejected(self):
         with pytest.raises(ValueError, match="nu"):

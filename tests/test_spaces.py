@@ -23,6 +23,7 @@ from frachs import (
 from frachs.spaces import (
     AdmissibilityError,
     BoundError,
+    CheckResult,
     EmbeddingConstants,
     PotentialMatrix,
     ResolutionError,
@@ -30,6 +31,7 @@ from frachs.spaces import (
     _smallest_eigenvalue,
     _smallest_eigenvector,
     finite_bound,
+    judge,
 )
 
 from conftest import DT, N_DEFAULT, T_MIN, discrete_extremal, zero_signal
@@ -247,6 +249,26 @@ class TestVerifyPotential:
         assert not envelope.passed
         assert envelope.worst_margin == pytest.approx(-0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("n_samples", [N_DEFAULT, 8192])
+    @pytest.mark.parametrize("make", [vanishing_well_potential, rotated_well_potential])
+    def test_vanishing_location_lies_in_the_closed_core(self, make, n_samples):
+        pot = make()
+        t_min, dt = midpoint_grid(n_samples, 32.0)
+        times = t_min + dt * np.arange(n_samples)
+        (l3,) = [c for c in verify_potential(pot, times).checks if c.name == "L3-vanishing"]
+        assert l3.passed and l3.worst_margin == 1e-14
+        # L vanishes on the whole core, so the first core sample reaches the least slack
+        assert l3.location == times[times >= pot.core[0]][0]
+        assert pot.core[0] <= l3.location <= pot.core[1]
+
+    def test_tall_rotated_wall_passes_symmetry(self):
+        # the rotation's rounding at wall_height = 1e5 exceeds 1e-12 in absolute terms,
+        # not relative to the entries it is compared at
+        report = verify_potential(rotated_well_potential(wall_height=1e5), TIMES)
+        assert report.passed, report.failed_names()
+        (sym,) = [c for c in report.checks if c.name == "L1-symmetry"]
+        assert sym.worst_margin < 0.0
+
     def test_nonvanishing_core_detected(self):
         base = vanishing_well_potential()
         bad = PotentialMatrix(
@@ -406,6 +428,40 @@ class TestFiniteBound:
         with pytest.raises(BoundError, match="^A is (inf|nan), not a finite double: xi_scale or p"):
             finite_bound("A", compute)
         assert issubclass(BoundError, ValueError)
+
+
+class TestJudge:
+    def test_least_slack_and_its_first_sample(self):
+        times = np.array([0.0, 1.0, 2.0, 3.0])
+        got = judge("c", np.array([0.5, -1.0, 2.0, -1.0]), lambda: 1.0, times, "d")
+        assert got == CheckResult("c", False, -1.0, 1.0, "d")
+
+    def test_rounding_below_the_relative_tolerance_passes(self):
+        # -1e-7 at magnitude 1e6 is 1e-13 relative; the same slack at magnitude 1 is not
+        slack = np.array([1.0, -1e-7])
+        assert judge("c", slack, lambda: np.array([1.0, 1e6])).passed
+        assert not judge("c", slack, lambda: np.array([1e6, 1.0])).passed
+        # the tolerance is scale-relative: 1e-9 relative still fails at any scale
+        for scale in (1e-6, 1.0, 1e6):
+            assert not judge("c", np.array([-1e-9 * scale]), lambda: scale).passed
+
+    def test_magnitude_only_for_a_negative_slack(self):
+        def unused():
+            raise AssertionError("magnitude evaluated for nonnegative slack")
+
+        got = judge("c", np.array([0.0, 3.0]), unused)
+        assert got.passed and got.worst_margin == 0.0 and got.location is None
+
+    @pytest.mark.parametrize(
+        "slack", [[1.0, -np.inf], [-1.0, np.nan], [np.inf, np.inf]], ids=["-inf", "nan", "inf"]
+    )
+    def test_non_finite_least_slack_raises(self, slack):
+        # a NaN anywhere counts, even beside a finite negative slack
+        with pytest.raises(BoundError, match="^the least slack of W1-growth is (-inf|nan|inf), "):
+            judge("W1-growth", np.array(slack), lambda: 1.0)
+
+    def test_no_sample_passes_vacuously(self):
+        assert judge("c", np.zeros(0), lambda: 1.0, np.zeros(0)) == CheckResult("c", True, 0.0)
 
 
 class TestWeightedNorms:
