@@ -8,18 +8,19 @@ bvp          solve the restricted Dirichlet problem on the core interval
 sweep        run the ascending-weight ladder and report concentration
 ops-selftest validate the spectral operators on the configured grid
 
-Exit codes: 0 success, 1 hypothesis/selftest failure (including solve, bvp
-or sweep on a problem without a negative-energy witness, which writes no
-artifacts), 2 config error (including a grid too coarse to resolve the core,
-a domain too short to cover the well or the sublevel set, a weight below the
-threshold, a sweep ladder without at least 3 ascending weights, nonlinearity
-constants the power family rejects, constants so large that a coercivity
-bound or the least slack of a hypothesis check is not a finite double, an
-unreadable config, an output path that is not a directory and an artifact
-that cannot be written), 3 solver non-convergence, 4 flagged sweep row.  A
-hypothesis check fails (exit 1) by the one rule of :func:`~frachs.spaces.judge`:
-some slack below ``-1e-12`` times the magnitude its sample compares.  A
-failure is raised where it is found, and :func:`main`
+Exit codes: 0 success, 1 hypothesis/selftest failure (including solve, bvp or
+sweep on a problem without a negative-energy witness, which writes no
+artifacts), 2 config error (including a grid with no sample strictly inside
+the core, the one rule of :func:`~frachs.spaces.core_rows` and one line from
+every command, a domain too short to cover the well or the sublevel set, a
+weight below the threshold, a sweep ladder without at least 3 ascending
+weights, nonlinearity constants the power family rejects, constants so large
+that a coercivity bound or the least slack of a hypothesis check is not a
+finite double, an unreadable config, an output path that is not a directory
+and an artifact that cannot be written), 3 solver non-convergence, 4 flagged
+sweep row.  A hypothesis check fails (exit 1) by the one rule of
+:func:`~frachs.spaces.judge`: some slack below ``-1e-12`` times the magnitude
+its sample compares.  A failure is raised where it is found, and :func:`main`
 alone maps it to its code and its one stderr line; exit 3 and every flagged
 row name the stop reason on stderr instead.  Artifacts are stamped with the
 config hash; identical config + seed reproduces byte-identical CSV/JSON
@@ -183,7 +184,6 @@ def _check_section(report) -> dict:
 def cmd_check(cfg: ExperimentConfig, out_dir: str) -> int:
     """W1-W2, L1-L3 and L1 admissibility on the configured grid, as one JSON report.
 
-    The growth checks run first, so a grid too coarse for the core keeps their message.
     The ``resolution`` section is a diagnostic, not a check: whether ``dt`` resolves
     the distance ``sqrt(wall_height * wall_steepness)`` over which the wall rises
     from 0 on the core to ``wall_height``.

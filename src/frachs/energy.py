@@ -35,6 +35,7 @@ from .spaces import (
     ResolutionError,
     _smallest_eigenvector,
     compute_embedding_constants,
+    core_rows,
     finite_bound,
     vanishing_well_potential,
 )
@@ -55,13 +56,6 @@ __all__ = [
 
 class WitnessError(RuntimeError):
     """No scaling of the core bump has negative energy (W2 violated numerically)."""
-
-
-def _unresolved_core(core, dt: float) -> ResolutionError:
-    """The error of a grid whose spacing ``dt`` leaves no sample inside the open ``core``."""
-    return ResolutionError(
-        f"the core {core} holds no grid sample (dt = {dt:.6g}): the grid does not resolve the core"
-    )
 
 
 class _Scratch:
@@ -175,7 +169,8 @@ class Problem:
         object.__setattr__(self, "n_fft", self.n_samples)
         self._set_preconditioner()
         free = np.flatnonzero(np.all(self._diagonal() == 0.0, axis=1))
-        object.__setattr__(self, "free", self._window(free) if free.size else None)
+        if free.size:  # the window over their hull
+            object.__setattr__(self, "free", self._window(slice(int(free[0]), int(free[-1]) + 1)))
 
     def _set_preconditioner(self):
         """Set ``precond``, the symbol of ``1 / (c + |w|^(2a))`` on this grid's circulant.
@@ -268,20 +263,15 @@ class Problem:
         ``>= 2m - 1``, or N when that is not smaller; it has no ``free``.  Its
         energy keeps the integral of ``W(t, 0)`` over the samples outside as
         the constant ``outside``, and its coercivity floor is the whole line's.
-        It must be cut from the whole line; a core that holds no sample raises
-        :class:`ResolutionError`.
+        It must be cut from the whole line, on the rows of
+        :func:`~frachs.spaces.core_rows`, which raises for an interval without one.
         """
         if self.line is not None:
             raise ValueError("restrict the whole-line problem, not a window")
-        lo, hi = interval
-        inside = np.flatnonzero((self.times > lo) & (self.times < hi))
-        if inside.size == 0:
-            raise _unresolved_core(interval, self.dt)
-        return self._window(inside)
+        return self._window(core_rows(self.times, interval))
 
-    def _window(self, inside: np.ndarray) -> "Problem":
-        """The window of the rows ``inside[0] .. inside[-1]`` (:meth:`restricted`, and ``free``)."""
-        rows = slice(int(inside[0]), int(inside[-1]) + 1)
+    def _window(self, rows: slice) -> "Problem":
+        """The window of the ``rows`` of this grid (:meth:`restricted`, and ``free``)."""
         m = rows.stop - rows.start
         zeros = np.zeros((self.n_samples - m, self.n_components))
         outside = self.nonlinearity.density(np.delete(self.times, rows), zeros)
@@ -421,10 +411,10 @@ def default_problem(
     """Assemble the default desk-scale scenario.
 
     Grid: one period of length ``domain`` sampled at midpoints (the first
-    sample sits half a cell above -domain/2), so that the core endpoints fall
-    between samples and the degenerate set of the matrix coincides with the
-    interior of the core at grid resolution.  ``lam`` defaults to 10x the
-    embedding threshold.
+    sample sits half a cell above -domain/2), so that 0 and the other cell
+    boundaries fall between samples.  The core endpoints 0 and 0.5 do so
+    once ``dt < 1/2``; at ``dt = 1`` (N = 32 on the default domain) 0.5 is a
+    sample.  ``lam`` defaults to 10x the embedding threshold.
     """
     t_min, dt = midpoint_grid(n_samples, domain)
     order = FracOrder(alpha)
@@ -460,8 +450,7 @@ def directional_derivative(u: SampledSignal, phi: SampledSignal, prob: Problem) 
     time-domain pairing of the one-sided derivatives.
     """
     prob.check_signal(u)
-    if not u.same_grid(phi):
-        raise ValueError("u and phi live on different grids")
+    prob.check_signal(phi)
     grad_w = prob.nonlinearity.gradient(prob.times, u.values)
     return prob.form(u.values, phi.values) - float(u.dt * np.sum(grad_w * phi.values))
 
@@ -532,19 +521,19 @@ def negative_energy_witness(prob: Problem) -> tuple[SampledSignal, float]:
         s <= (2 eta int |u0|^nu dt / ||u0||_lam^2)^(1/(2-nu)),
 
     halving until the evaluated energy is negative.  Failure down to 1e-8
-    signals that the W2 lower bound does not hold numerically; a core that
-    holds no grid sample raises :class:`ResolutionError`.
+    signals that the W2 lower bound does not hold numerically.  A core without
+    samples (:func:`~frachs.spaces.core_rows`), or whose samples all sit where
+    the bump underflows to 0, raises :class:`ResolutionError`.
     """
-    nl, line = prob.nonlinearity, prob.line or prob
-    lo, hi = prob.potential.core
-    below = np.searchsorted(line.times, lo, side="right") - 1  # the last t <= lo
-    above = np.searchsorted(line.times, hi, side="left")  # the first t >= hi
-    ends = np.clip([below, above], 0, line.n_samples - 1)
-    wall = line.matrix_entries[:, :, ends].sum(axis=2)
+    nl, line, core = prob.nonlinearity, prob.line or prob, prob.potential.core
+    rows = core_rows(line.times, core)
+    # the rows just outside the core's two ends, indexed periodically as the grid is
+    wall = np.take(line.matrix_entries, [rows.start - 1, rows.stop], axis=2, mode="wrap").sum(axis=2)
     axis = _smallest_eigenvector(wall[None])[0]
-    values = np.outer(smooth_bump(prob.times, prob.potential.core), axis) + 0.0  # no -0.0
+    values = np.outer(smooth_bump(prob.times, core), axis) + 0.0  # no -0.0
     if not np.any(values):
-        raise _unresolved_core(prob.potential.core, prob.dt)
+        raise ResolutionError(f"the bump on the core {core} vanishes at every core sample "
+                              f"(dt = {prob.dt:.6g}): the grid does not resolve the core")
     norm_sq = prob.form(values, values)
     mass_nu = float(prob.dt * np.sum(np.sqrt(pointwise_dot(values, values)) ** nl.nu))
     try:

@@ -127,13 +127,6 @@ class SampledSignal:
     def sup_norm(self) -> float:
         return float(np.max(self.magnitude(), initial=0.0))
 
-    def same_grid(self, other: "SampledSignal") -> bool:
-        return (
-            self.n_samples == other.n_samples
-            and self.t_min == other.t_min
-            and self.dt == other.dt
-        )
-
 
 def signal_from_function(fn, n_samples: int, t_min: float, dt: float) -> SampledSignal:
     """Sample ``fn`` (vectorized, t-array -> (N,) or (N, n)) on the grid."""

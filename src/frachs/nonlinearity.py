@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import pointwise_dot, standard_normal
-from .spaces import CheckReport, CheckResult, ResolutionError, judge
+from .spaces import CheckReport, CheckResult, core_rows, judge
 
 __all__ = [
     "Nonlinearity",
@@ -181,15 +181,12 @@ def verify_growth(
     broadcast row, and W1 and the difference check share it.  Each check
     judges every sample by :func:`~frachs.spaces.judge` and reports the least
     of their results; an overflow in the sampling raises its
-    :class:`~frachs.spaces.BoundError`.  A closed core without grid samples
-    raises :class:`ResolutionError`.
+    :class:`~frachs.spaces.BoundError`.  A grid that fails
+    :func:`~frachs.spaces.core_rows` raises its ``ResolutionError``.
     """
     times = np.asarray(times, dtype=float)
+    core_rows(times, core)
     t_core = times[(times >= core[0]) & (times <= core[1])]
-    if t_core.size == 0:
-        raise ResolutionError(
-            f"the closed core {core} holds no grid sample: the grid does not resolve the core"
-        )
     shape = (len(times), n_components)
     dirs = standard_normal(random.Random(seed), 4 * n_components).reshape(4, n_components)
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

@@ -54,7 +54,7 @@ import numpy as np
 
 from .energy import Problem, lower_bound_minimum, negative_energy_witness
 from .grid import SampledSignal, pointwise_dot
-from .spaces import WeightError, finite_bound, h_alpha_norm
+from .spaces import WeightError, finite_bound, h_alpha_norm, judge
 
 __all__ = [
     "SolverConfig",
@@ -364,7 +364,8 @@ def _sweep_row(prob, result, u_tilde, c_tilde, bound) -> SweepRow:
         dist_alpha=h_alpha_norm(diff, prob.order),
         norm_lambda=norm_lam,
         converged=result.converged,
-        ordering_ok=result.energy <= c_tilde + 1e-12 * (1.0 + abs(c_tilde)),
+        ordering_ok=judge("ordering", c_tilde - result.energy,
+                          lambda: max(abs(result.energy), abs(c_tilde))).passed,
         bound_ok=norm_lam <= bound,
         stop_reason=result.stop_reason,
     )

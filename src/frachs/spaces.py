@@ -20,7 +20,9 @@ every slack is at least ``-CHECK_RTOL = -1e-12`` times the magnitude of the
 quantities that sample compares, so rounding at any scale is no failure; its
 ``worst_margin`` is the least slack and its ``location`` the first sample
 that reaches it.  A least slack that is not finite, an overflow in the
-sampling, raises :class:`BoundError` (exit 2 in the CLI) instead.
+sampling, raises :class:`BoundError` (exit 2 in the CLI) instead.  A grid
+resolves the core when a sample lies strictly inside it, the one rule of
+:func:`core_rows`, which L3, W2, the restricted problem and the witness ask.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "judge",
     "AdmissibilityError",
     "ResolutionError",
+    "core_rows",
     "WeightError",
     "BoundError",
     "finite_bound",
@@ -67,6 +70,16 @@ class AdmissibilityError(ValueError):
 
 class ResolutionError(Exception):
     """The grid does not resolve or cover a set the problem needs (too coarse or too short)."""
+
+
+def core_rows(times: np.ndarray, core: tuple[float, float]) -> slice:
+    """The rows of the ascending grid ``times`` strictly inside the open ``core``, where the
+    restricted problem lives; none means the grid does not resolve the core (:class:`ResolutionError`)."""
+    start, stop = np.searchsorted(times, core[0], side="right"), np.searchsorted(times, core[1])
+    if stop <= start:
+        raise ResolutionError(f"the core {core} holds no grid sample (dt = {times[1] - times[0]:.6g}): "
+                              "the grid does not resolve the core")
+    return slice(int(start), int(stop))
 
 
 class WeightError(ValueError):
@@ -208,12 +221,10 @@ def judge(name: str, slack, magnitude: Callable, times=None, detail: str = "") -
     magnitude()``, the size of the quantities each sample compares (where
     the slack is negative, so the larger side there is enough);
     ``magnitude`` is called only when some slack is negative.  A least slack
-    that is not finite, or a NaN anywhere, raises :class:`BoundError`.  No
-    sample at all (a closed core between two grid points) passes with margin 0.
+    that is not finite, or a NaN anywhere, raises :class:`BoundError`; an
+    empty one ``ValueError`` (a core without samples fails :func:`core_rows` first).
     """
     slack = np.atleast_1d(slack)
-    if slack.size == 0:
-        slack, times = np.zeros(1), None
     j = int(np.argmin(slack))  # the first NaN, if there is one
     worst = float(slack[j])
     if not np.isfinite(worst):
@@ -300,7 +311,7 @@ def verify_potential(potential: PotentialMatrix, times: np.ndarray) -> CheckRepo
     (:func:`_smallest_eigenvalue`) is ``min (L(t)x, x)`` over unit ``x``.
     Each check but L2 is judged by :func:`judge`.  Failures are reported as
     data, not raised; a grid that does not cover the well with a margin of
-    one well width on each side raises :class:`ResolutionError`.
+    one well width on each side, or fails :func:`core_rows`, raises :class:`ResolutionError`.
     """
     times = np.asarray(times, dtype=float)
     a, b = potential.well
@@ -310,6 +321,7 @@ def verify_potential(potential: PotentialMatrix, times: np.ndarray) -> CheckRepo
             f"grid [{times[0]:.3g}, {times[-1]:.3g}] must cover the well with margin "
             f">= {margin:.3g} on each side"
         )
+    core_rows(times, potential.core)
     with np.errstate(over="ignore", invalid="ignore"):
         L, l_env = potential.matrix_at(times), potential.envelope_at(times)
         sym_err = np.max(np.abs(L - np.transpose(L, (0, 2, 1))), axis=(1, 2))

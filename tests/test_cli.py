@@ -183,10 +183,16 @@ L1_L3 = ("wall_steepness = 1e300\n", 1, "hypothesis failure: L1-envelope")
 BOUND = ("p = 1.95\nnu = 1.95\nxi_scale = 1e8\n", 2,
          "config error: the coercivity constant A is inf, not a finite double: "
          "xi_scale or p is too large")
+# the one line of a grid with no sample strictly inside the core (0, 0.5), for every command
+UNRESOLVED = ("config error: the core (0.0, 0.5) holds no grid sample (dt = {dt:g}): "
+              "the grid does not resolve the core (grid_n = {n}, domain = 32)")
+# one core sample, at t = 0.4999, where the bump underflows to 0
+UNDERFLOW = ("config error: the bump on the core (0.0, 0.5) vanishes at every core sample "
+             "(dt = 0.9998): the grid does not resolve the core (grid_n = 32, domain = 31.9936)")
 HANDLER_ROWS = {
-    "resolution": (["solve", "--grid-n", "16"], "", 2,
-                   "config error: no grid sample has l(t) < k, so the sublevel measure is 0: "
-                   "the grid does not resolve the core (grid_n = 16, domain = 32)"),
+    "resolution": (["solve", "--grid-n", "16"], "", 2, UNRESOLVED.format(dt=2, n=16)),
+    **{f"underflow-{command}": ([command, "--grid-n", "32", "--domain", "31.9936"], "", 2, UNDERFLOW)
+       for command in ("solve", "bvp", "sweep")},
     "config-alpha": (["solve"], "alpha = 0.3\n", 2,
                      "config error: the solver needs alpha in (1/2, 1), got 0.3"),
     "config-missing-selftest": (["ops-selftest"], None, 2, "config error: no such file {cfg!r}"),
@@ -338,20 +344,24 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command,n,code",
         [("solve", 8, 2), ("solve", 16, 2), ("solve", 32, 2), ("solve", 64, 1),
-         ("check", 8, 2), ("check", 16, 2), ("sweep", 32, 2), ("bvp", 32, 2)],
+         ("check", 8, 2), ("check", 16, 2), ("check", 32, 2), ("sweep", 8, 2), ("sweep", 16, 2),
+         ("sweep", 32, 2), ("bvp", 8, 2), ("bvp", 16, 2), ("bvp", 32, 2)],
     )
     def test_grid_too_coarse_for_the_core(self, tmp_path, capsys, recwarn, command, n, code):
-        # N = 8, 16: no sample has l < k; N = 32: the open core holds no sample;
-        # N = 64 resolves the core but fails L1 admissibility
-        cfg = write(tmp_path, BASE + "lambdas = 2,20,200\n")
-        out = str(tmp_path / "o")
-        assert main([command, "--config", cfg, "--out", out, "--grid-n", str(n)]) == code
+        # N = 8, 16, 32: the open core (0, 0.5) holds no sample (at N = 32, t = 0.5 is one),
+        # and every command says so in the same line; N = 64 resolves the core but fails
+        # L1 admissibility
+        for preset in ("default", "rotated"):
+            cfg = write(tmp_path, f"[scenario]\npreset = {preset}\nlambdas = 2,20,200\n")
+            out = tmp_path / preset
+            assert main([command, "--config", cfg, "--out", str(out), "--grid-n", str(n)]) == code
+            err = capsys.readouterr().err
+            if code == 2:
+                assert err == UNRESOLVED.format(dt=32 / n, n=n) + "\n"
+                assert os.listdir(out) == []
+            else:
+                assert "L1-admissibility" in err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
-        err = capsys.readouterr().err
-        if code == 2:
-            assert "config error" in err and "does not resolve the core" in err
-        else:
-            assert "L1-admissibility" in err
 
     @pytest.mark.parametrize("command", ["check", "solve", "bvp", "sweep"])
     def test_domain_too_short_for_the_well(self, tmp_path, capsys, command):

@@ -385,6 +385,13 @@ class TestDirectionalDerivative:
         with pytest.raises(ValueError):
             directional_derivative(zero_signal(prob), phi, prob)
 
+    def test_component_mismatch_rejected(self):
+        # phi is checked by the rule u is: one component on the two-component preset
+        rotated = default_problem(n_samples=1024, potential=rotated_well_potential())
+        phi = SampledSignal(rotated.t_min, rotated.dt, np.zeros(rotated.n_samples))
+        with pytest.raises(ValueError, match="^signal has 1 components, problem has 2$"):
+            directional_derivative(zero_signal(rotated), phi, rotated)
+
 
 class TestGradient:
     def test_zero_point(self, prob):
@@ -1066,6 +1073,24 @@ class TestWitness:
         ref = np.linalg.eigh(m)[1][:, 0]
         ref *= np.sign(ref[np.argmax(np.abs(ref))])
         assert self._axis(_symmetric_3x3_potential()) == pytest.approx(ref, abs=1e-14)
+
+    def test_core_between_two_samples_is_one_resolution_error(self):
+        # dt = 1/128 puts no sample in the closed core [0.001, 0.002]: the checks on the core,
+        # the restricted problem and the witness refuse it with the same line
+        core = (0.001, 0.002)
+        pot = vanishing_well_potential(core=core)
+        narrow = default_problem(potential=pot, nonlinearity=power_nonlinearity(core=core))
+        line = ("the core (0.001, 0.002) holds no grid sample (dt = 0.0078125): "
+                "the grid does not resolve the core")
+        for call in (
+            lambda: verify_potential(pot, narrow.times),
+            lambda: verify_growth(narrow.nonlinearity, narrow.times, core),
+            lambda: narrow.restricted(core),
+            lambda: negative_energy_witness(narrow),
+        ):
+            with pytest.raises(ResolutionError) as info:
+                call()
+            assert str(info.value) == line
 
     def test_tiny_delta_fails(self, prob):
         from frachs import Problem

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -31,9 +33,9 @@ from frachs import (
 )
 from frachs import solver
 from frachs.nonlinearity import Nonlinearity
-from frachs.solver import _Work, _backtrack, _descend, _truncated_cg
+from frachs.solver import _Work, _backtrack, _descend, _sweep_row, _truncated_cg
 
-from conftest import DT, N_DEFAULT, T_MIN, wall_on_rotated_axes
+from conftest import DT, N_DEFAULT, T_MIN, wall_on_rotated_axes, zero_signal
 
 
 def _with_nonlinearity(prob, nl):
@@ -294,6 +296,20 @@ class TestStopReason:
         report = concentration_sweep(prob, [thr, 10 * thr, 100 * thr], SolverConfig(max_iters=2))
         assert {r.stop_reason for r in report.rows if not r.converged} == {"max_iters"}
         assert {r.stop_reason for r in report.rows if r.converged} <= {"grad_tol"}
+
+
+class TestOrderingFlag:
+    @pytest.mark.parametrize("c_tilde,c_lambda,ok", [
+        (-1e-14, -0.5e-14, False),  # an excess of half the level, small only in absolute terms
+        (-1.0, -1.0 + 1e-13, True),  # an excess of rounding size
+        (-1.0, -2.0, True),
+    ])
+    def test_judged_relative_to_the_levels(self, prob, c_tilde, c_lambda, ok):
+        # slack c_tilde - c_lambda at the magnitude max(|c_lambda|, |c_tilde|), as spaces.judge
+        u = zero_signal(prob)
+        result = SimpleNamespace(u=u, energy=c_lambda, converged=True, stop_reason="grad_tol")
+        row = _sweep_row(prob, result, u, c_tilde, 1.0)
+        assert row.ordering_ok is ok and row.flagged is not ok
 
 
 def _short_sweep(prob, cfg):

@@ -460,8 +460,10 @@ class TestJudge:
         with pytest.raises(BoundError, match="^the least slack of W1-growth is (-inf|nan|inf), "):
             judge("W1-growth", np.array(slack), lambda: 1.0)
 
-    def test_no_sample_passes_vacuously(self):
-        assert judge("c", np.zeros(0), lambda: 1.0, np.zeros(0)) == CheckResult("c", True, 0.0)
+    def test_empty_slack_raises(self):
+        # core_rows refuses a core without samples, so no check is judged on none
+        with pytest.raises(ValueError, match="empty sequence"):
+            judge("c", np.zeros(0), lambda: 1.0, np.zeros(0))
 
 
 class TestWeightedNorms:
