@@ -8,17 +8,20 @@ bvp          solve the restricted Dirichlet problem on the core interval
 sweep        run the ascending-weight ladder and report concentration
 ops-selftest validate the spectral operators on the configured grid
 
-Exit codes: 0 success, 1 hypothesis/selftest failure (including solve, bvp or
-sweep on a problem without a negative-energy witness, which writes no
-artifacts), 2 config error (including a grid with no sample strictly inside
-the core, the one rule of :func:`~frachs.spaces.core_rows` and one line from
-every command, a domain too short to cover the well or the sublevel set, a
-weight below the threshold, a sweep ladder without at least 3 ascending
-weights, nonlinearity constants the power family rejects, constants so large
-that a coercivity bound or the least slack of a hypothesis check is not a
-finite double, an unreadable config, an output path that is not a directory
-and an artifact that cannot be written), 3 solver non-convergence, 4 flagged
-sweep row.  A hypothesis check fails (exit 1) by the one rule of
+Exit codes: 0 success, 1 hypothesis/selftest failure (including alpha <= 1/2,
+L1-admissibility on every command, and solve, bvp or sweep on a problem
+without a negative-energy witness, which writes no artifacts), 2 config error
+(including a grid with no sample strictly inside the core, the one rule of
+:func:`~frachs.spaces.core_rows`, a domain too short to cover the well or the
+sublevel set, a weight below the threshold, a sweep ladder without at least 3
+ascending weights, nonlinearity constants the power family rejects, constants
+so large that a coercivity bound or the least slack of a hypothesis check is
+not a finite double, an unreadable config, an output path that is not a
+directory and an artifact that cannot be written), 3 solver non-convergence,
+4 flagged sweep row.  Every command reports a config error before a hypothesis
+failure, and ``check`` applies the grid rules before it samples W1-W2, in the
+order :func:`~frachs.energy.default_problem` admits the problem of the others.
+A hypothesis check fails (exit 1) by the one rule of
 :func:`~frachs.spaces.judge`: some slack below ``-1e-12`` times the magnitude
 its sample compares.  A failure is raised where it is found, and :func:`main`
 alone maps it to its code and its one stderr line; exit 3 and every flagged
@@ -80,6 +83,7 @@ from .solver import (
 from .spaces import (
     AdmissibilityError,
     BoundError,
+    HypothesisError,
     ResolutionError,
     WeightError,
     compute_embedding_constants,
@@ -182,7 +186,7 @@ def _check_section(report) -> dict:
 
 
 def cmd_check(cfg: ExperimentConfig, out_dir: str) -> int:
-    """W1-W2, L1-L3 and L1 admissibility on the configured grid, as one JSON report.
+    """L1-L3 (after the grid rules), W1-W2 and L1 admissibility on the configured grid, as one JSON report.
 
     The ``resolution`` section is a diagnostic, not a check: whether ``dt`` resolves
     the distance ``sqrt(wall_height * wall_steepness)`` over which the wall rises
@@ -191,12 +195,12 @@ def cmd_check(cfg: ExperimentConfig, out_dir: str) -> int:
     pot, nl = build_potential(cfg), build_nonlinearity(cfg)
     t_min, dt = midpoint_grid(cfg.grid_n, cfg.domain)
     times = t_min + dt * np.arange(cfg.grid_n)
-    growth = verify_growth(nl, times, pot.core, pot.n_components, seed=cfg.seed)
     pot_report = verify_potential(pot, times)
+    growth = verify_growth(nl, times, pot.core, pot.n_components, seed=cfg.seed)
     failed = pot_report.failed_names() + growth.failed_names()
     try:
         constants = compute_embedding_constants(pot, FracOrder(cfg.alpha), cfg.grid_n, t_min, dt)
-    except ValueError as exc:  # AdmissibilityError, or alpha <= 1/2
+    except AdmissibilityError as exc:
         admissibility = {"name": "L1-admissibility", "passed": False, "reason": str(exc)}
         failed.append("L1-admissibility")
     else:
@@ -229,35 +233,15 @@ def cmd_check(cfg: ExperimentConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
-class HypothesisError(Exception):
-    """The potential fails L1-L3 on the grid; the message names the failed checks."""
-
-
-def _gated_problem(cfg: ExperimentConfig) -> Problem:
-    """The problem of solve/bvp/sweep at 10x the threshold.
-
-    Alpha must admit the variational setting (:class:`ConfigError`
-    otherwise), and the potential must pass L1-L3 (:class:`HypothesisError`)
-    and L1 admissibility (:class:`~frachs.spaces.AdmissibilityError`).
-    """
-    if not FracOrder(cfg.alpha).variational_ok:
-        raise ConfigError(f"the solver needs alpha in (1/2, 1), got {cfg.alpha}")
-    potential = build_potential(cfg)
-    t_min, dt = midpoint_grid(cfg.grid_n, cfg.domain)
-    pot_report = verify_potential(potential, t_min + dt * np.arange(cfg.grid_n))
-    if not pot_report.passed:
-        raise HypothesisError(", ".join(pot_report.failed_names()))
-    return default_problem(
-        alpha=cfg.alpha, n_samples=cfg.grid_n, domain=cfg.domain,
-        potential=potential, nonlinearity=build_nonlinearity(cfg),
-    )
+def _problem(cfg: ExperimentConfig) -> Problem:
+    """The nonlinearity (a :class:`ConfigError` first), then :func:`~frachs.energy.default_problem`."""
+    nl = build_nonlinearity(cfg)
+    return default_problem(lam=cfg.lam or None, alpha=cfg.alpha, n_samples=cfg.grid_n,
+                           domain=cfg.domain, potential=build_potential(cfg), nonlinearity=nl)
 
 
 def _solve_common(cfg: ExperimentConfig, out_dir: str, restricted: bool) -> int:
-    prob = _gated_problem(cfg)
-    constants = prob.constants
-    lam = cfg.lam if cfg.lam > 0 else prob.lam
-    prob = prob.with_lam(lam)
+    prob = _problem(cfg)
     scfg = solver_config(cfg)
     result = solve_bvp(prob, scfg) if restricted else minimize(prob, scfg)
 
@@ -266,11 +250,11 @@ def _solve_common(cfg: ExperimentConfig, out_dir: str, restricted: bool) -> int:
     report = {
         "config_hash": h,
         "command": tag,
-        "lambda": lam,
-        "lambda_threshold": constants.lambda_threshold,
-        "theta0": constants.theta0,
-        "c_alpha": constants.c_alpha,
-        "sublevel_measure": constants.sublevel_measure,
+        "lambda": prob.lam,
+        "lambda_threshold": prob.constants.lambda_threshold,
+        "theta0": prob.constants.theta0,
+        "c_alpha": prob.constants.c_alpha,
+        "sublevel_measure": prob.constants.sublevel_measure,
         **{name: getattr(result, attr) for name, attr in columns(SolveResult, "json")},
         "sup_norm": result.u.sup_norm(),
     }
@@ -282,7 +266,7 @@ def _solve_common(cfg: ExperimentConfig, out_dir: str, restricted: bool) -> int:
     _write_csv(os.path.join(out_dir, f"{tag}-solution-{h}.csv"), names, [u.times, u.values])
     _write_json(os.path.join(out_dir, f"{tag}-report-{h}.json"), report)
     print(
-        f"{tag}: lambda={lam:.6g} energy={result.energy:.6e} "
+        f"{tag}: lambda={prob.lam:.6g} energy={result.energy:.6e} "
         f"grad_norm={result.grad_norm:.3e} iters={result.iterations} "
         f"converged={result.converged}"
     )
@@ -305,8 +289,7 @@ def cmd_bvp(cfg, out_dir) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
-    prob = _gated_problem(cfg)
-    constants = prob.constants
+    prob = _problem(cfg)
     report = concentration_sweep(prob, cfg.lambdas, solver_config(cfg))
     h = cfg.config_hash()
     csv_columns = columns(SweepRow, "csv")
@@ -317,9 +300,9 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
         "command": "sweep",
         "c_tilde": report.c_tilde,
         "norm_bound": report.norm_bound,
-        "lambda_threshold": constants.lambda_threshold,
-        "theta0": constants.theta0,
-        "c_alpha": constants.c_alpha,
+        "lambda_threshold": prob.constants.lambda_threshold,
+        "theta0": prob.constants.theta0,
+        "c_alpha": prob.constants.c_alpha,
         "rows": [
             {name: getattr(r, attr) for name, attr in columns(SweepRow, "json")}
             for r in report.rows

@@ -31,6 +31,7 @@ from .grid import FracOrder, SampledSignal, midpoint_grid, pointwise_dot
 from .nonlinearity import Nonlinearity, power_nonlinearity
 from .spaces import (
     EmbeddingConstants,
+    HypothesisError,
     PotentialMatrix,
     ResolutionError,
     _smallest_eigenvector,
@@ -38,6 +39,7 @@ from .spaces import (
     core_rows,
     finite_bound,
     vanishing_well_potential,
+    verify_potential,
 )
 
 __all__ = [
@@ -408,18 +410,27 @@ def default_problem(
     potential: PotentialMatrix | None = None,
     nonlinearity: Nonlinearity | None = None,
 ) -> Problem:
-    """Assemble the default desk-scale scenario.
+    """Assemble the default desk-scale scenario, or another potential's, and admit it.
 
     Grid: one period of length ``domain`` sampled at midpoints (the first
     sample sits half a cell above -domain/2), so that 0 and the other cell
     boundaries fall between samples.  The core endpoints 0 and 0.5 do so
     once ``dt < 1/2``; at ``dt = 1`` (N = 32 on the default domain) 0.5 is a
-    sample.  ``lam`` defaults to 10x the embedding threshold.
+    sample.  Every problem, the CLI's too, is admitted here, in this order:
+    :func:`~frachs.spaces.verify_potential` on the grid (a grid short of the
+    well's margin or without a core sample raises :class:`ResolutionError`, an
+    L1-L3 failure :class:`~frachs.spaces.HypothesisError`), then
+    :func:`~frachs.spaces.compute_embedding_constants` (``alpha <= 1/2`` or
+    ``C_alpha^2 |{l < k}| >= 1`` raises :class:`~frachs.spaces.AdmissibilityError`),
+    then the weight: ``lam``, or 10x the embedding threshold when it is None.
     """
     t_min, dt = midpoint_grid(n_samples, domain)
     order = FracOrder(alpha)
     pot = potential if potential is not None else vanishing_well_potential()
     nl = nonlinearity if nonlinearity is not None else power_nonlinearity(core=pot.core)
+    report = verify_potential(pot, t_min + dt * np.arange(n_samples))
+    if not report.passed:
+        raise HypothesisError(", ".join(report.failed_names()))
     constants = compute_embedding_constants(pot, order, n_samples, t_min, dt)
     if lam is None:
         lam = 10.0 * constants.lambda_threshold

@@ -150,7 +150,7 @@ def _norm(prob: Problem, x: np.ndarray, tmp: np.ndarray) -> float:
 
 
 def _check_floor(energy: float, floor: float):
-    if energy < floor - 1e-9 * (1.0 + abs(floor)):
+    if energy < floor - 1e-9 * abs(floor):
         raise DivergenceError(
             f"iterate energy {energy:.6e} fell below the coercivity floor "
             f"{floor:.6e}; the gradient is inconsistent with the energy"
@@ -222,6 +222,7 @@ def _descend(prob, cfg, start_vals) -> SolveResult:
     """
     floor = lower_bound_minimum(prob)[1]
     work = _Work(prob, start_vals)
+    del start_vals  # the work holds its copy, so a caller's temporary start is freed here
     f = prob._energy(work.vals, work.kernels)
     g = prob._grad_into(work.vals, work.g, work.kernels)
     _check_floor(f, floor)
@@ -256,36 +257,35 @@ def _descend(prob, cfg, start_vals) -> SolveResult:
     )
 
 
-def minimize(prob: Problem, cfg: SolverConfig) -> SolveResult:
-    """Descend the energy from the negative-energy witness.
+def _witness_start(prob: Problem) -> np.ndarray:
+    """The scaled negative-energy witness on ``prob``'s own rows, the whole line or a window."""
+    u0, s = negative_energy_witness(prob)
+    return s * u0.values[prob.rows or slice(None)]
 
-    A problem with no witness raises :class:`~frachs.energy.WitnessError`.
-    Requires the weight to be at or above the embedding threshold so the
-    coercivity floor applies (:class:`~frachs.spaces.WeightError`
-    otherwise).  The returned history is strictly decreasing in energy;
-    ``converged`` means the L2 gradient norm reached ``grad_tol``.
+
+def minimize(prob: Problem, cfg: SolverConfig) -> SolveResult:
+    """Descend the energy of ``prob``, the whole line or a window, from the negative-energy witness.
+
+    A problem with no witness raises :class:`~frachs.energy.WitnessError`, and a
+    weight below the embedding threshold, where the coercivity floor does not
+    apply, :class:`~frachs.spaces.WeightError`.  The returned history is strictly
+    decreasing in energy; ``converged`` means the L2 gradient norm reached ``grad_tol``.
     """
     prob.constants.require(prob.lam, "minimize")
-    u0, s = negative_energy_witness(prob)
-    return _descend(prob, cfg, s * u0.values)
+    return _descend(prob, cfg, _witness_start(prob))
 
 
 def solve_bvp(prob: Problem, cfg: SolverConfig) -> SolveResult:
     """Minimize the functional restricted to signals vanishing outside the core.
 
-    The core may sit anywhere inside the well.  The window problem
-    ``prob.restricted(core)`` of the samples inside the open core is built
-    once; the negative-energy witness is scaled on it (a problem with none
-    raises :class:`~frachs.energy.WitnessError`) and one descent runs on it
-    from there, with transforms of its circulant embedding's length, not N,
-    and its one unshifted kinetic block as preconditioner.  The result is
-    zero-extended, so the Dirichlet values outside the open core are exact
-    zeros.  The weight must be at or above the threshold, as for :func:`minimize`.
+    It is :func:`minimize` on the core's window ``prob.restricted(core)`` (the core
+    may sit anywhere inside the well), whose transforms have its circulant's length,
+    not N, and whose preconditioner is its one unshifted kinetic block; the result
+    is zero-extended, so the Dirichlet values outside the open core are exact zeros.
     """
     prob.constants.require(prob.lam, "solve_bvp")
     window = prob.restricted(prob.potential.core)
-    u0, s = negative_energy_witness(window)
-    return _descend(window, cfg, s * u0.values[window.rows])
+    return _descend(window, cfg, _witness_start(window))
 
 
 def uniform_bound_constant(prob: Problem) -> float:

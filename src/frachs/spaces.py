@@ -45,6 +45,7 @@ __all__ = [
     "CheckReport",
     "judge",
     "AdmissibilityError",
+    "HypothesisError",
     "ResolutionError",
     "core_rows",
     "WeightError",
@@ -65,7 +66,11 @@ __all__ = [
 
 
 class AdmissibilityError(ValueError):
-    """The sublevel set is too large for the embedding chain (hypothesis L1)."""
+    """The sublevel set is too large for the embedding chain, or alpha <= 1/2 (hypothesis L1)."""
+
+
+class HypothesisError(Exception):
+    """The potential fails L1-L3 on the grid; the message names the failed checks."""
 
 
 class ResolutionError(Exception):
@@ -379,7 +384,7 @@ def continuum_sobolev_constant(a: FracOrder) -> float:
     (Gradshteyn & Ryzhik 3.241.2); the integral converges only for a > 1/2.
     """
     if not a.variational_ok:
-        raise ValueError("the multiplier integral diverges for orders <= 1/2")
+        raise AdmissibilityError("the multiplier integral diverges for orders <= 1/2")
     s = a.doubled
     return float(np.sqrt(1.0 / (s * np.sin(np.pi / s))))
 

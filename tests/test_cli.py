@@ -193,8 +193,10 @@ HANDLER_ROWS = {
     "resolution": (["solve", "--grid-n", "16"], "", 2, UNRESOLVED.format(dt=2, n=16)),
     **{f"underflow-{command}": ([command, "--grid-n", "32", "--domain", "31.9936"], "", 2, UNDERFLOW)
        for command in ("solve", "bvp", "sweep")},
-    "config-alpha": (["solve"], "alpha = 0.3\n", 2,
-                     "config error: the solver needs alpha in (1/2, 1), got 0.3"),
+    # alpha <= 1/2 fails L1 admissibility on every command (check reports it on stdout)
+    "config-alpha": (["solve"], "alpha = 0.3\n", 1,
+                     "hypothesis failure: L1-admissibility "
+                     "(the multiplier integral diverges for orders <= 1/2)"),
     "config-missing-selftest": (["ops-selftest"], None, 2, "config error: no such file {cfg!r}"),
     "weight": (["solve", "--lambda", "0.5"], "", 2,
                "config error: minimize needs lam >= the threshold 1.31966, got 0.5"),
@@ -205,6 +207,11 @@ HANDLER_ROWS = {
                 "hypothesis failure: W2-witness (no scale below delta makes the bump energy "
                 "negative (hypothesis W2 violated numerically))"),
     **{f"l1-l3-{command}": ([command], *L1_L3) for command in ("solve", "bvp", "sweep")},
+    # a rejected nonlinearity and an L1 failure: the config error comes first on every command
+    **{f"double-fault-{command}": ([command], "nu = 1.7\ndelta = 2\n" + L1_L3[0], 2,
+                                   "config error: nonlinearity 'power': "
+                                   "for nu > p the lower bound needs delta <= 1")
+       for command in ("check", "solve", "bvp", "sweep")},
     **{f"bound-{command}": ([command], *BOUND) for command in ("solve", "bvp", "sweep")},
     # the witness's scale estimate overflows too; the bound still ends the run
     "bound-1e250": (["solve"], "p = 1.95\nnu = 1.95\nxi_scale = 1e250\n", *BOUND[1:]),
@@ -212,6 +219,11 @@ HANDLER_ROWS = {
     "check-1e250": (["check"], "p = 1.95\nnu = 1.95\nxi_scale = 1e250\n", 2,
                     "config error: the least slack of W1-growth is -inf, not a finite double: "
                     "a constant of the config is too large"),
+    # check applies the grid rules before it samples W1-W2, as the other commands admit
+    **{f"grid-before-growth-{command}": (
+        [command, "--domain", "1"], "p = 1.95\nnu = 1.95\nxi_scale = 1e250\n", 2,
+        "config error: grid [-0.5, 0.5] must cover the well with margin >= 1 on each side "
+        "(grid_n = 4096, domain = 1)") for command in ("check", "solve")},
 }
 
 
@@ -338,8 +350,9 @@ class TestExitCodes:
         assert main(["sweep", "--config", cfg, "--out", out, "--lambdas", "2,20"]) == 2
 
     def test_low_alpha_rejected_for_solve(self, tmp_path):
+        # alpha <= 1/2 is L1-admissibility, as in check
         cfg = write(tmp_path, BASE + "alpha = 0.4\ngrid_n = 512\n")
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
     @pytest.mark.parametrize(
         "command,n,code",

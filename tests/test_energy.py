@@ -6,7 +6,9 @@ from scipy.linalg import solve_circulant
 from scipy.optimize import minimize_scalar
 
 from frachs import (
+    AdmissibilityError,
     BoundError,
+    HypothesisError,
     PotentialMatrix,
     Problem,
     ResolutionError,
@@ -1074,15 +1076,18 @@ class TestWitness:
         ref *= np.sign(ref[np.argmax(np.abs(ref))])
         assert self._axis(_symmetric_3x3_potential()) == pytest.approx(ref, abs=1e-14)
 
-    def test_core_between_two_samples_is_one_resolution_error(self):
-        # dt = 1/128 puts no sample in the closed core [0.001, 0.002]: the checks on the core,
-        # the restricted problem and the witness refuse it with the same line
+    def test_core_between_two_samples_is_one_resolution_error(self, prob):
+        # dt = 1/128 puts no sample in the closed core [0.001, 0.002]: the admission, the
+        # checks on the core, the restricted problem and the witness refuse it with the same
+        # line; the unresolved problem is built past the admission, on the default's constants
         core = (0.001, 0.002)
-        pot = vanishing_well_potential(core=core)
-        narrow = default_problem(potential=pot, nonlinearity=power_nonlinearity(core=core))
+        pot, nl = vanishing_well_potential(core=core), power_nonlinearity(core=core)
+        narrow = Problem(prob.order, prob.n_samples, prob.t_min, prob.dt, pot, nl, prob.lam,
+                         prob.constants)
         line = ("the core (0.001, 0.002) holds no grid sample (dt = 0.0078125): "
                 "the grid does not resolve the core")
         for call in (
+            lambda: default_problem(potential=pot, nonlinearity=nl),
             lambda: verify_potential(pot, narrow.times),
             lambda: verify_growth(narrow.nonlinearity, narrow.times, core),
             lambda: narrow.restricted(core),
@@ -1102,6 +1107,28 @@ class TestWitness:
         )
         with pytest.raises(WitnessError, match="W2"):
             negative_energy_witness(bad)
+
+
+class TestDefaultProblem:
+    @pytest.mark.parametrize("n_samples", [8, 16, 32])
+    def test_unresolved_core_is_the_core_rows_line(self, n_samples):
+        # verify_potential's core_rows comes before the sublevel measure
+        with pytest.raises(ResolutionError) as info:
+            default_problem(n_samples=n_samples)
+        assert str(info.value) == (
+            f"the core (0.0, 0.5) holds no grid sample (dt = {32 / n_samples:g}): "
+            "the grid does not resolve the core"
+        )
+
+    def test_l1_l3_failure_is_a_hypothesis_error(self):
+        with pytest.raises(HypothesisError) as info:
+            default_problem(n_samples=1024, potential=vanishing_well_potential(wall_steepness=1e300))
+        assert str(info.value) == "L1-envelope"
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    def test_low_order_is_inadmissible(self, alpha):
+        with pytest.raises(AdmissibilityError, match="diverges for orders <= 1/2"):
+            default_problem(alpha=alpha, n_samples=1024)
 
 
 class TestBump:

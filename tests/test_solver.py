@@ -154,6 +154,20 @@ class TestMinimize:
         with pytest.raises(DivergenceError, match="floor"):
             minimize(bad, cfg)
 
+    def test_floor_tolerance_is_relative(self):
+        # at xi_scale = 1e-4 the floor is about -7.06e-15: an absolute 1e-9 could never fail
+        solver._check_floor(-7.06e-15 * (1.0 - 1e-10), -7.06e-15)
+        with pytest.raises(DivergenceError, match="floor"):
+            solver._check_floor(-7.06e-15 * (1.0 + 1e-6), -7.06e-15)
+
+    def test_window_descends_like_solve_bvp(self, prob, cfg):
+        # minimize on the core's window scales the witness on the window's rows
+        window = minimize(prob.restricted(prob.potential.core), cfg)
+        bvp = solve_bvp(prob, cfg)
+        assert np.array_equal(window.u.values, bvp.u.values)
+        assert window.history == bvp.history
+        assert (window.energy, window.iterations) == (bvp.energy, bvp.iterations)
+
 
 class TestLineSearch:
     def test_rejects_step_that_leaves_energy_unchanged(self, prob):
