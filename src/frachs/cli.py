@@ -19,8 +19,10 @@ so large that a coercivity bound or the least slack of a hypothesis check is
 not a finite double, an unreadable config, an output path that is not a
 directory and an artifact that cannot be written), 3 solver non-convergence,
 4 flagged sweep row.  Every command reports a config error before a hypothesis
-failure, and ``check`` applies the grid rules before it samples W1-W2, in the
-order :func:`~frachs.energy.default_problem` admits the problem of the others.
+failure: ``check`` applies the grid rules before it samples W1-W2, in the order
+:func:`~frachs.energy.default_problem` admits the problem of the others, which
+also checks a given weight (``check`` takes none), and every descent computes
+its coercivity floor before it seeks the negative-energy witness.
 A hypothesis check fails (exit 1) by the one rule of
 :func:`~frachs.spaces.judge`: some slack below ``-1e-12`` times the magnitude
 its sample compares.  A failure is raised where it is found, and :func:`main`
@@ -336,6 +338,9 @@ def cmd_ops_selftest(cfg: ExperimentConfig) -> int:
     def record(name, err, tol):
         results.append((name, err, tol, err <= tol))
 
+    def relative_error(x, ref):  # sup |x - ref| / sup |ref|
+        return np.max(np.abs(x - ref)) / max(np.max(np.abs(ref)), 1e-300)
+
     u = random_band_limited(rng, n, t_min, dt, band_fraction=0.2)
 
     m = max(1, n // 16)
@@ -354,20 +359,11 @@ def cmd_ops_selftest(cfg: ExperimentConfig) -> int:
 
     dual = reflect(left_derivative(reflect(u), a))
     rdu = right_derivative(u, a)
-    record(
-        "reflection-duality",
-        np.max(np.abs(dual.values - rdu.values)) / max(np.max(np.abs(rdu.values)), 1e-300),
-        1e-10,
-    )
+    record("reflection-duality", relative_error(dual.values, rdu.values), 1e-10)
 
     two_step = right_derivative(left_derivative(u, a), a)
     one_step = riesz_composition(u, a)
-    record(
-        "symbol-product",
-        np.max(np.abs(two_step.values - one_step.values))
-        / max(np.max(np.abs(one_step.values)), 1e-300),
-        1e-10,
-    )
+    record("symbol-product", relative_error(two_step.values, one_step.values), 1e-10)
 
     sn = seminorm_alpha(u, a)
     record("parseval-seminorm", abs(sn - l2_norm(left_derivative(u, a))) / max(sn, 1e-300), 1e-10)
@@ -375,7 +371,7 @@ def cmd_ops_selftest(cfg: ExperimentConfig) -> int:
     w = random_band_limited(rng, n, t_min, dt, band_fraction=0.2)
     lin = left_derivative(u.with_values(2.0 * u.values + 3.0 * w.values), a)
     lin_ref = 2.0 * left_derivative(u, a).values + 3.0 * left_derivative(w, a).values
-    record("linearity", np.max(np.abs(lin.values - lin_ref)) / max(np.max(np.abs(lin_ref)), 1e-300), 1e-12)
+    record("linearity", relative_error(lin.values, lin_ref), 1e-12)
 
     gauss = signal_from_function(lambda t: np.exp(-(t**2)), n, t_min, dt)
     spec_d = left_derivative(gauss, a)
@@ -437,18 +433,15 @@ def main(argv=None) -> int:
         description="Fractional Hamiltonian systems: hypothesis checks, energy "
         "minimization and concentration sweeps.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("check", "solve", "bvp", "sweep", "ops-selftest"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to the INI config")
-        for flag, field, help_text in _OVERRIDE_FLAGS:
-            p.add_argument(flag, dest=field, help=help_text)
+    commands = {"check": cmd_check, "solve": cmd_solve, "bvp": cmd_bvp, "sweep": cmd_sweep}
+    parser.add_argument("command", choices=[*commands, "ops-selftest"])
+    parser.add_argument("--config", required=True, help="path to the INI config")
+    for flag, field, help_text in _OVERRIDE_FLAGS:
+        parser.add_argument(flag, dest=field, help=help_text)
     args = parser.parse_args(argv)
     overrides = {
         field: raw for _, field, _ in _OVERRIDE_FLAGS if (raw := getattr(args, field)) is not None
     }
-
-    commands = {"check": cmd_check, "solve": cmd_solve, "bvp": cmd_bvp, "sweep": cmd_sweep}
     try:
         cfg = parse_config(args.config, overrides)
         if args.command == "ops-selftest":

@@ -422,7 +422,8 @@ def default_problem(
     L1-L3 failure :class:`~frachs.spaces.HypothesisError`), then
     :func:`~frachs.spaces.compute_embedding_constants` (``alpha <= 1/2`` or
     ``C_alpha^2 |{l < k}| >= 1`` raises :class:`~frachs.spaces.AdmissibilityError`),
-    then the weight: ``lam``, or 10x the embedding threshold when it is None.
+    then the weight: ``lam`` (below the threshold :class:`~frachs.spaces.WeightError`),
+    or 10x the embedding threshold when it is None.
     """
     t_min, dt = midpoint_grid(n_samples, domain)
     order = FracOrder(alpha)
@@ -434,6 +435,7 @@ def default_problem(
     constants = compute_embedding_constants(pot, order, n_samples, t_min, dt)
     if lam is None:
         lam = 10.0 * constants.lambda_threshold
+    constants.require(lam, "the problem")
     return Problem(order, n_samples, t_min, dt, pot, nl, lam, constants)
 
 
@@ -490,9 +492,11 @@ def lower_bound_minimum(prob: Problem) -> tuple[float, float]:
     """Global minimum of the scalar bound r^2/2 - A r^p over r >= 0.
 
     Returns (r_star, value) with r_star = (p A)^(1/(2-p)) and
-    value = (1/2 - 1/p) r_star^2 < 0.  Either one, or A, not a finite double
-    raises :class:`~frachs.spaces.BoundError`.
+    value = (1/2 - 1/p) r_star^2 < 0.  It bounds ``I`` only at or above the weight
+    threshold (:class:`~frachs.spaces.WeightError` below it); either value, or A,
+    not a finite double raises :class:`~frachs.spaces.BoundError`.
     """
+    prob.constants.require(prob.lam, "the coercivity floor")
     p = prob.nonlinearity.p
     coeff = prob.coercivity
     if coeff == 0.0:

@@ -36,7 +36,9 @@ Descent starts from the negative-energy witness
 caller's start (the sweep from the restricted solution, whose energy is
 ``c_tilde``): the energy is negative from the first iterate on, so the
 trivial critical point u = 0 is unreachable, and every unflagged sweep row
-has ``c_lambda <= c_tilde <= I(witness) < 0``.  A problem without a witness has no such start; its
+has ``c_lambda <= c_tilde <= I(witness) < 0``.  The witness is sought after the
+coercivity floor, so a weight or bound the floor rejects is reported first; a
+problem without a witness has no start, its
 :class:`~frachs.energy.WitnessError` propagates, and nothing is solved.
 The witness lies along the soft axis of the wall just outside the core (the
 eigenvector of the smallest eigenvalue of ``L`` there), which the tails of a
@@ -213,14 +215,20 @@ def _truncated_cg(prob, hess, g, rel_tol, work):
     return d
 
 
-def _descend(prob, cfg, start_vals) -> SolveResult:
+def _descend(prob, cfg, start_vals=None) -> SolveResult:
     """Truncated Newton-CG from ``start_vals``; stops when the line search rejects the direction.
 
-    On a :meth:`~frachs.energy.Problem.restricted` window the iterates live
-    on the window, and the result's ``u`` is zero-extended onto the whole
-    line.  Every array the loop writes is in one :class:`_Work`.
+    Every descent is set up here: the coercivity floor first, then without
+    ``start_vals`` the scaled witness on ``prob``'s own rows, the whole line or
+    a :meth:`~frachs.energy.Problem.restricted` window, where the iterates live;
+    the result's ``u`` is zero-extended onto the whole line.  Every array the
+    loop writes is in one :class:`_Work`.
     """
     floor = lower_bound_minimum(prob)[1]
+    if start_vals is None:
+        u0, s = negative_energy_witness(prob)
+        start_vals = s * u0.values[prob.rows or slice(None)]
+        del u0  # the whole-line witness is not kept through the descent
     work = _Work(prob, start_vals)
     del start_vals  # the work holds its copy, so a caller's temporary start is freed here
     f = prob._energy(work.vals, work.kernels)
@@ -257,35 +265,28 @@ def _descend(prob, cfg, start_vals) -> SolveResult:
     )
 
 
-def _witness_start(prob: Problem) -> np.ndarray:
-    """The scaled negative-energy witness on ``prob``'s own rows, the whole line or a window."""
-    u0, s = negative_energy_witness(prob)
-    return s * u0.values[prob.rows or slice(None)]
-
-
 def minimize(prob: Problem, cfg: SolverConfig) -> SolveResult:
     """Descend the energy of ``prob``, the whole line or a window, from the negative-energy witness.
 
-    A problem with no witness raises :class:`~frachs.energy.WitnessError`, and a
-    weight below the embedding threshold, where the coercivity floor does not
-    apply, :class:`~frachs.spaces.WeightError`.  The returned history is strictly
-    decreasing in energy; ``converged`` means the L2 gradient norm reached ``grad_tol``.
+    The floor comes first: a weight below the threshold raises
+    :class:`~frachs.spaces.WeightError`, a floor that is not a finite double
+    :class:`~frachs.spaces.BoundError`; then a problem with no witness raises
+    :class:`~frachs.energy.WitnessError`.  The returned history is strictly decreasing
+    in energy; ``converged`` means the L2 gradient norm reached ``grad_tol``.
     """
-    prob.constants.require(prob.lam, "minimize")
-    return _descend(prob, cfg, _witness_start(prob))
+    return _descend(prob, cfg)
 
 
 def solve_bvp(prob: Problem, cfg: SolverConfig) -> SolveResult:
     """Minimize the functional restricted to signals vanishing outside the core.
 
-    It is :func:`minimize` on the core's window ``prob.restricted(core)`` (the core
-    may sit anywhere inside the well), whose transforms have its circulant's length,
-    not N, and whose preconditioner is its one unshifted kinetic block; the result
-    is zero-extended, so the Dirichlet values outside the open core are exact zeros.
+    It is the descent of :func:`minimize`, floor before witness, on the core's window
+    ``prob.restricted(core)`` (the core may sit anywhere inside the well), whose
+    transforms have its circulant's length, not N, and whose preconditioner is its one
+    unshifted kinetic block; the result is zero-extended, so the Dirichlet values
+    outside the open core are exact zeros.
     """
-    prob.constants.require(prob.lam, "solve_bvp")
-    window = prob.restricted(prob.potential.core)
-    return _descend(window, cfg, _witness_start(window))
+    return _descend(prob.restricted(prob.potential.core), cfg)
 
 
 def uniform_bound_constant(prob: Problem) -> float:
@@ -382,16 +383,14 @@ def concentration_sweep(prob: Problem, lambdas, cfg: SolverConfig) -> SweepRepor
     ordering is checked and flagged, not repaired.  ``c_tilde`` is the
     whole-line energy of ``u_tilde``, the level the first row starts from;
     the window descent reached it up to rounding (``bvp.energy``).  It is at
-    most the witness energy, which is negative;
-    without a witness the restricted solve raises
-    :class:`~frachs.energy.WitnessError` and no row is computed.  A ladder of
-    fewer than 3 weights, out of order or starting below the threshold raises
-    :class:`~frachs.spaces.WeightError` before any solve.
+    most the witness energy, which is negative.  A ladder of fewer than 3 weights
+    or out of order raises :class:`~frachs.spaces.WeightError` before any solve; the
+    restricted solve at ``lambdas[0]`` reaches its floor (``WeightError`` below the
+    threshold) before its witness (:class:`~frachs.energy.WitnessError`), so no row is computed.
     """
     lambdas = [float(x) for x in lambdas]
     if len(lambdas) < 3 or any(b < a for a, b in zip(lambdas, lambdas[1:])):
         raise WeightError(f"the sweep needs at least 3 ascending weights, got {lambdas}")
-    prob.constants.require(lambdas[0], "the sweep's lowest weight")
 
     bvp = solve_bvp(prob.with_lam(lambdas[0]), cfg)
     c_tilde = prob.energy(bvp.u.values)  # lam L u_tilde is exactly 0: the same bits at every weight

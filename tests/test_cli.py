@@ -183,6 +183,7 @@ L1_L3 = ("wall_steepness = 1e300\n", 1, "hypothesis failure: L1-envelope")
 BOUND = ("p = 1.95\nnu = 1.95\nxi_scale = 1e8\n", 2,
          "config error: the coercivity constant A is inf, not a finite double: "
          "xi_scale or p is too large")
+WEIGHT = "config error: the problem needs lam >= the threshold 1.31966, got 0.5"
 # the one line of a grid with no sample strictly inside the core (0, 0.5), for every command
 UNRESOLVED = ("config error: the core (0.0, 0.5) holds no grid sample (dt = {dt:g}): "
               "the grid does not resolve the core (grid_n = {n}, domain = 32)")
@@ -198,8 +199,9 @@ HANDLER_ROWS = {
                      "hypothesis failure: L1-admissibility "
                      "(the multiplier integral diverges for orders <= 1/2)"),
     "config-missing-selftest": (["ops-selftest"], None, 2, "config error: no such file {cfg!r}"),
-    "weight": (["solve", "--lambda", "0.5"], "", 2,
-               "config error: minimize needs lam >= the threshold 1.31966, got 0.5"),
+    # admission checks a given weight, so every command that takes one prints this line
+    **{f"weight{suffix}": ([command, "--lambda", "0.5"], "", 2, WEIGHT)
+       for command, suffix in (("solve", ""), ("bvp", "-bvp"), ("sweep", "-sweep"))},
     "admissibility": (["solve"], "alpha = 0.51\n", 1,
                       "hypothesis failure: L1-admissibility "
                       "(L1 admissibility fails: C_alpha^2 * |{{l<k}}| = 17.418586 >= 1)"),
@@ -213,6 +215,10 @@ HANDLER_ROWS = {
                                    "for nu > p the lower bound needs delta <= 1")
        for command in ("check", "solve", "bvp", "sweep")},
     **{f"bound-{command}": ([command], *BOUND) for command in ("solve", "bvp", "sweep")},
+    # every descent computes the coercivity floor before it seeks the witness
+    **{f"overflow-no-witness-{command}": (
+        [command], BOUND[0] + "nonlinearity = power-regularized\neps = 1e120\n", *BOUND[1:])
+       for command in ("solve", "bvp", "sweep")},
     # the witness's scale estimate overflows too; the bound still ends the run
     "bound-1e250": (["solve"], "p = 1.95\nnu = 1.95\nxi_scale = 1e250\n", *BOUND[1:]),
     # check computes no coercivity bound, but its growth sampling overflows

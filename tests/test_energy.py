@@ -14,6 +14,7 @@ from frachs import (
     ResolutionError,
     SampledSignal,
     SolverConfig,
+    WeightError,
     WitnessError,
     default_problem,
     directional_derivative,
@@ -969,6 +970,12 @@ class TestLowerBound:
         with pytest.raises(ValueError, match="lam"):
             lower_bound(zero_signal(low), low)
 
+    def test_minimum_below_threshold_rejected(self, prob):
+        # the floor bounds I only at or above the threshold, as lower_bound does
+        low = prob.with_lam(0.5 * prob.constants.lambda_threshold)
+        with pytest.raises(WeightError, match="the coercivity floor needs lam >= the threshold"):
+            lower_bound_minimum(low)
+
     def test_coercivity_beyond_bound_minimizer(self, prob, rng):
         # past the scalar bound's positive root every signal has positive energy
         r_star, _ = lower_bound_minimum(prob)
@@ -1124,6 +1131,12 @@ class TestDefaultProblem:
         with pytest.raises(HypothesisError) as info:
             default_problem(n_samples=1024, potential=vanishing_well_potential(wall_steepness=1e300))
         assert str(info.value) == "L1-envelope"
+
+    def test_weight_below_threshold_is_a_weight_error(self, prob):
+        thr = prob.constants.lambda_threshold
+        with pytest.raises(WeightError) as info:
+            default_problem(lam=0.5 * thr)
+        assert str(info.value) == f"the problem needs lam >= the threshold {thr:.6g}, got {0.5 * thr:.6g}"
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5])
     def test_low_order_is_inadmissible(self, alpha):

@@ -344,6 +344,21 @@ class TestWitnessStart:
         with pytest.raises(WitnessError, match="W2"):
             run(_with_nonlinearity(prob, nl), cfg)
 
+    @pytest.mark.parametrize(
+        "run", [minimize, solve_bvp, _short_sweep], ids=["minimize", "solve_bvp", "sweep"]
+    )
+    def test_floor_before_witness(self, prob, cfg, run):
+        # A overflows and eps = 1e120 leaves no witness: the bound is reported, not W2
+        nl = power_nonlinearity(p=1.95, nu=1.95, xi_scale=1e8, eps=1e120)
+        with pytest.raises(BoundError, match="the coercivity constant A is inf"):
+            run(_with_nonlinearity(prob, nl), cfg)
+
+    @pytest.mark.parametrize("run", [minimize, solve_bvp], ids=["minimize", "solve_bvp"])
+    def test_weight_before_witness(self, prob, cfg, run):
+        low = _with_nonlinearity(prob, power_nonlinearity(eps=0.3))
+        with pytest.raises(WeightError, match="the coercivity floor needs lam >= the threshold"):
+            run(low.with_lam(0.5 * prob.constants.lambda_threshold), cfg)
+
     def test_rotated_minimize_starts_on_the_soft_axis(self, prob, cfg):
         # from e1 the descent spends Newton steps turning onto the soft axis:
         # 81 Hessian actions at N = 4096, against 32 on the axis and 32 on the scalar preset
