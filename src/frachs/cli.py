@@ -11,18 +11,18 @@ ops-selftest validate the spectral operators on the configured grid
 Exit codes: 0 success, 1 hypothesis/selftest failure (including alpha <= 1/2,
 L1-admissibility on every command, and solve, bvp or sweep on a problem
 without a negative-energy witness, which writes no artifacts), 2 config error
-(including a grid with no sample strictly inside the core, the one rule of
-:func:`~frachs.spaces.core_rows`, a domain too short to cover the well or the
+(including a grid with no core sample where the witness's bump is positive, the
+rule of :func:`~frachs.spaces.core_rows`, a domain too short to cover the well or the
 sublevel set, a weight below the threshold, a sweep ladder without at least 3
 ascending weights, nonlinearity constants the power family rejects, constants
 so large that a coercivity bound or the least slack of a hypothesis check is
 not a finite double, an unreadable config, an output path that is not a
 directory and an artifact that cannot be written), 3 solver non-convergence,
-4 flagged sweep row.  Every command reports a config error before a hypothesis
-failure: ``check`` applies the grid rules before it samples W1-W2, in the order
-:func:`~frachs.energy.default_problem` admits the problem of the others, which
-also checks a given weight (``check`` takes none), and every descent computes
-its coercivity floor before it seeks the negative-energy witness.
+4 flagged sweep row.  Every command reports a config error before a hypothesis failure:
+:func:`~frachs.spaces.verify_potential` applies the grid rules (the well's margin, ``core_rows``,
+``l >= k`` at the grid's ends) first, and ``check`` runs it before it samples W1-W2, in the
+order :func:`~frachs.energy.default_problem` admits the others' problem, which also checks a
+given weight (``check`` takes none); every descent computes its floor before it seeks the witness.
 A hypothesis check fails (exit 1) by the one rule of
 :func:`~frachs.spaces.judge`: some slack below ``-1e-12`` times the magnitude
 its sample compares.  A failure is raised where it is found, and :func:`main`

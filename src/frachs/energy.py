@@ -33,11 +33,11 @@ from .spaces import (
     EmbeddingConstants,
     HypothesisError,
     PotentialMatrix,
-    ResolutionError,
     _smallest_eigenvector,
     compute_embedding_constants,
     core_rows,
     finite_bound,
+    smooth_bump,
     vanishing_well_potential,
     verify_potential,
 )
@@ -50,7 +50,6 @@ __all__ = [
     "gradient",
     "lower_bound",
     "lower_bound_minimum",
-    "smooth_bump",
     "negative_energy_witness",
     "WitnessError",
 ]
@@ -417,8 +416,8 @@ def default_problem(
     boundaries fall between samples.  The core endpoints 0 and 0.5 do so
     once ``dt < 1/2``; at ``dt = 1`` (N = 32 on the default domain) 0.5 is a
     sample.  Every problem, the CLI's too, is admitted here, in this order:
-    :func:`~frachs.spaces.verify_potential` on the grid (a grid short of the
-    well's margin or without a core sample raises :class:`ResolutionError`, an
+    :func:`~frachs.spaces.verify_potential` on the grid (its grid rules, the well's margin,
+    ``core_rows`` and ``l >= k`` at the ends, raise :class:`~frachs.spaces.ResolutionError`, an
     L1-L3 failure :class:`~frachs.spaces.HypothesisError`), then
     :func:`~frachs.spaces.compute_embedding_constants` (``alpha <= 1/2`` or
     ``C_alpha^2 |{l < k}| >= 1`` raises :class:`~frachs.spaces.AdmissibilityError`),
@@ -505,20 +504,6 @@ def lower_bound_minimum(prob: Problem) -> tuple[float, float]:
     return r_star, finite_bound("the coercivity floor", lambda: (0.5 - 1.0 / p) * r_star**2)
 
 
-def smooth_bump(times: np.ndarray, interval: tuple[float, float]) -> np.ndarray:
-    """Canonical C-infinity bump on an interval, normalized to unit grid peak."""
-    lo, hi = interval
-    center, radius = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    s = (times - center) / radius
-    out = np.zeros_like(times)
-    inside = np.abs(s) < 1.0
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
-    peak = np.max(out)
-    if peak > 0:
-        out /= peak
-    return out
-
-
 def negative_energy_witness(prob: Problem) -> tuple[SampledSignal, float]:
     """Bump supported in the core and a scale s with I(s * bump) < 0.
 
@@ -536,9 +521,9 @@ def negative_energy_witness(prob: Problem) -> tuple[SampledSignal, float]:
         s <= (2 eta int |u0|^nu dt / ||u0||_lam^2)^(1/(2-nu)),
 
     halving until the evaluated energy is negative.  Failure down to 1e-8
-    signals that the W2 lower bound does not hold numerically.  A core without
-    samples (:func:`~frachs.spaces.core_rows`), or whose samples all sit where
-    the bump underflows to 0, raises :class:`ResolutionError`.
+    signals that the W2 lower bound does not hold numerically.  It calls
+    :func:`~frachs.spaces.core_rows` first, which raises for a core without a
+    sample where the bump is positive; an admitted problem's core has one.
     """
     nl, line, core = prob.nonlinearity, prob.line or prob, prob.potential.core
     rows = core_rows(line.times, core)
@@ -546,9 +531,6 @@ def negative_energy_witness(prob: Problem) -> tuple[SampledSignal, float]:
     wall = np.take(line.matrix_entries, [rows.start - 1, rows.stop], axis=2, mode="wrap").sum(axis=2)
     axis = _smallest_eigenvector(wall[None])[0]
     values = np.outer(smooth_bump(prob.times, core), axis) + 0.0  # no -0.0
-    if not np.any(values):
-        raise ResolutionError(f"the bump on the core {core} vanishes at every core sample "
-                              f"(dt = {prob.dt:.6g}): the grid does not resolve the core")
     norm_sq = prob.form(values, values)
     mass_nu = float(prob.dt * np.sum(np.sqrt(pointwise_dot(values, values)) ** nl.nu))
     try:

@@ -20,9 +20,9 @@ every slack is at least ``-CHECK_RTOL = -1e-12`` times the magnitude of the
 quantities that sample compares, so rounding at any scale is no failure; its
 ``worst_margin`` is the least slack and its ``location`` the first sample
 that reaches it.  A least slack that is not finite, an overflow in the
-sampling, raises :class:`BoundError` (exit 2 in the CLI) instead.  A grid
-resolves the core when a sample lies strictly inside it, the one rule of
-:func:`core_rows`, which L3, W2, the restricted problem and the witness ask.
+sampling, raises :class:`BoundError` (exit 2 in the CLI) instead.  The grid
+rules (the well's margin, :func:`core_rows`, ``l >= k`` at the grid's ends)
+all run in :func:`verify_potential`, before it judges anything.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ __all__ = [
     "AdmissibilityError",
     "HypothesisError",
     "ResolutionError",
+    "smooth_bump",
     "core_rows",
     "WeightError",
     "BoundError",
@@ -77,13 +78,30 @@ class ResolutionError(Exception):
     """The grid does not resolve or cover a set the problem needs (too coarse or too short)."""
 
 
+def smooth_bump(times: np.ndarray, interval: tuple[float, float]) -> np.ndarray:
+    """Canonical C-infinity bump on an interval, normalized to unit grid peak."""
+    lo, hi = interval
+    center, radius = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    s = (times - center) / radius
+    out = np.zeros_like(times)
+    inside = np.abs(s) < 1.0
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
+    peak = np.max(out)
+    if peak > 0:
+        out /= peak
+    return out
+
+
 def core_rows(times: np.ndarray, core: tuple[float, float]) -> slice:
-    """The rows of the ascending grid ``times`` strictly inside the open ``core``, where the
-    restricted problem lives; none means the grid does not resolve the core (:class:`ResolutionError`)."""
+    """The rows of the ascending grid ``times`` strictly inside the open ``core``; none, or none
+    where :func:`smooth_bump` is positive, means the grid does not resolve it (:class:`ResolutionError`)."""
     start, stop = np.searchsorted(times, core[0], side="right"), np.searchsorted(times, core[1])
     if stop <= start:
         raise ResolutionError(f"the core {core} holds no grid sample (dt = {times[1] - times[0]:.6g}): "
                               "the grid does not resolve the core")
+    if not np.any(smooth_bump(times[start:stop], core)):
+        raise ResolutionError(f"the bump on the core {core} vanishes at every core sample "
+                              f"(dt = {times[1] - times[0]:.6g}): the grid does not resolve the core")
     return slice(int(start), int(stop))
 
 
@@ -175,10 +193,12 @@ def vanishing_well_potential(
     """
 
     def envelope(t):
-        return np.minimum(1.0, _dist_to_interval(t, *well) ** 2 / envelope_steepness)
+        with np.errstate(over="ignore"):  # the quotient may overflow; the cap is exact
+            return np.minimum(1.0, _dist_to_interval(t, *well) ** 2 / envelope_steepness)
 
     def matrix(t):
-        wall = np.minimum(wall_height, _dist_to_interval(t, *core) ** 2 / wall_steepness)
+        with np.errstate(over="ignore"):
+            wall = np.minimum(wall_height, _dist_to_interval(t, *core) ** 2 / wall_steepness)
         return wall[:, None, None]
 
     return PotentialMatrix(1, matrix, envelope, threshold, well, core)
@@ -314,9 +334,9 @@ def verify_potential(potential: PotentialMatrix, times: np.ndarray) -> CheckRepo
     set (L2) and the vanishing of the matrix on the closed core (L3).  The
     envelope bound is exact: the smallest eigenvalue of ``L(t)``
     (:func:`_smallest_eigenvalue`) is ``min (L(t)x, x)`` over unit ``x``.
-    Each check but L2 is judged by :func:`judge`.  Failures are reported as
-    data, not raised; a grid that does not cover the well with a margin of
-    one well width on each side, or fails :func:`core_rows`, raises :class:`ResolutionError`.
+    Each check but L2 is judged by :func:`judge`.  Failures are reported as data, not raised.
+    First the grid rules raise :class:`ResolutionError`, in this order: the well's margin (one
+    well width on each side), :func:`core_rows`, and ``l >= k`` at both grid ends.
     """
     times = np.asarray(times, dtype=float)
     a, b = potential.well
@@ -329,6 +349,12 @@ def verify_potential(potential: PotentialMatrix, times: np.ndarray) -> CheckRepo
     core_rows(times, potential.core)
     with np.errstate(over="ignore", invalid="ignore"):
         L, l_env = potential.matrix_at(times), potential.envelope_at(times)
+        k = potential.threshold
+        if l_env[0] < k or l_env[-1] < k:
+            raise ResolutionError(
+                "sublevel set {l < k} touches the grid boundary; enlarge the domain "
+                f"(l = {l_env[0]:.3g} / {l_env[-1]:.3g} at the ends, k = {k})"
+            )
         sym_err = np.max(np.abs(L - np.transpose(L, (0, 2, 1))), axis=(1, 2))
         size = np.max(np.abs(L), axis=(1, 2))
         checks = [
@@ -363,18 +389,12 @@ def verify_potential(potential: PotentialMatrix, times: np.ndarray) -> CheckRepo
 def measure_sublevel(potential: PotentialMatrix, times: np.ndarray, dt: float) -> float:
     """Lebesgue measure of {l < k}, approximated by dt times the grid count.
 
-    Exact for unions of intervals up to one dt per boundary.  The envelope
-    must have risen to >= k at both grid ends, otherwise the truncation is too
-    small to capture the sublevel set and :class:`ResolutionError` is raised.
+    Exact for unions of intervals up to one dt per boundary.  It runs on a
+    grid that :func:`verify_potential` has admitted, so ``l >= k`` at both
+    ends and the sublevel set lies inside the grid; it only measures.
     """
     l_env = potential.envelope_at(np.asarray(times, dtype=float))
-    k = potential.threshold
-    if l_env[0] < k or l_env[-1] < k:
-        raise ResolutionError(
-            "sublevel set {l < k} touches the grid boundary; enlarge the domain "
-            f"(l = {l_env[0]:.3g} / {l_env[-1]:.3g} at the ends, k = {k})"
-        )
-    return float(dt * np.count_nonzero(l_env < k))
+    return float(dt * np.count_nonzero(l_env < potential.threshold))
 
 
 def continuum_sobolev_constant(a: FracOrder) -> float:

@@ -187,13 +187,23 @@ WEIGHT = "config error: the problem needs lam >= the threshold 1.31966, got 0.5"
 # the one line of a grid with no sample strictly inside the core (0, 0.5), for every command
 UNRESOLVED = ("config error: the core (0.0, 0.5) holds no grid sample (dt = {dt:g}): "
               "the grid does not resolve the core (grid_n = {n}, domain = 32)")
-# one core sample, at t = 0.4999, where the bump underflows to 0
-UNDERFLOW = ("config error: the bump on the core (0.0, 0.5) vanishes at every core sample "
-             "(dt = 0.9998): the grid does not resolve the core (grid_n = 32, domain = 31.9936)")
+SUBLEVEL = ("config error: sublevel set {{l < k}} touches the grid boundary; enlarge the domain "
+            "(l = 0.248 / 0.232 at the ends, k = 0.9) (grid_n = 4096, domain = 32)")
+# grid rules that each command applies before any hypothesis: (flags, config lines, line)
+GRID_RULES = {
+    # one core sample, at t = 0.4999, where the bump underflows to 0
+    "underflow": (["--grid-n", "32", "--domain", "31.9936"], "",
+                  "config error: the bump on the core (0.0, 0.5) vanishes at every core sample "
+                  "(dt = 0.9998): the grid does not resolve the core (grid_n = 32, domain = 31.9936)"),
+    # the sublevel set reaches the grid's ends, and L1-envelope or the alpha rule fails as well
+    "sublevel-l1": ([], "wall_steepness = 1e300\nenvelope_steepness = 1000\n", SUBLEVEL),
+    "sublevel-alpha": ([], "alpha = 0.3\nenvelope_steepness = 1000\n", SUBLEVEL),
+}
 HANDLER_ROWS = {
     "resolution": (["solve", "--grid-n", "16"], "", 2, UNRESOLVED.format(dt=2, n=16)),
-    **{f"underflow-{command}": ([command, "--grid-n", "32", "--domain", "31.9936"], "", 2, UNDERFLOW)
-       for command in ("solve", "bvp", "sweep")},
+    **{f"{rule}-{command}": ([command, *flags], lines, 2, line)
+       for rule, (flags, lines, line) in GRID_RULES.items()
+       for command in ("check", "solve", "bvp", "sweep")},
     # alpha <= 1/2 fails L1 admissibility on every command (check reports it on stdout)
     "config-alpha": (["solve"], "alpha = 0.3\n", 1,
                      "hypothesis failure: L1-admissibility "

@@ -1119,7 +1119,7 @@ class TestWitness:
 class TestDefaultProblem:
     @pytest.mark.parametrize("n_samples", [8, 16, 32])
     def test_unresolved_core_is_the_core_rows_line(self, n_samples):
-        # verify_potential's core_rows comes before the sublevel measure
+        # verify_potential's core_rows comes before the sublevel rule
         with pytest.raises(ResolutionError) as info:
             default_problem(n_samples=n_samples)
         assert str(info.value) == (
@@ -1131,6 +1131,12 @@ class TestDefaultProblem:
         with pytest.raises(HypothesisError) as info:
             default_problem(n_samples=1024, potential=vanishing_well_potential(wall_steepness=1e300))
         assert str(info.value) == "L1-envelope"
+
+    def test_sublevel_rule_before_l1_l3(self):
+        # the sublevel set reaches the grid's ends, and L1-envelope fails as well
+        pot = vanishing_well_potential(wall_steepness=1e300, envelope_steepness=1000.0)
+        with pytest.raises(ResolutionError, match="touches the grid boundary"):
+            default_problem(potential=pot)
 
     def test_weight_below_threshold_is_a_weight_error(self, prob):
         thr = prob.constants.lambda_threshold

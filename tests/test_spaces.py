@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from frachs.spaces import (
     WeightError,
     _smallest_eigenvalue,
     _smallest_eigenvector,
+    core_rows,
     finite_bound,
     judge,
 )
@@ -186,6 +189,22 @@ class TestVerifyPotential:
         with pytest.raises(ResolutionError, match="margin"):
             verify_potential(wide, TIMES)
 
+    def test_sublevel_set_touching_the_boundary_rejected(self):
+        # a grid rule, so it is raised before any hypothesis is judged
+        flat = vanishing_well_potential(envelope_steepness=400.0)
+        with pytest.raises(ResolutionError, match="boundary"):
+            verify_potential(flat, TIMES)
+
+    @pytest.mark.parametrize("steepness", ["envelope_steepness", "wall_steepness"])
+    def test_steep_preset_evaluates_without_a_warning(self, steepness):
+        # dist^2 / 1e-307 overflows to inf far from the well; the cap is still exact
+        pot = vanishing_well_potential(**{steepness: 1e-307})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            envelope, matrix = pot.envelope_at(TIMES), pot.matrix_at(TIMES)
+        assert envelope[0] == envelope[-1] == 1.0
+        assert matrix[0, 0, 0] == matrix[-1, 0, 0] == 30.0
+
     def test_antisymmetric_perturbation_fails_symmetry(self):
         base = rotated_well_potential()
 
@@ -283,6 +302,16 @@ class TestVerifyPotential:
         assert "L3-vanishing" in report.failed_names()
 
 
+class TestCoreRows:
+    def test_underflowing_bump_is_unresolved(self):
+        # one core sample, at t = 0.4999, where the bump underflows to 0
+        t_min, dt = midpoint_grid(32, 31.9936)
+        with pytest.raises(ResolutionError) as info:
+            core_rows(t_min + dt * np.arange(32), (0.0, 0.5))
+        assert str(info.value) == ("the bump on the core (0.0, 0.5) vanishes at every core sample "
+                                   "(dt = 0.9998): the grid does not resolve the core")
+
+
 class TestMeasureSublevel:
     def test_matches_closed_form(self):
         # {l < k} = well widened by sqrt(k * steepness) on each side
@@ -308,11 +337,6 @@ class TestMeasureSublevel:
         times2 = (T_MIN - DT / 4) + (DT / 2) * np.arange(2 * N_DEFAULT)
         m2 = measure_sublevel(pot, times2, DT / 2)
         assert abs(m1 - m2) <= 2 * DT
-
-    def test_boundary_touching_rejected(self):
-        flat = vanishing_well_potential(envelope_steepness=400.0)
-        with pytest.raises(ResolutionError, match="boundary"):
-            measure_sublevel(flat, TIMES, DT)
 
 
 class TestSobolevConstant:
