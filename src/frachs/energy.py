@@ -128,7 +128,7 @@ class Problem:
     ``_precondition_into``, ``_grad_into``, ``_hessian_into``, ``_energy``)
     that writes its result into a given ``out`` array and every intermediate
     into a :class:`_Scratch`.  The solver allocates those arrays once per
-    descent (``solver._Work``), so a CG iteration allocates no ``(N, n)``
+    descent (``solver._Descent``), so a CG iteration allocates no ``(N, n)``
     array; the public methods pass a fresh output and scratch per call, so
     they return fresh arrays.  ``Problem`` holds only read-only arrays: it
     stays immutable and safe to share between threads.
@@ -491,15 +491,14 @@ def lower_bound_minimum(prob: Problem) -> tuple[float, float]:
     """Global minimum of the scalar bound r^2/2 - A r^p over r >= 0.
 
     Returns (r_star, value) with r_star = (p A)^(1/(2-p)) and
-    value = (1/2 - 1/p) r_star^2 < 0.  It bounds ``I`` only at or above the weight
-    threshold (:class:`~frachs.spaces.WeightError` below it); either value, or A,
-    not a finite double raises :class:`~frachs.spaces.BoundError`.
+    value = (1/2 - 1/p) r_star^2 < 0, or (0, -0.0) when A = 0.  It bounds ``I``
+    only at or above the weight threshold (:class:`~frachs.spaces.WeightError`
+    below it); either value, or A, not a finite double raises
+    :class:`~frachs.spaces.BoundError`.
     """
     prob.constants.require(prob.lam, "the coercivity floor")
     p = prob.nonlinearity.p
     coeff = prob.coercivity
-    if coeff == 0.0:
-        return 0.0, 0.0
     r_star = finite_bound("r* = (p A)^(1/(2-p))", lambda: (p * coeff) ** (1.0 / (2.0 - p)))
     return r_star, finite_bound("the coercivity floor", lambda: (0.5 - 1.0 / p) * r_star**2)
 

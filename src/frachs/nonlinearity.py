@@ -109,7 +109,10 @@ def power_nonlinearity(
 
     def density(t, u):
         mag2 = pointwise_dot(u, u) + eps**2
-        return xi(t) * (mag2 ** (p / 2.0) - eps**p) / p
+        w = xi(t) * (mag2 ** (p / 2.0) - eps**p) / p
+        if eps > 0.0:  # the two powers of eps round apart: u = 0 gets exactly 0
+            w[pointwise_dot(u, u) == 0.0] = 0.0
+        return w
 
     def gradient(t, u):
         # the (p-2)/2 power is singular at mag2 = 0 (only for eps = 0): u = 0 gets 0 there

@@ -14,7 +14,7 @@ preconditioned steepest-descent direction ``precondition(-g)``).  The pointwise
 coefficients of ``W''(u)`` (``Nonlinearity.hessian_at``) are formed once per
 Newton step, so a CG iteration costs one ``Problem.apply`` and a few array
 products, all written into work arrays allocated once per descent
-(:class:`_Work`).  CG is preconditioned by ``Problem.precondition``, the two-region
+(:class:`_Descent`).  CG is preconditioned by ``Problem.precondition``, the two-region
 additive Schwarz inverse built from the operator's own blocks: the kinetic
 block ``c + |w|^(2a)`` on the whole line, its shift ``c = Problem.shift``
 lifting it to the mean wall level over the samples the descent may move,
@@ -124,33 +124,6 @@ class SolveResult:
     stop_reason: str = _column()
 
 
-class _Work:
-    """The arrays one descent writes, allocated once per descent.
-
-    ``vals`` and ``cand`` hold the iterate and the line search's candidate
-    (they swap on every accepted step), ``g`` the gradient, ``d``, ``r``,
-    ``z``, ``p`` and ``hp`` the CG vectors, and ``kernels`` the
-    intermediates of the ``Problem`` kernels.  Outside the line search
-    ``cand`` is free, and it holds the products of the inner products and
-    the CG updates.
-    """
-
-    def __init__(self, prob: Problem, start_vals: np.ndarray):
-        self.vals = np.array(start_vals, dtype=float)
-        self.cand, self.g, self.d, self.r, self.z, self.p, self.hp = (
-            np.empty_like(self.vals) for _ in range(7)
-        )
-        self.kernels = prob._scratch()
-
-
-def _inner(prob: Problem, x: np.ndarray, y: np.ndarray, tmp: np.ndarray) -> float:
-    return float(prob.dt * np.sum(np.multiply(x, y, out=tmp)))
-
-
-def _norm(prob: Problem, x: np.ndarray, tmp: np.ndarray) -> float:
-    return float(np.sqrt(prob.dt * np.sum(np.square(x, out=tmp))))
-
-
 def _check_floor(energy: float, floor: float):
     if energy < floor - 1e-9 * abs(floor):
         raise DivergenceError(
@@ -159,106 +132,125 @@ def _check_floor(energy: float, floor: float):
         )
 
 
-def _backtrack(prob, vals, f, g, d, cand, kernels):
-    """Armijo backtracking from unit step, written into ``cand``; returns its energy or None.
+class _Descent:
+    """One descent's floor, the arrays it writes, allocated once, and the steps that write them.
 
-    A step is accepted only if it strictly lowers the energy: once the slope
-    is below the rounding of ``f`` the Armijo test alone reads ``f_new <= f``
-    and would accept a step that leaves the energy unchanged.
+    Set up in one order: the coercivity floor first, then without
+    ``start_vals`` the scaled witness on ``prob``'s own rows, the whole line or
+    a :meth:`~frachs.energy.Problem.restricted` window, released before the
+    arrays are.  ``vals`` and ``cand`` hold the iterate and the line search's
+    candidate (they swap on every accepted step), ``g`` the gradient, ``d``,
+    ``r``, ``z``, ``p`` and ``hp`` the CG vectors, and ``kernels`` the
+    ``Problem`` kernels' intermediates.  ``cand`` is free outside
+    :meth:`backtrack`: the other methods write their products there.
     """
-    slope = _inner(prob, g, d, cand)
-    if slope >= 0.0:
+
+    def __init__(self, prob: Problem, start_vals: np.ndarray | None = None):
+        self.prob = prob
+        self.floor = lower_bound_minimum(prob)[1]
+        if start_vals is None:
+            u0, s = negative_energy_witness(prob)
+            start_vals = s * u0.values[prob.rows or slice(None)]
+            del u0  # the whole-line witness is not kept through the descent
+        self.vals = np.array(start_vals, dtype=float)
+        self.cand, self.g, self.d, self.r, self.z, self.p, self.hp = (
+            np.empty_like(self.vals) for _ in range(7)
+        )
+        self.kernels = prob._scratch()
+
+    def inner(self, x: np.ndarray, y: np.ndarray) -> float:
+        return float(self.prob.dt * np.sum(np.multiply(x, y, out=self.cand)))
+
+    def norm(self, x: np.ndarray) -> float:
+        return float(np.sqrt(self.prob.dt * np.sum(np.square(x, out=self.cand))))
+
+    def backtrack(self, f: float, d: np.ndarray) -> float | None:
+        """Armijo backtracking from unit step along ``d``, written into ``cand``; returns its energy or None.
+
+        A step is accepted only if it strictly lowers the energy: once the slope
+        is below the rounding of ``f`` the Armijo test alone reads ``f_new <= f``
+        and would accept a step that leaves the energy unchanged.
+        """
+        slope = self.inner(self.g, d)
+        if slope >= 0.0:
+            return None
+        tau = 1.0
+        while tau > 1e-20:
+            np.multiply(tau, d, out=self.cand)
+            self.cand += self.vals
+            f_new = self.prob._energy(self.cand, self.kernels)
+            if f_new < f and f_new <= f + ARMIJO * tau * slope:
+                return f_new
+            tau *= SHRINK
         return None
-    tau = 1.0
-    while tau > 1e-20:
-        np.multiply(tau, d, out=cand)
-        cand += vals
-        f_new = prob._energy(cand, kernels)
-        if f_new < f and f_new <= f + ARMIJO * tau * slope:
-            return f_new
-        tau *= SHRINK
-    return None
 
+    def newton_direction(self, rel_tol: float) -> np.ndarray:
+        """Approximately solve ``hessian(vals) d = -g`` by CG, exiting on negative curvature.
 
-def _truncated_cg(prob, hess, g, rel_tol, work):
-    """Approximately solve ``hess(d) = -g``, exiting on negative curvature.
-
-    Returns ``work.d``, or ``work.z`` (the preconditioned steepest-descent
-    direction) at negative curvature on the first iteration.  A nonpositive
-    ``(r, z)`` means the preconditioner lost definiteness at rounding level;
-    the current ``d`` is returned before it is divided by.
-    """
-    d, r, z, p, hp, tmp, kernels = work.d, work.r, work.z, work.p, work.hp, work.cand, work.kernels
-    d.fill(0.0)
-    np.negative(g, out=r)
-    prob._precondition_into(r, z, kernels)
-    np.copyto(p, z)
-    rz = _inner(prob, r, z, tmp)
-    r0 = _norm(prob, r, tmp)
-    for i in range(MAX_CG):
-        if rz <= 0.0:
-            return d
-        hess(p, hp, kernels)
-        php = _inner(prob, p, hp, tmp)
-        if php <= 1e-16 * _inner(prob, p, p, tmp):
-            return (z if i == 0 else d)
-        a = rz / php
-        d += np.multiply(a, p, out=tmp)
-        r -= np.multiply(a, hp, out=tmp)
-        if _norm(prob, r, tmp) <= rel_tol * r0:
-            return d
-        prob._precondition_into(r, z, kernels)
-        rz_new = _inner(prob, r, z, tmp)
-        p *= rz_new / rz
-        p += z
-        rz = rz_new
-    return d
+        Returns ``d``, or ``z`` (the preconditioned steepest-descent direction)
+        at negative curvature on the first iteration.  A nonpositive ``(r, z)``
+        means the preconditioner lost definiteness at rounding level; the
+        current ``d`` is returned before it is divided by.
+        """
+        prob, d, r, z, p, hp, tmp = self.prob, self.d, self.r, self.z, self.p, self.hp, self.cand
+        hess = prob._hessian_into(self.vals)
+        d.fill(0.0)
+        np.negative(self.g, out=r)
+        prob._precondition_into(r, z, self.kernels)
+        np.copyto(p, z)
+        rz = self.inner(r, z)
+        r0 = self.norm(r)
+        for i in range(MAX_CG):
+            if rz <= 0.0:
+                return d
+            hess(p, hp, self.kernels)
+            php = self.inner(p, hp)
+            if php <= 1e-16 * self.inner(p, p):
+                return (z if i == 0 else d)
+            a = rz / php
+            d += np.multiply(a, p, out=tmp)
+            r -= np.multiply(a, hp, out=tmp)
+            if self.norm(r) <= rel_tol * r0:
+                return d
+            prob._precondition_into(r, z, self.kernels)
+            rz_new = self.inner(r, z)
+            p *= rz_new / rz
+            p += z
+            rz = rz_new
+        return d
 
 
 def _descend(prob, cfg, start_vals=None) -> SolveResult:
-    """Truncated Newton-CG from ``start_vals``; stops when the line search rejects the direction.
+    """Truncated Newton-CG on one :class:`_Descent`; stops when the line search rejects the direction.
 
-    Every descent is set up here: the coercivity floor first, then without
-    ``start_vals`` the scaled witness on ``prob``'s own rows, the whole line or
-    a :meth:`~frachs.energy.Problem.restricted` window, where the iterates live;
-    the result's ``u`` is zero-extended onto the whole line.  Every array the
-    loop writes is in one :class:`_Work`.
+    The result's ``u`` is zero-extended onto the whole line.
     """
-    floor = lower_bound_minimum(prob)[1]
-    if start_vals is None:
-        u0, s = negative_energy_witness(prob)
-        start_vals = s * u0.values[prob.rows or slice(None)]
-        del u0  # the whole-line witness is not kept through the descent
-    work = _Work(prob, start_vals)
-    del start_vals  # the work holds its copy, so a caller's temporary start is freed here
-    f = prob._energy(work.vals, work.kernels)
-    g = prob._grad_into(work.vals, work.g, work.kernels)
-    _check_floor(f, floor)
-    g_norm = _norm(prob, g, work.cand)
+    run = _Descent(prob, start_vals)
+    f = prob._energy(run.vals, run.kernels)
+    prob._grad_into(run.vals, run.g, run.kernels)
+    _check_floor(f, run.floor)
+    g_norm = run.norm(run.g)
     history = [(f, g_norm)]
-    steps = 0
     stop_reason = "max_iters"
-    while steps < cfg.max_iters and g_norm > cfg.grad_tol:
-        d = _truncated_cg(prob, prob._hessian_into(work.vals), g, min(0.5, g_norm), work)
-        f_new = _backtrack(prob, work.vals, f, g, d, work.cand, work.kernels)
+    while len(history) <= cfg.max_iters and g_norm > cfg.grad_tol:
+        f_new = run.backtrack(f, run.newton_direction(min(0.5, g_norm)))
         if f_new is None:
             stop_reason = "no_descent"  # the Newton direction lowers the energy by no step
             break
         f = f_new
-        work.vals, work.cand = work.cand, work.vals
-        prob._grad_into(work.vals, g, work.kernels)
-        _check_floor(f, floor)
-        g_norm = _norm(prob, g, work.cand)
-        steps += 1
+        run.vals, run.cand = run.cand, run.vals
+        prob._grad_into(run.vals, run.g, run.kernels)
+        _check_floor(f, run.floor)
+        g_norm = run.norm(run.g)
         history.append((f, g_norm))
     converged = g_norm <= cfg.grad_tol
-    applied = prob._apply_into(g, work.cand, work.kernels)
+    applied = prob._apply_into(run.g, run.cand, run.kernels)
     return SolveResult(
-        u=prob.extend(work.vals),
+        u=prob.extend(run.vals),
         energy=f,
         grad_norm=g_norm,
-        grad_norm_weighted=float(np.sqrt(_inner(prob, g, applied, applied))),  # form(g, g)
-        iterations=steps,
+        grad_norm_weighted=float(np.sqrt(run.inner(run.g, applied))),  # form(g, g)
+        iterations=len(history) - 1,
         converged=converged,
         history=tuple(history),
         stop_reason="grad_tol" if converged else stop_reason,
@@ -383,7 +375,10 @@ def concentration_sweep(prob: Problem, lambdas, cfg: SolverConfig) -> SweepRepor
     ordering is checked and flagged, not repaired.  ``c_tilde`` is the
     whole-line energy of ``u_tilde``, the level the first row starts from;
     the window descent reached it up to rounding (``bvp.energy``).  It is at
-    most the witness energy, which is negative.  A ladder of fewer than 3 weights
+    most the witness energy, which is negative, and it is the rows' limit as
+    ``lam`` grows only when ``L`` is nonzero everywhere outside the closed
+    core: where ``L`` vanishes on a wider set, ``c_lambda`` levels off below
+    ``c_tilde`` and no row is flagged for it.  A ladder of fewer than 3 weights
     or out of order raises :class:`~frachs.spaces.WeightError` before any solve; the
     restricted solve at ``lambdas[0]`` reaches its floor (``WeightError`` below the
     threshold) before its witness (:class:`~frachs.energy.WitnessError`), so no row is computed.

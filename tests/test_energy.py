@@ -295,6 +295,17 @@ class TestPowerFamily:
         assert np.array_equal(got_grad, grad)
         assert np.all(got_density[zero] == 0.0) and np.all(got_grad[zero] == 0.0)
 
+    @pytest.mark.parametrize("eps", [1e-160, 1e-6, 1e-3, 0.3, 1e120])
+    @pytest.mark.parametrize("p", [1.2, 1.5, 1.95])
+    def test_regularized_density_of_zero_is_exactly_zero(self, p, eps):
+        # (eps^2)^(p/2) and eps^p round apart: at (1e-3, 1.2) their difference is negative
+        density = power_nonlinearity(p=p, eps=eps).density(TIMES, np.zeros((N_DEFAULT, 2)))
+        assert np.all(density == 0.0) and not np.any(np.signbit(density))
+
+    def test_regularized_window_has_no_outside_energy(self):
+        prob = default_problem(nonlinearity=power_nonlinearity(eps=0.3))
+        assert prob.restricted(prob.potential.core).outside == 0.0
+
 
 class TestHessianAt:
     """``hessian_at`` coefficients against centered differences of ``gradient``."""

@@ -32,8 +32,9 @@ from frachs import (
     zero_nonlinearity,
 )
 from frachs import solver
+from frachs.grid import standard_normal
 from frachs.nonlinearity import Nonlinearity
-from frachs.solver import _Work, _backtrack, _descend, _sweep_row, _truncated_cg
+from frachs.solver import _Descent, _descend, _sweep_row
 
 from conftest import DT, N_DEFAULT, T_MIN, wall_on_rotated_axes, zero_signal
 
@@ -93,6 +94,7 @@ class TestMinimize:
         quad_prob = _with_nonlinearity(prob, zero_nonlinearity())
         vals = np.zeros((N_DEFAULT, 1))
         vals[:, 0] = 0.3 * smooth_bump(prob.times, (0.0, 0.5))
+        assert lower_bound_minimum(quad_prob) == (0.0, 0.0)
         res = _descend(quad_prob, cfg, vals)
         assert res.converged
         assert abs(res.energy) <= 1e-12
@@ -173,11 +175,35 @@ class TestLineSearch:
     def test_rejects_step_that_leaves_energy_unchanged(self, prob):
         # the slope -1e-30 |g|^2 is far below the rounding of f, so every trial
         # point equals the start bit for bit and the Armijo test alone reads f <= f
-        u0, s = negative_energy_witness(prob)
-        vals = s * u0.values
-        g = prob.grad(vals)
-        cand, f = np.empty_like(vals), prob.energy(vals)
-        assert _backtrack(prob, vals, f, g, -1e-30 * g, cand, prob._scratch()) is None
+        run = _Descent(prob)
+        g = prob._grad_into(run.vals, run.g, run.kernels)
+        assert run.backtrack(prob.energy(run.vals), -1e-30 * g) is None
+
+
+class TestDescentBuffers:
+    """``cand`` is free outside the line search: a step writes only its own arrays."""
+
+    @pytest.mark.parametrize("preset", ["default", "rotated"])
+    def test_steps_write_only_their_own_arrays(self, prob, rng, preset):
+        if preset == "rotated":
+            prob = default_problem(potential=rotated_well_potential())
+        # one step past the witness, where CG runs past its first iteration
+        run = _Descent(prob, minimize(prob, SolverConfig(max_iters=1)).u.values)
+        prob._grad_into(run.vals, run.g, run.kernels)
+        scratch = ("cand", "d", "r", "z", "p", "hp")
+        for name in scratch:  # noise, so any write shows
+            getattr(run, name)[...] = standard_normal(rng, run.vals.size).reshape(run.vals.shape)
+
+        def written(step):
+            before = {name: getattr(run, name).tobytes() for name in ("vals", "g", *scratch)}
+            return step(), {name for name, bits in before.items() if getattr(run, name).tobytes() != bits}
+
+        d, changed = written(lambda: run.newton_direction(0.5))
+        assert d is run.d and changed <= set(scratch)
+        f = prob.energy(run.vals)
+        f_new, changed = written(lambda: run.backtrack(f, d))
+        assert f_new is not None and f_new < f and changed == {"cand"}
+        assert prob.energy(run.cand) == f_new
 
 
 class TestNewtonStep:
@@ -204,11 +230,9 @@ class TestNewtonStep:
         monkeypatch.setattr(
             Problem, "_precondition_into", lambda self, x, out, work: np.negative(x, out=out)
         )
-        u0, s = negative_energy_witness(prob)
-        vals = s * u0.values
-        g = prob.grad(vals)
-        d = _truncated_cg(prob, prob._hessian_into(vals), g, 0.5, _Work(prob, vals))
-        assert np.all(d == 0.0)
+        run = _Descent(prob)
+        prob._grad_into(run.vals, run.g, run.kernels)
+        assert np.all(run.newton_direction(0.5) == 0.0)
 
     def test_non_finite_density_reads_as_infinite_energy(self, prob):
         # +inf, not NaN or -inf, so the line search can never accept such a point
